@@ -25,6 +25,10 @@ from .basis import AxisSpec, auto_knot_segments
 from .sandwich2d import DegenerateFit, GridData, LambdaGrid, SandwichFit, select_lambda
 from .spectra import apply_smoother, axis_spectrum, trace_smoother
 
+# Largest distance array (empty cells x points) fill_nearest holds at once;
+# near the size of a core's L2 cache, its elementwise passes run fastest.
+FILL_BLOCK_BYTES = 1 << 20
+
 __all__ = [
     "ScatterData",
     "BinnedGrid",
@@ -50,6 +54,10 @@ class ScatterData:
         y = np.asarray(self.y, dtype=float)
         if not (x.shape == z.shape == y.shape) or x.ndim != 1:
             raise ValueError("x, z, y must be one-dimensional and equally long")
+        for name, c in (("x", x), ("z", z), ("y", y)):
+            bad = np.flatnonzero(~np.isfinite(c))
+            if bad.size:
+                raise ValueError(f"{name}[{bad[0]}] is {c[bad[0]]}; values must be finite")
         for name, c in (("x", x), ("z", z)):
             if c.size and (c.min() < 0.0 or c.max() > 1.0):
                 raise ValueError(f"{name} coordinates must lie in [0, 1]")
@@ -136,6 +144,11 @@ def fill_nearest(grid: BinnedGrid, data: ScatterData, m: int = 3) -> BinnedGrid:
     Nearness is Euclidean distance from the cell center; distance ties keep
     point-index order.  When fewer than m observations exist, all of them
     are used.
+
+    Empty cells are handled in blocks whose distance array stays within
+    FILL_BLOCK_BYTES.  Per block, a partition finds each cell's m-th
+    smallest squared distance; the points at or below it, stably sorted by
+    distance, give exactly the leading m of a full stable argsort.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
@@ -146,10 +159,21 @@ def fill_nearest(grid: BinnedGrid, data: ScatterData, m: int = 3) -> BinnedGrid:
         return grid
     means = grid.means.copy()
     take = min(m, data.n)
-    for k, l in empty:
-        d2 = (data.x - grid.x_centers[k]) ** 2 + (data.z - grid.z_centers[l]) ** 2
-        nearest = np.argsort(d2, kind="stable")[:take]
-        means[k, l] = data.y[nearest].mean()
+    block = max(1, FILL_BLOCK_BYTES // (8 * data.n))
+    for start in range(0, len(empty), block):
+        k, l = empty[start:start + block].T
+        cx = grid.x_centers[k][:, None]
+        cz = grid.z_centers[l][:, None]
+        d2 = (data.x - cx) ** 2 + (data.z - cz) ** 2
+        kth = np.partition(d2, take - 1, axis=1)[:, take - 1:take]
+        rows, cols = np.nonzero(d2 <= kth)
+        # np.nonzero lists each row's candidates in index order and lexsort
+        # is stable, so distance ties keep that order
+        order = np.lexsort((d2[rows, cols], rows))
+        rows, cols = rows[order], cols[order]
+        first = np.searchsorted(rows, np.arange(k.size))
+        nearest = cols[first[:, None] + np.arange(take)]
+        means[k, l] = data.y[nearest].mean(axis=1)
     return BinnedGrid(means, grid.counts, grid.x_centers, grid.z_centers)
 
 

@@ -556,7 +556,7 @@ def cmd_smooth_cov(cfg: RunConfig) -> int:
     model = smooth_cov(C, spec=spec, lams=lams, t=t,
                        exclude_diagonal=cfg.exclude_diagonal)
     elapsed = time.perf_counter() - t0
-    npairs = min(cfg.npairs, curves.J)
+    npairs = min(cfg.npairs, model.eigenvalues.size)
     values, funcs = eigenpairs(model, npairs)
     if cfg.output:
         write_grid_csv(cfg.output, t, t, model.smoothed_cov)

@@ -9,6 +9,12 @@ midpoint-quadrature scaling: matrix eigenvalue / J estimates the process
 eigenvalue, sqrt(J) times the unit eigenvector estimates the eigenfunction
 (so it has unit quadrature norm).
 
+The smoothed matrix is A K A' with A the J x c orthonormal spectral basis
+and K = diag(st) (A'CA) diag(st), so its rank is at most c.  Its nonzero
+eigenpairs come exactly from the c x c matrix K: eigenvalues of K, with
+eigenvectors A U.  smooth_cov therefore never decomposes a J x J matrix
+and keeps only these at most c pairs.
+
 The raw matrix is smoothed as-is, noise-inflated diagonal included; pass
 exclude_diagonal=True to replace the diagonal with NaN-free interpolation
 of its neighbors before smoothing (a known practical variant, off by
@@ -87,11 +93,16 @@ class CurveSet:
 
 @dataclass(frozen=True)
 class CovModel:
-    """Raw and smoothed covariance with its full eigensystem.
+    """Raw and smoothed covariance with the at most c nonzero eigenpairs.
 
-    eigenvalues are the matrix eigenvalues divided by J, in descending
-    order; eigenfunctions[k] is the k-th estimated eigenfunction sampled
-    at t (unit quadrature norm: (1/J) sum psi^2 = 1).
+    eigenvalues are the c eigenvalues of the rank-c smoothed matrix (c the
+    basis dimension) divided by J, in descending order; eigenfunctions[k]
+    is the k-th estimated eigenfunction sampled at t (unit quadrature norm:
+    (1/J) sum psi^2 = 1).  The J - c eigenvalues left out are zero in
+    exact arithmetic.  When the smoothed matrix is indefinite (which
+    exclude_diagonal can cause), its negative eigenvalues follow the
+    positive ones directly here, not after J - c zeros as in a dense
+    decomposition.
     """
 
     t: np.ndarray
@@ -157,12 +168,20 @@ def default_lambda_list(count: int = 20) -> np.ndarray:
     return np.logspace(-5.0, 4.0, count)
 
 
-def _decompose(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigensystem with quadrature scaling and default signs."""
-    J = matrix.shape[0]
+def _decompose(matrix: np.ndarray, basis: np.ndarray | None = None
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Eigensystem of basis @ matrix @ basis' with quadrature scaling and
+    default signs.
+
+    basis must have orthonormal columns; None stands for the identity, so
+    the full eigensystem of `matrix` itself is returned.
+    """
     w, V = np.linalg.eigh(matrix)
     w = w[::-1]
     V = V[:, ::-1]
+    if basis is not None:
+        V = basis @ V
+    J = V.shape[0]
     funcs = np.sqrt(J) * V.T
     for row in funcs:
         nonzero = np.nonzero(np.abs(row) > 1e-12 * np.abs(row).max())[0]
@@ -224,10 +243,11 @@ def smooth_cov(C: np.ndarray, spec: AxisSpec | None = None,
     lam = float(lams[pick])
 
     st = shrink_weights(sp.s, lam)
-    M = sp.A @ (st[:, None] * Ct * st[None, :]) @ sp.A.T
+    K = st[:, None] * Ct * st[None, :]
+    M = sp.A @ K @ sp.A.T
     smoothed = 0.5 * (M + M.T)
     edf = trace_smoother(sp.s, lam) ** 2
-    values, funcs = _decompose(smoothed)
+    values, funcs = _decompose(0.5 * (K + K.T), sp.A)
     return CovModel(
         t=np.asarray(t, float),
         raw_cov=raw,
@@ -245,7 +265,8 @@ def eigenpairs(model, k: int, reference: np.ndarray | None = None
                ) -> tuple[np.ndarray, np.ndarray]:
     """Top-k eigenvalues and eigenfunctions of a smoothed covariance.
 
-    Accepts a CovModel or a bare symmetric matrix.  When reference
+    Accepts a CovModel, which holds at most c pairs, or a bare symmetric
+    matrix, which is decomposed in full.  When reference
     functions are supplied (k rows sampled at the same grid), each
     eigenfunction is flipped so its inner product with its reference is
     nonnegative; otherwise the first nonzero coordinate is made positive.

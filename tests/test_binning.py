@@ -28,10 +28,32 @@ def full_scatter(i1, i2, values):
     return ScatterData(x, z, np.asarray(values, dtype=float).ravel())
 
 
+def fill_nearest_loop(grid, data, m):
+    """The per-cell fill that fill_nearest replaced, kept as its oracle."""
+    empty = np.argwhere(grid.empty_mask)
+    means = grid.means.copy()
+    take = min(m, data.n)
+    for k, l in empty:
+        d2 = (data.x - grid.x_centers[k]) ** 2 + (data.z - grid.z_centers[l]) ** 2
+        nearest = np.argsort(d2, kind="stable")[:take]
+        means[k, l] = data.y[nearest].mean()
+    return means
+
+
 class TestScatterData:
     def test_rejects_out_of_square(self):
         with pytest.raises(ValueError):
             ScatterData([0.5, 1.5], [0.5, 0.5], [1.0, 2.0])
+
+    @pytest.mark.parametrize("name", ["x", "z", "y"])
+    def test_rejects_non_finite(self, name):
+        cols = {"x": [0.1, 0.2, 0.3], "z": [0.4, 0.5, 0.6], "y": [1.0, 2.0, 3.0]}
+        cols[name][2] = np.nan
+        with pytest.raises(ValueError, match=rf"{name}\[2\] is nan"):
+            ScatterData(**cols)
+        cols[name][2] = np.inf
+        with pytest.raises(ValueError, match=rf"{name}\[2\] is inf"):
+            ScatterData(**cols)
 
     def test_rejects_ragged(self):
         with pytest.raises(ValueError):
@@ -123,6 +145,41 @@ class TestFillNearest:
             d2 = (data.x - cx) ** 2 + (data.z - cz) ** 2
             expect = data.y[np.argsort(d2, kind="stable")[:2]].mean()
             assert filled.means[k, l] == expect
+
+    def test_matches_loop_around_a_hole(self):
+        rng = np.random.default_rng(21)
+        x, z = rng.uniform(size=2000), rng.uniform(size=2000)
+        keep = (x - 0.5) ** 2 + (z - 0.5) ** 2 > 0.2 ** 2
+        data = ScatterData(x[keep], z[keep], rng.normal(size=keep.sum()))
+        grid = bin_scatter(data, 40, 40)
+        assert grid.empty_mask.sum() > 100
+        for m in (1, 3, 8):
+            assert np.array_equal(fill_nearest(grid, data, m).means,
+                                  fill_nearest_loop(grid, data, m))
+
+    def test_matches_loop_on_lattice_ties(self):
+        # dyadic lattice k/16 and 16 x 16 bins: every distance is exact, and
+        # each empty center is equidistant from up to four lattice corners
+        rng = np.random.default_rng(22)
+        X, Z = np.meshgrid(np.arange(17) / 16, np.arange(17) / 16, indexing="ij")
+        keep = rng.uniform(size=X.size) > 0.5
+        data = ScatterData(X.ravel()[keep], Z.ravel()[keep],
+                           rng.normal(size=keep.sum()))
+        grid = bin_scatter(data, 16, 16)
+        k, l = np.argwhere(grid.empty_mask)[0]
+        d2 = (data.x - grid.x_centers[k]) ** 2 + (data.z - grid.z_centers[l]) ** 2
+        assert np.sum(d2 == d2.min()) > 1
+        for m in (1, 2, 3, 4, 5, 9):
+            assert np.array_equal(fill_nearest(grid, data, m).means,
+                                  fill_nearest_loop(grid, data, m))
+
+    def test_matches_loop_m_above_n(self):
+        rng = np.random.default_rng(23)
+        data = ScatterData(rng.uniform(size=7), rng.uniform(size=7),
+                           rng.normal(size=7))
+        grid = bin_scatter(data, 6, 6)
+        assert np.array_equal(fill_nearest(grid, data, 50).means,
+                              fill_nearest_loop(grid, data, 50))
 
     def test_zero_points_rejected(self):
         data = ScatterData([], [], [])

@@ -186,6 +186,12 @@ class TestSmoothScatter:
         write_scatter_csv(sc, [0.2, 1.7], [0.3, 0.4], [1.0, 2.0])
         assert main(["smooth-scatter", "-i", str(sc)]) == 2
 
+    def test_non_finite_response_exits_2(self, tmp_path, capsys):
+        sc = tmp_path / "sc.csv"
+        write_scatter_csv(sc, [0.2, 0.7, 0.5], [0.3, 0.4, 0.9], [1.0, np.nan, 2.0])
+        assert main(["smooth-scatter", "-i", str(sc)]) == 2
+        assert "y[1] is nan" in capsys.readouterr().err
+
 
 class TestSmoothCov:
     def test_end_to_end(self, tmp_path):
@@ -204,6 +210,18 @@ class TestSmoothCov:
         sm = json.loads(sump.read_text())
         assert len(sm["eigenvalues"]) == 3
         assert sm["lambda"] >= 0.0
+
+    def test_npairs_clamped_to_basis_dimension(self, tmp_path):
+        # J = 20 gives 10 knot segments, so c = 13 cubic B-splines
+        curves = simulate_fda(1, 40, 20, 0.5, seed=23)
+        cv = tmp_path / "cv.csv"
+        write_curves_csv(cv, curves.t, curves.Y)
+        eig, sump = tmp_path / "eig.csv", tmp_path / "s.json"
+        rc = main(["smooth-cov", "-i", str(cv), "--eigen-output", str(eig),
+                   "--summary", str(sump), "--npairs", "50"])
+        assert rc == 0
+        assert len(eig.read_text().splitlines()) == 1 + 13
+        assert len(json.loads(sump.read_text())["eigenvalues"]) == 13
 
     def test_ragged_curves_exit_2(self, tmp_path):
         cv = tmp_path / "cv.csv"

@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from sandsmooth import fda
 from sandsmooth.basis import AxisSpec
 from sandsmooth.fda import (
     CovModel,
@@ -199,6 +200,35 @@ class TestEigenpairs:
             ise = np.mean((funcs[0] - ref[0]) ** 2)
             hits += ise < 0.5
         assert hits >= 90
+
+
+class TestRankCEigensystem:
+    @pytest.mark.parametrize("exclude_diagonal", [False, True])
+    @pytest.mark.parametrize("J", [60, 200])
+    def test_matches_dense_decomposition(self, J, exclude_diagonal):
+        curves = simulate_fda(1, 100, J, 0.5, seed=31)
+        model = smooth_cov(sample_cov(curves), exclude_diagonal=exclude_diagonal)
+        assert model.eigenvalues.size == model.spec.n_basis
+        dense_vals, dense_funcs = fda._decompose(model.smoothed_cov)
+        npt.assert_allclose(model.eigenvalues[:4], dense_vals[:4], rtol=1e-12)
+        npt.assert_allclose(model.eigenfunctions[:4], dense_funcs[:4], atol=1e-10)
+        gram = model.eigenfunctions @ model.eigenfunctions.T / J
+        npt.assert_allclose(gram, np.eye(model.spec.n_basis), atol=1e-10)
+
+    def test_no_J_by_J_eigh(self, monkeypatch):
+        J = 60
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def recording_eigh(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(fda.np.linalg, "eigh", recording_eigh)
+        model = smooth_cov(sample_cov(simulate_fda(1, 50, J, 0.5, seed=32)))
+        c = model.spec.n_basis
+        assert (c, c) in shapes
+        assert all(max(shape) < J for shape in shapes)
 
 
 class TestSimulate:
