@@ -22,7 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import AxisSpec, auto_knot_segments
-from .sandwich2d import DegenerateFit, GridData, LambdaGrid, SandwichFit, select_lambda
+from .sandwich2d import (
+    DegenerateFit,
+    GridData,
+    LambdaGrid,
+    SandwichFit,
+    require_finite,
+    select_lambda,
+)
 from .spectra import apply_smoother, axis_spectrum, trace_smoother
 
 # Largest distance array (empty cells x points) fill_nearest holds at once;
@@ -55,9 +62,7 @@ class ScatterData:
         if not (x.shape == z.shape == y.shape) or x.ndim != 1:
             raise ValueError("x, z, y must be one-dimensional and equally long")
         for name, c in (("x", x), ("z", z), ("y", y)):
-            bad = np.flatnonzero(~np.isfinite(c))
-            if bad.size:
-                raise ValueError(f"{name}[{bad[0]}] is {c[bad[0]]}; values must be finite")
+            require_finite(name, c)
         for name, c in (("x", x), ("z", z)):
             if c.size and (c.min() < 0.0 or c.max() > 1.0):
                 raise ValueError(f"{name} coordinates must lie in [0, 1]")

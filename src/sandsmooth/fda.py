@@ -34,7 +34,7 @@ import numpy as np
 
 from .basis import AxisSpec
 from .rng import CounterNormals, replicate_seed
-from .sandwich2d import DegenerateFit, gcv_score, sse_fast
+from .sandwich2d import DegenerateFit, gcv_score, require_finite, sse_fast
 from .spectra import axis_spectrum, shrink_weights, trace_smoother
 from .surfaces import midpoints
 
@@ -67,7 +67,7 @@ def case_eigenvalues(case: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CurveSet:
-    """n curves sampled at a common grid of J points; rows are curves."""
+    """n finite curves sampled at a common grid of J points; rows are curves."""
 
     Y: np.ndarray
     t: np.ndarray | None = None
@@ -79,6 +79,8 @@ class CurveSet:
         t = midpoints(Y.shape[1]) if self.t is None else np.asarray(self.t, float)
         if t.shape != (Y.shape[1],):
             raise ValueError(f"t has {t.size} points for J = {Y.shape[1]}")
+        require_finite("Y", Y)
+        require_finite("t", t)
         object.__setattr__(self, "Y", Y)
         object.__setattr__(self, "t", t)
 

@@ -26,7 +26,7 @@ from functools import reduce
 import numpy as np
 
 from .basis import AxisSpec, auto_knot_segments
-from .sandwich2d import DegenerateFit, gcv_score
+from .sandwich2d import DegenerateFit, gcv_score, require_finite
 from .spectra import axis_spectrum, shrink_weights
 
 __all__ = ["ArrayData", "MultiFit", "rh", "fit_array", "MAX_GRID_COMBINATIONS"]
@@ -40,7 +40,7 @@ _DEFAULT_GRID_SIZE_HIGH_D = 6
 
 @dataclass(frozen=True)
 class ArrayData:
-    """Dense d-dimensional responses with per-axis coordinates in [0, 1]."""
+    """Dense, finite d-dimensional responses; per-axis coordinates in [0, 1]."""
 
     values: np.ndarray
     coords: tuple[np.ndarray, ...]
@@ -55,7 +55,9 @@ class ArrayData:
                 f"{values.ndim}-dimensional values need {values.ndim} "
                 f"coordinate vectors, got {len(coords)}"
             )
+        require_finite("values", values)
         for axis, c in enumerate(coords):
+            require_finite(f"coords[{axis}]", c)
             if c.size != values.shape[axis]:
                 raise ValueError(f"axis {axis}: {c.size} coordinates for "
                                  f"{values.shape[axis]} entries")

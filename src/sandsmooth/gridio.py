@@ -8,8 +8,12 @@ header.  Summaries are single JSON objects.  Arrays of dimension three
 or more use the binary ``.npy`` format, which has no natural
 coordinate-tagged text layout.
 
-Every number is written with 17 significant digits so that files
-round-trip bit-identically through float64.
+Every number is written with one ``%.17g`` row template per line, the
+same text as ``format(v, ".17g")``, so files round-trip bit-identically
+through float64.  A table body is parsed by one ``np.loadtxt`` call;
+only when that fails does a per-field loop parse it again, to name the
+file line and field at fault or to accept what ``float()`` accepts.
+Blank lines are skipped but counted in the line numbers.
 """
 
 from __future__ import annotations
@@ -35,11 +39,14 @@ class FileFormatError(ValueError):
     """Malformed input file; the message carries the line number."""
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
-def _float(field: str, path: str, lineno: int) -> float:
+def _float(field: str, path: str, lineno: int, tag: str = "") -> float:
+    """One field as a float; with a tag, the field must read '<tag>:<coord>'."""
+    if tag:
+        if not field.startswith(tag + ":"):
+            raise FileFormatError(
+                f"{path}:{lineno}: expected '{tag}:<coord>', got {field!r}"
+            )
+        field = field[len(tag) + 1 :]
     try:
         return float(field)
     except ValueError:
@@ -48,100 +55,116 @@ def _float(field: str, path: str, lineno: int) -> float:
         ) from None
 
 
-def _tagged(field: str, tag: str, path: str, lineno: int) -> float:
-    if not field.startswith(tag + ":"):
-        raise FileFormatError(
-            f"{path}:{lineno}: expected '{tag}:<coord>', got {field!r}"
-        )
-    return _float(field[len(tag) + 1 :], path, lineno)
-
-
-def _read_lines(path: str) -> list[list[str]]:
+def _read_table(path: str):
+    """Header and body of a table; each non-blank line as (lineno, text)."""
     with open(path, encoding="utf-8") as fh:
-        return [line.rstrip("\r\n").split(",") for line in fh if line.strip()]
+        lines = [
+            (lineno, line.rstrip("\r\n"))
+            for lineno, line in enumerate(fh, start=1)
+            if line.strip()
+        ]
+    if not lines:
+        raise FileFormatError(f"{path}:1: empty file")
+    return lines[0], lines[1:]
+
+
+def _parse_body(path: str, body, width: int, tag: str = "") -> np.ndarray:
+    """Body lines as a (len(body), width) float array.
+
+    With a tag, each line's first field must read '<tag>:<coord>'.  The
+    per-field loop runs only when loadtxt fails or finds another width;
+    it raises for the first bad field or returns what float() accepts
+    and loadtxt does not (such as '1_0'), so both paths agree.
+    """
+    prefix = tag + ":" if tag else ""
+    texts = [text for _, text in body]
+    if texts and all(text.startswith(prefix) for text in texts):
+        try:
+            values = np.loadtxt(
+                [text[len(prefix) :] for text in texts],
+                delimiter=",",
+                comments=None,
+                ndmin=2,
+            )
+        except ValueError:
+            pass
+        else:
+            if values.shape == (len(texts), width):
+                return values
+    values = np.empty((len(body), width))
+    tags = [tag] + [""] * (width - 1)
+    for r, (lineno, text) in enumerate(body):
+        fields = text.split(",")
+        if len(fields) != width:
+            raise FileFormatError(
+                f"{path}:{lineno}: expected {width} fields, got {len(fields)}"
+            )
+        values[r] = [_float(f, path, lineno, t) for f, t in zip(fields, tags)]
+    return values
+
+
+def _row(width: int, tag: str = "") -> str:
+    """Template for one line of `width` numbers, each as '<tag>%.17g'."""
+    return ",".join([tag + "%.17g"] * width) + "\n"
 
 
 def write_grid_csv(path, x, z, values) -> None:
     """Grid table: corner cell empty, columns z-tagged, rows x-tagged."""
     values = np.asarray(values, dtype=float)
+    row = "x:%.17g," + _row(values.shape[1])
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("," + ",".join("z:" + _fmt(c) for c in z) + "\n")
-        for xi, row in zip(x, values):
-            fh.write("x:" + _fmt(xi) + "," + ",".join(map(_fmt, row)) + "\n")
+        fh.write("," + _row(len(z), "z:") % tuple(z))
+        fh.writelines(row % (xi, *vals) for xi, vals in zip(x, values.tolist()))
 
 
 def read_grid_csv(path):
     """Parse a grid table back into (x, z, values)."""
-    rows = _read_lines(path)
-    if not rows:
-        raise FileFormatError(f"{path}:1: empty file")
-    header = rows[0]
-    if header[0].strip():
+    (lineno, header), body = _read_table(path)
+    corner, *columns = header.split(",")
+    if corner.strip():
         raise FileFormatError(
-            f"{path}:1: grid header must start with an empty corner cell"
+            f"{path}:{lineno}: grid header must start with an empty corner cell"
         )
-    z = np.array([_tagged(f, "z", path, 1) for f in header[1:]])
+    z = np.array([_float(f, path, lineno, "z") for f in columns])
     if z.size == 0:
-        raise FileFormatError(f"{path}:1: no z-tagged columns")
-    x = np.empty(len(rows) - 1)
-    values = np.empty((len(rows) - 1, z.size))
-    for r, row in enumerate(rows[1:], start=2):
-        if len(row) != z.size + 1:
-            raise FileFormatError(
-                f"{path}:{r}: expected {z.size + 1} fields, got {len(row)}"
-            )
-        x[r - 2] = _tagged(row[0], "x", path, r)
-        values[r - 2] = [_float(f, path, r) for f in row[1:]]
-    return x, z, values
+        raise FileFormatError(f"{path}:{lineno}: no z-tagged columns")
+    table = _parse_body(path, body, z.size + 1, "x")
+    x, values = table[:, 0], table[:, 1:]
+    return np.ascontiguousarray(x), z, np.ascontiguousarray(values)
 
 
 def write_scatter_csv(path, x, z, y) -> None:
+    row = _row(3)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("x,z,y\n")
-        for xi, zi, yi in zip(x, z, y):
-            fh.write(f"{_fmt(xi)},{_fmt(zi)},{_fmt(yi)}\n")
+        fh.writelines(row % xzy for xzy in zip(x, z, y))
 
 
 def read_scatter_csv(path):
     """Parse an x,z,y table back into three arrays."""
-    rows = _read_lines(path)
-    if not rows:
-        raise FileFormatError(f"{path}:1: empty file")
-    if [f.strip() for f in rows[0]] != ["x", "z", "y"]:
-        raise FileFormatError(f"{path}:1: header must be 'x,z,y'")
-    out = np.empty((len(rows) - 1, 3))
-    for r, row in enumerate(rows[1:], start=2):
-        if len(row) != 3:
-            raise FileFormatError(f"{path}:{r}: expected 3 fields, got {len(row)}")
-        out[r - 2] = [_float(f, path, r) for f in row]
-    return out[:, 0], out[:, 1], out[:, 2]
+    (lineno, header), body = _read_table(path)
+    if [f.strip() for f in header.split(",")] != ["x", "z", "y"]:
+        raise FileFormatError(f"{path}:{lineno}: header must be 'x,z,y'")
+    table = _parse_body(path, body, 3)
+    return table[:, 0], table[:, 1], table[:, 2]
 
 
 def write_curves_csv(path, t, Y) -> None:
     """One curve per row under a t-tagged coordinate header."""
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    row = _row(Y.shape[1])
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join("t:" + _fmt(c) for c in t) + "\n")
-        for row in Y:
-            fh.write(",".join(map(_fmt, row)) + "\n")
+        fh.write(_row(len(t), "t:") % tuple(t))
+        fh.writelines(row % tuple(vals) for vals in Y.tolist())
 
 
 def read_curves_csv(path):
     """Parse a curves table back into (t, Y) with one curve per row."""
-    rows = _read_lines(path)
-    if not rows:
-        raise FileFormatError(f"{path}:1: empty file")
-    t = np.array([_tagged(f, "t", path, 1) for f in rows[0]])
-    if len(rows) < 2:
-        raise FileFormatError(f"{path}:2: no curves after the header")
-    Y = np.empty((len(rows) - 1, t.size))
-    for r, row in enumerate(rows[1:], start=2):
-        if len(row) != t.size:
-            raise FileFormatError(
-                f"{path}:{r}: expected {t.size} fields, got {len(row)}"
-            )
-        Y[r - 2] = [_float(f, path, r) for f in row]
-    return t, Y
+    (lineno, header), body = _read_table(path)
+    t = np.array([_float(f, path, lineno, "t") for f in header.split(",")])
+    if not body:
+        raise FileFormatError(f"{path}:{lineno + 1}: no curves after the header")
+    return t, _parse_body(path, body, t.size)
 
 
 def write_long_csv(path, header, rows) -> None:
@@ -149,9 +172,8 @@ def write_long_csv(path, header, rows) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(
-                ",".join(f if isinstance(f, str) else _fmt(f) for f in row) + "\n"
-            )
+            template = ",".join("%s" if isinstance(f, str) else "%.17g" for f in row)
+            fh.write(template % tuple(row) + "\n")
 
 
 def write_json(path, obj) -> None:

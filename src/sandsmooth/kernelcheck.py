@@ -8,11 +8,13 @@ exponential mixture
 
 over the m roots psi_nu of x^(2m) + (-1)^m = 0 with positive real part.
 H_m integrates to one, kills moments up to order 2m - 1, and has 2m-th
-moment (-1)^(m+1) (2m)!.  This module evaluates the kernel, verifies
-the moment table by quadrature, converts smoothing parameters to kernel
-bandwidths, and assembles the asymptotic bias and variance constants of
-the bivariate smoother.  A profile helper compares actual smoother
-weights against the kernel prediction.
+moment (-1)^(m+1) (2m)!.  This module evaluates the kernel, computes
+its moments and L2 norm in closed form (H_m is a finite sum of
+exponentials, so both integrals are finite sums over the roots),
+converts smoothing parameters to kernel bandwidths, and assembles the
+asymptotic bias and variance constants of the bivariate smoother.  A
+profile helper compares actual smoother weights against the kernel
+prediction.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy import integrate, special
 
 from .basis import AxisSpec, design_matrix, diff_matrix
 from .surfaces import midpoints
@@ -42,7 +43,6 @@ __all__ = [
 
 ROOT_TOL = 1e-10
 IMAG_TOL = 1e-12
-TAIL_BOUND = 1e-10
 
 
 def kernel_roots(m: int) -> np.ndarray:
@@ -76,7 +76,7 @@ class EquivalentKernel:
 
     @property
     def min_decay(self) -> float:
-        """Smallest real part among the roots; sets the tail length."""
+        """Smallest real part among the roots: the slowest decay rate."""
         return float(self.roots.real.min())
 
     def evaluate(self, x):
@@ -96,60 +96,33 @@ def kernel_eval(m: int, x):
     return EquivalentKernel(m).evaluate(x)
 
 
-def _tail_length(a: float, l: int) -> float:
-    """Cut point T with int_T^inf x^l exp(-a x) dx below TAIL_BOUND.
-
-    |H_m(x)| <= exp(-a x) / 2 with a the smallest root real part, so
-    the two discarded half-line tails together stay under the bound.
-    """
-    T = 40.0 / a
-    while (
-        math.gamma(l + 1) * special.gammaincc(l + 1, a * T) / a ** (l + 1)
-        >= TAIL_BOUND
-    ):
-        T *= 1.25
-    return T
-
-
 def kernel_moment(m: int, l: int) -> float:
-    """Integral of x^l H_m(x) over the real line, by quadrature.
+    """Integral of x^l H_m(x) over the real line, in closed form.
 
-    The moment table pins down H_m as an order-2m kernel: 1 at l = 0,
-    zero for odd l and for even l up to 2m - 2, and (-1)^(m+1) (2m)!
-    at l = 2m.  Moments above 2m grow with the truncation point and
-    are rejected.
+    Termwise, 2 int_0^inf x^l psi / (2m) exp(-psi x) dx = (l! / m)
+    psi^(-l), so an even moment is Re[(l! / m) sum_nu psi_nu^(-l)];
+    the conjugate pairs cancel the imaginary parts.  The moment table
+    pins down H_m as an order-2m kernel: 1 at l = 0, zero for odd l
+    and for even l up to 2m - 2, and (-1)^(m+1) (2m)! at l = 2m.
+    Orders above 2m lie outside the table and are rejected.
     """
     if not 0 <= l <= 2 * m:
         raise ValueError(f"moment order must be in [0, {2 * m}], got {l}")
     if l % 2 == 1:
         return 0.0  # odd power against an even kernel
-    kern = EquivalentKernel(m)
-    T = _tail_length(kern.min_decay, l)
-    val, _ = integrate.quad(
-        lambda x: x**l * kern.evaluate(x),
-        0.0,
-        T,
-        limit=200,
-        epsabs=1e-9,
-        epsrel=1e-9,
-    )
-    return 2.0 * val
+    roots = kernel_roots(m)
+    return float((math.factorial(l) / m * (roots ** (-float(l))).sum()).real)
 
 
 def kernel_l2(m: int) -> float:
-    """Integral of H_m(x)^2 over the real line, by quadrature."""
-    kern = EquivalentKernel(m)
-    # H^2 decays like exp(-2 a x); at T = 40 / a the tail is ~e^-80
-    T = 40.0 / kern.min_decay
-    val, _ = integrate.quad(
-        lambda x: kern.evaluate(x) ** 2,
-        0.0,
-        T,
-        limit=200,
-        epsabs=1e-9,
-        epsrel=1e-9,
-    )
-    return 2.0 * val
+    """Integral of H_m(x)^2 over the real line, in closed form.
+
+    Termwise, 2 int_0^inf psi_nu psi_mu / (2m)^2 exp(-(psi_nu + psi_mu) x)
+    dx sums to Re[sum_{nu,mu} psi_nu psi_mu / (2 m^2 (psi_nu + psi_mu))].
+    """
+    roots = kernel_roots(m)
+    terms = np.outer(roots, roots) / (2.0 * m * m * np.add.outer(roots, roots))
+    return float(terms.sum().real)
 
 
 def _one_bandwidth(lam: float, K: int, n: int, m: int, tag: str) -> float:

@@ -48,9 +48,18 @@ class DegenerateFit(ValueError):
     """The smoother spends as many degrees of freedom as there are data."""
 
 
+def require_finite(name: str, values: np.ndarray) -> None:
+    """Raise ValueError naming the first non-finite entry of values."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        idx = tuple(int(i) for i in np.argwhere(~finite)[0])
+        raise ValueError(f"{name}[{', '.join(map(str, idx))}] is {values[idx]}; "
+                         "values must be finite")
+
+
 @dataclass(frozen=True)
 class GridData:
-    """Responses on a rectangular grid with sorted coordinates in [0, 1]."""
+    """Finite responses on a rectangular grid, sorted coordinates in [0, 1]."""
 
     Y: np.ndarray
     x_coords: np.ndarray
@@ -66,6 +75,8 @@ class GridData:
             raise ValueError(
                 f"Y is {Y.shape} but coordinates imply {(x.size, z.size)}"
             )
+        for name, c in (("Y", Y), ("x_coords", x), ("z_coords", z)):
+            require_finite(name, c)
         for name, c in (("x_coords", x), ("z_coords", z)):
             if c.size == 0:
                 raise ValueError(f"{name} is empty")

@@ -6,7 +6,7 @@ asserting, so a full run always shows the ten verdicts:
 
   1. fast fit, SSE, and trace match the dense Kronecker smoother
   2. the three-term SSE decomposition matches dense term by term
-  3. equivalent-kernel moments match the closed-form table
+  3. equivalent-kernel moments match the table and numeric integrals
   4. grid-smoothing MISE lands in the reference benchmark windows
   5. covariance-smoothing ISE lands in the reference benchmark windows
   6. d-dimensional array fits match dense Kronecker and the 2-D path
@@ -27,7 +27,7 @@ from sandsmooth.binning import ScatterData, iterative_fit
 from sandsmooth.cli import run_surface_study
 from sandsmooth.fda import replicate_ise
 from sandsmooth.glam import ArrayData, fit_array
-from sandsmooth.kernelcheck import kernel_moment, profile_gap
+from sandsmooth.kernelcheck import EquivalentKernel, kernel_l2, kernel_moment, profile_gap
 from sandsmooth.sandwich2d import (
     GridData,
     LambdaGrid,
@@ -124,27 +124,47 @@ def test_02_sse_decomposition(capsys):
     assert ok
 
 
+def _simpson(f, T, intervals=40_000):
+    """int_{-T}^{T} f by the composite Simpson rule.  The interval count
+    is a multiple of 4, so x = 0, where H_m has its kink, is a panel end."""
+    x = np.linspace(-T, T, intervals + 1)
+    y = f(x)
+    h = 2.0 * T / intervals
+    return h / 3.0 * (y[0] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum() + y[-1])
+
+
 def test_03_kernel_moments(capsys):
     t0 = time.perf_counter()
     ok = True
     worst = 0.0  # worst error as a fraction of its tolerance
     for m in (1, 2, 3):
+        kern = EquivalentKernel(m)
+        T = 40.0 / kern.min_decay
         for l in range(2 * m + 1):
             val = kernel_moment(m, l)
+            # oracle: numeric integration, independent of the closed form
+            num = _simpson(lambda x: x**l * kern.evaluate(x), T)
             if l == 2 * m:
                 target = (-1.0) ** (m + 1) * math.factorial(2 * m)
-                err, tol = abs(val - target) / abs(target), 1e-5
-            elif l == 0:
-                err, tol = abs(val - 1.0), 1e-6
+                errs = [abs(v - target) / abs(target) for v in (val, num)]
+                errs.append(abs(val - num) / abs(target))
+                tol = 1e-5
             else:
-                err, tol = abs(val), 1e-6
-            ok = ok and err <= tol
-            worst = max(worst, err / tol)
+                target = 1.0 if l == 0 else 0.0
+                errs = [abs(val - target), abs(num - target), abs(val - num)]
+                tol = 1e-6
+            ok = ok and max(errs) <= tol
+            worst = max(worst, max(errs) / tol)
+        num = _simpson(lambda x: kern.evaluate(x) ** 2, T)
+        err = abs(kernel_l2(m) - num)
+        ok = ok and err <= 1e-6
+        worst = max(worst, err / 1e-6)
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 2.0
     _report(capsys, 3, ok,
-            f"kernel moments m=1..3, l=0..2m: worst error at "
-            f"{worst:.3f} of tolerance, {elapsed:.2f}s (<2s)")
+            f"kernel moments m=1..3, l=0..2m, and L2, against the table and "
+            f"Simpson integrals: worst error at {worst:.2g} of tolerance, "
+            f"{elapsed:.2f}s (<2s)")
     assert ok
 
 

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import sandsmooth
 from sandsmooth.cli import (
     bench_knots,
     build_config,
@@ -27,6 +32,16 @@ def make_grid_csv(path, n1=20, n2=30, sigma=0.1, seed=3):
     Y = F + sigma * CounterNormals(seed).normals((n1, n2))
     write_grid_csv(path, x, z, Y)
     return x, z, Y
+
+
+def test_cli_import_loads_no_scipy():
+    # a fresh interpreter, so modules imported by other tests do not count
+    src = str(Path(sandsmooth.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, sandsmooth.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def summary_of(path):
@@ -72,6 +87,15 @@ class TestSmoothGrid:
     def test_missing_input_flag_exits_2(self, capsys):
         assert main(["smooth-grid"]) == 2
         assert "--input" in capsys.readouterr().err
+
+    def test_non_finite_value_exits_2(self, tmp_path, capsys):
+        x = z = midpoints(5)
+        Y = np.ones((5, 5))
+        Y[1, 2] = np.nan
+        inp = tmp_path / "in.csv"
+        write_grid_csv(inp, x, z, Y)
+        assert main(["smooth-grid", "-i", str(inp)]) == 2
+        assert "Y[1, 2] is nan; values must be finite" in capsys.readouterr().err
 
     def test_singular_basis_exits_1(self, tmp_path, capsys):
         inp = tmp_path / "in.csv"

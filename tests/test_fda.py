@@ -54,6 +54,17 @@ class TestCurveSet:
         with pytest.raises(ValueError):
             CurveSet(np.zeros((3, 1)))
 
+    @pytest.mark.parametrize("name, index, bad, want", [
+        ("Y", (2, 5), np.nan, r"Y\[2, 5\] is nan"),
+        ("Y", (0, 1), np.inf, r"Y\[0, 1\] is inf"),
+        ("t", (3,), -np.inf, r"t\[3\] is -inf"),
+    ])
+    def test_rejects_non_finite(self, name, index, bad, want):
+        fields = {"Y": np.zeros((3, 8)), "t": midpoints(8)}
+        fields[name][index] = bad
+        with pytest.raises(ValueError, match=want + "; values must be finite"):
+            CurveSet(**fields)
+
 
 class TestSampleCov:
     def test_identical_curves(self):

@@ -32,6 +32,21 @@ class TestArrayData:
         with pytest.raises(ValueError):
             ArrayData(np.zeros((3, 4)), (midpoints(3), midpoints(5)))
 
+    @pytest.mark.parametrize("bad, want", [
+        (np.nan, r"values\[1, 0, 2\] is nan"),
+        (np.inf, r"values\[1, 0, 2\] is inf"),
+    ])
+    def test_rejects_non_finite_values(self, bad, want):
+        values = np.zeros((2, 3, 4))
+        values[1, 0, 2] = bad
+        with pytest.raises(ValueError, match=want + "; values must be finite"):
+            ArrayData.on_midpoints(values)
+
+    def test_rejects_non_finite_coordinate(self):
+        coords = (midpoints(3), np.array([0.1, np.nan, 0.9]))
+        with pytest.raises(ValueError, match=r"coords\[1\]\[1\] is nan"):
+            ArrayData(np.zeros((3, 3)), coords)
+
 
 class TestRh:
     def test_identity_rotates_axes(self):

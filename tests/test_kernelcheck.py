@@ -117,6 +117,9 @@ class TestKernelMoment:
                 want = analytic_even_moment(m, l)
                 assert kernel_moment(m, l) == pytest.approx(want, abs=1e-7)
 
+    def test_exact_top_moment_order_two(self):
+        assert kernel_moment(2, 4) == pytest.approx(-24.0, abs=1e-12)
+
     def test_order_beyond_table_rejected(self):
         with pytest.raises(ValueError):
             kernel_moment(2, 5)
@@ -127,6 +130,9 @@ class TestKernelMoment:
 class TestKernelL2:
     def test_order_one_closed_form(self):
         assert kernel_l2(1) == pytest.approx(0.25, abs=1e-8)
+
+    def test_exact_order_two(self):
+        assert kernel_l2(2) == pytest.approx(3.0 * math.sqrt(2.0) / 16.0, rel=1e-15)
 
     def test_dual_quadrature_agreement(self):
         # second rule: trapezoid on a fine uniform grid over the same tail

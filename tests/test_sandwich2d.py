@@ -43,6 +43,19 @@ class TestGridData:
         with pytest.raises(ValueError):
             GridData(np.zeros((3, 3)), np.array([0.1, 0.5, 1.2]), midpoints(3))
 
+    @pytest.mark.parametrize("name, index, bad, want", [
+        ("Y", (1, 2), np.nan, r"Y\[1, 2\] is nan"),
+        ("Y", (0, 0), -np.inf, r"Y\[0, 0\] is -inf"),
+        ("x_coords", (1,), np.nan, r"x_coords\[1\] is nan"),
+        ("z_coords", (2,), np.inf, r"z_coords\[2\] is inf"),
+    ])
+    def test_rejects_non_finite(self, name, index, bad, want):
+        fields = {"Y": np.zeros((3, 4)), "x_coords": midpoints(3),
+                  "z_coords": midpoints(4)}
+        fields[name][index] = bad
+        with pytest.raises(ValueError, match=want + "; values must be finite"):
+            GridData(**fields)
+
     def test_counts(self):
         d = toy_data(4, 6)
         assert d.shape == (4, 6)
