@@ -68,6 +68,42 @@ def make_knots(spec: AxisSpec) -> np.ndarray:
     return (np.arange(spec.n_basis + p + 1) - p) / K
 
 
+def _de_boor(knots: np.ndarray, degree: int, points: np.ndarray) -> np.ndarray:
+    """Basis values at each of ``points``: the rows of the design matrix.
+
+    One iterative de Boor triangle runs over all points at once; row r
+    holds the c basis functions at points[r].
+    """
+    bad = ~((points >= 0.0) & (points <= 1.0))
+    if bad.any():
+        raise ValueError(f"evaluation point {points[bad][0]} outside [0, 1]")
+    p = degree
+    c = len(knots) - p - 1
+    K = c - p
+    # Index of the knot interval containing each point, clamped so 1.0 lands
+    # in the last interior segment.
+    left = p + np.minimum((points * K).astype(int), K - 1)
+
+    # After round k, work[:, :k+1] holds the values of the k-degree splines
+    # supported on each point's interval.
+    work = np.zeros((points.size, p + 1))
+    work[:, 0] = 1.0
+    for k in range(1, p + 1):
+        saved = 0.0
+        for j in range(k):
+            right_knot = knots[left + j + 1]
+            left_knot = knots[left + j + 1 - k]
+            term = work[:, j] / (right_knot - left_knot)
+            work[:, j] = saved + (right_knot - points) * term
+            saved = (points - left_knot) * term
+        work[:, k] = saved
+
+    out = np.zeros((points.size, c))
+    rows = np.arange(points.size)[:, None]
+    out[rows, left[:, None] - p + np.arange(p + 1)] = work
+    return out
+
+
 def eval_basis(knots: np.ndarray, degree: int, x: float) -> np.ndarray:
     """Evaluate all c B-spline basis functions at a point of [0, 1].
 
@@ -88,45 +124,15 @@ def eval_basis(knots: np.ndarray, degree: int, x: float) -> np.ndarray:
     -------
     ndarray of shape (c,)
     """
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"evaluation point {x} outside [0, 1]")
-    p = degree
-    c = len(knots) - p - 1
-    K = c - p
-    # Index of the knot interval containing x, clamped so 1.0 lands in the
-    # last interior segment.
-    seg = min(int(x * K), K - 1)
-    left = p + seg
-
-    # Iterative de Boor triangle: after round k, work[:k+1] holds the values
-    # of the k-degree splines supported on the interval.
-    work = np.zeros(p + 1)
-    work[0] = 1.0
-    for k in range(1, p + 1):
-        saved = 0.0
-        for j in range(k):
-            right_knot = knots[left + j + 1]
-            left_knot = knots[left + j + 1 - k]
-            term = work[j] / (right_knot - left_knot)
-            work[j] = saved + (right_knot - x) * term
-            saved = (x - left_knot) * term
-        work[k] = saved
-
-    out = np.zeros(c)
-    out[left - p : left + 1] = work
-    return out
+    return _de_boor(knots, degree, np.array([x], dtype=float))[0]
 
 
 def design_matrix(points: np.ndarray, spec: AxisSpec) -> np.ndarray:
-    """Stack basis evaluations at each point into an n x c design matrix."""
+    """Basis evaluations at each point, stacked into an n x c design matrix."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 1:
         raise ValueError("points must be one-dimensional")
-    knots = make_knots(spec)
-    B = np.empty((points.size, spec.n_basis))
-    for r, x in enumerate(points):
-        B[r] = eval_basis(knots, spec.degree, x)
-    return B
+    return _de_boor(make_knots(spec), spec.degree, points)
 
 
 def diff_matrix(c: int, order: int) -> np.ndarray:

@@ -7,11 +7,12 @@ nearby observations or imputed iteratively: fit, replace empty cells with
 their fitted values, refit, until the imputed values stop moving.
 
 Smoothing-parameter selection under imputation scores only the cells that
-hold real data.  The mask breaks the factorization that makes the grid-fit
-SSE a pair of small inner products, so here each candidate pair applies the
-two thin axis smoothers to the working matrix and sums masked residuals --
-still never forming an n x n smoother.  The trace term keeps the full-grid
-product form; no masked-trace correction is applied.
+hold real data.  The mask and the binned means stay fixed across rounds, so
+per-row masked Grams A2' diag(O[a, :]) A2 are built once; each round then
+scores every candidate pair in closed form from c2 x c2 reductions (GLAM's
+weighted inner products with 0/1 weights), and only the winning pair is
+applied to the grid.  The trace term keeps the full-grid product form; no
+masked-trace correction is applied.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import numpy as np
 
 from .basis import AxisSpec, auto_knot_segments
 from .sandwich2d import (
+    SSE_CLAMP_REL,
     DegenerateFit,
     GridData,
     LambdaGrid,
@@ -182,31 +184,83 @@ def fill_nearest(grid: BinnedGrid, data: ScatterData, m: int = 3) -> BinnedGrid:
     return BinnedGrid(means, grid.counts, grid.x_centers, grid.z_centers)
 
 
-def _masked_search(Y, occupied, sx, sz, lam1, lam2, n_eff):
+@dataclass(frozen=True)
+class _MaskedGram:
+    """Round-invariant pieces of the masked SSE: O the occupied mask, A2 the
+    second axis's orthonormal basis, and Y the working grid, whose occupied
+    cells hold the binned means in every round.
+
+    gram[a] = A2' diag(O[a, :]) A2, one c2 x c2 Gram per grid row;
+    cross = (O * Y) A2; yty = the sum of Y^2 over occupied cells.
+    """
+
+    occupied: np.ndarray
+    gram: np.ndarray
+    cross: np.ndarray
+    yty: float
+
+
+def _masked_gram(Y, occupied, sz) -> _MaskedGram:
+    """The _MaskedGram of working grid Y under the occupied mask."""
+    Yo = np.where(occupied, Y, 0.0)
+    rows = occupied[:, :, None] * sz.A  # n1 x n2 x c2
+    return _MaskedGram(occupied, rows.transpose(0, 2, 1) @ sz.A, Yo @ sz.A,
+                       float(np.sum(Yo * Yo)))
+
+
+def _masked_sse_table(Y, masked, sx, sz, lam1, lam2):
+    """Masked SSE at every (lam1[i], lam2[j]) pair, shape (len(lam1), len(lam2)).
+
+    Row a of the fit at (lam1[i], lam2[j]) is A2 (st2_j * P_i[a]) with
+    P_i = A1 (st1_i * A1' Y A2), so the SSE over occupied cells is
+    st2_j' M_i st2_j - 2 st2_j . sum_a (P_i[a] * cross[a]) + yty with
+    M_i = sum_a (P_i[a] P_i[a]') * gram[a]: the weighted inner products of
+    Currie, Durban & Eilers (2006) with 0/1 weights.  The work is
+    O(L1 n1 c2^2), whatever the number of empty cells, and no smoother is
+    applied per pair.
+    """
+    st1 = 1.0 / (1.0 + np.outer(lam1, sx.s))  # L1 x c1
+    st2 = 1.0 / (1.0 + np.outer(lam2, sz.s))  # L2 x c2
+    P = sx.A @ (st1[:, :, None] * (sx.A.T @ Y @ sz.A))  # L1 x n1 x c2
+    M = np.einsum("iak,ial,akl->ikl", P, P, masked.gram)
+    fit_norm = np.einsum("jk,ikj->ij", st2, M @ st2.T)
+    cross = np.einsum("iak,ak->ik", P, masked.cross) @ st2.T
+    sse = fit_norm - 2.0 * cross + masked.yty
+    if sse.min() < -SSE_CLAMP_REL * masked.yty:
+        raise FloatingPointError(
+            f"masked SSE as low as {sse.min()} on the grid; "
+            "the spectral decomposition is inconsistent"
+        )
+    return np.maximum(sse, 0.0, out=sse)
+
+
+def _masked_search(Y, masked, sx, sz, lam1, lam2, n_eff):
     """Masked-SSE GCV over the lambda grid; returns (i, j, gcv, sse, edf).
 
     SSE sums squared residuals over occupied cells only; edf keeps the
-    full-grid trace product.
+    full-grid trace product.  The table of scores comes from the closed
+    form of _masked_sse_table; the winner's SSE and GCV are recomputed
+    from its residual, so they carry no cancellation noise.
     """
     tr1 = np.array([trace_smoother(sx.s, l) for l in lam1])
     tr2 = np.array([trace_smoother(sz.s, l) for l in lam2])
-    gcv = np.full((lam1.size, lam2.size), np.inf)
-    sse = np.full_like(gcv, np.nan)
-    for i, l1 in enumerate(lam1):
-        half = apply_smoother(sx, l1, Y)  # S1 @ Y
-        for j, l2 in enumerate(lam2):
-            yhat = apply_smoother(sz, l2, half.T).T  # S1 @ Y @ S2
-            resid = (Y - yhat)[occupied]
-            sse[i, j] = resid @ resid
-            edf = tr1[i] * tr2[j]
-            if edf < n_eff:
-                gcv[i, j] = (sse[i, j] / n_eff) / (1.0 - edf / n_eff) ** 2
+    sse = _masked_sse_table(Y, masked, sx, sz, lam1, lam2)
+    edf = np.outer(tr1, tr2)
+    gcv = np.full(sse.shape, np.inf)
+    usable = edf < n_eff
+    gcv[usable] = (sse[usable] / n_eff) / (1.0 - edf[usable] / n_eff) ** 2
     best = gcv.min()
     if not np.isfinite(best):
         raise DegenerateFit("every candidate pair has edf >= occupied-cell count")
     ties = np.argwhere(gcv == best)
     i, j = max(ties, key=lambda ij: (lam1[ij[0]], lam2[ij[1]]))
-    return int(i), int(j), gcv[i, j], sse[i, j], tr1[i] * tr2[j]
+    half = apply_smoother(sx, lam1[i], Y)
+    yhat = apply_smoother(sz, lam2[j], half.T).T
+    resid = (Y - yhat)[masked.occupied]
+    sse_ij = resid @ resid
+    edf_ij = tr1[i] * tr2[j]
+    gcv_ij = (sse_ij / n_eff) / (1.0 - edf_ij / n_eff) ** 2
+    return int(i), int(j), gcv_ij, sse_ij, edf_ij
 
 
 def iterative_fit(
@@ -253,42 +307,49 @@ def iterative_fit(
         fit = select_lambda(gdata, specs, grid)
         return ScatterFit(fit, binned, 1, True, (), fit.sse, fit.gcv_value, n_eff)
 
+    # As in select_lambda, the rounds work on Y * 2^-e, whose largest data
+    # magnitude lies in [0.5, 1), so no square overflows; the scaling is exact.
+    scale = float(np.max(np.abs(data.y))) or 1.0
+    e = math.frexp(scale)[1]
+    means = np.ldexp(binned.means, -e)
     if init == "zero":
-        Y = np.where(occupied, binned.means, 0.0)
+        Y = np.where(occupied, means, 0.0)
     elif init == "nearest":
-        Y = fill_nearest(binned, data, fill_m).means.copy()
+        Y = np.ldexp(fill_nearest(binned, data, fill_m).means, -e)
     else:
         raise ValueError(f"unknown init {init!r}; use 'zero' or 'nearest'")
 
     sx = axis_spectrum(binned.x_centers, specs[0])
     sz = axis_spectrum(binned.z_centers, specs[1])
-    scale = float(np.max(np.abs(data.y))) or 1.0
+    masked = _masked_gram(Y, occupied, sz)
     lam1, lam2 = grid.lambda_x, grid.lambda_z
 
     changes: list[float] = []
     converged = False
     for _ in range(max_iter):
         i, j, gcv_val, sse_val, _edf = _masked_search(
-            Y, occupied, sx, sz, lam1, lam2, n_eff
+            Y, masked, sx, sz, lam1, lam2, n_eff
         )
         half = apply_smoother(sx, lam1[i], Y)
         yhat = apply_smoother(sz, lam2[j], half.T).T
-        change = float(np.max(np.abs(yhat[~occupied] - Y[~occupied])))
-        Y = np.where(occupied, binned.means, yhat)
+        change = float(np.ldexp(np.max(np.abs(yhat[~occupied] - Y[~occupied])), e))
+        Y = np.where(occupied, means, yhat)
         changes.append(change)
         if change <= tol * scale:
             converged = True
             break
 
-    gdata = GridData(Y, binned.x_centers, binned.z_centers)
+    gdata = GridData(np.ldexp(Y, e), binned.x_centers, binned.z_centers)
     fit = select_lambda(gdata, specs, LambdaGrid([lam1[i]], [lam2[j]]))
+    with np.errstate(over="ignore"):  # squared quantities past the float range read inf
+        masked_sse, masked_gcv = np.ldexp([sse_val, gcv_val], 2 * e)
     return ScatterFit(
         fit=fit,
         binned=binned,
         iterations=len(changes),
         converged=converged,
         changes=tuple(changes),
-        masked_sse=float(sse_val),
-        masked_gcv=float(gcv_val),
+        masked_sse=float(masked_sse),
+        masked_gcv=float(masked_gcv),
         n_occupied=n_eff,
     )

@@ -18,6 +18,7 @@ solution without any c1*c2-sized linear system.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -254,7 +255,11 @@ def select_lambda(data: GridData, specs: tuple[AxisSpec, AxisSpec] | None = None
         grid = LambdaGrid.default()
     sx = axis_spectrum(data.x_coords, specs[0])
     sz = axis_spectrum(data.z_coords, specs[1])
-    Ytilde, yty = transform_data(data, sx, sz)
+    # Selection is scale-free: fit Y * 2^-e, whose largest magnitude lies in
+    # [0.5, 1), so no square overflows; scaling by a power of two is exact.
+    e = math.frexp(float(max(data.Y.max(), -data.Y.min())))[1]
+    Ys = np.ldexp(data.Y, -e)
+    Ytilde, yty = transform_data(GridData(Ys, data.x_coords, data.z_coords), sx, sz)
     n = data.n
 
     lam1, lam2 = grid.lambda_x, grid.lambda_z
@@ -281,14 +286,22 @@ def select_lambda(data: GridData, specs: tuple[AxisSpec, AxisSpec] | None = None
     # reported sse/gcv are recomputed from the returned fitted values so
     # they are exact for the artifact (the fast form carries cancellation
     # noise of order eps * y'y, visible when the fit is near-perfect).
-    sse_exact = float(np.sum((data.Y - fitted) ** 2))
+    # The grid-sized arrays are updated in place, so the scaling costs no
+    # more memory than the unscaled fit.
+    Ys -= fitted
+    Ys **= 2
+    sse_exact = float(np.sum(Ys))
+    gcv_exact = gcv_score(sse_exact, edf_best, n)
+    with np.errstate(over="ignore"):  # squared quantities past the float range read inf
+        sse_exact, gcv_exact = np.ldexp([sse_exact, gcv_exact], 2 * e)
+        gcv = np.ldexp(gcv, 2 * e)
     return SandwichFit(
         lambdas=(l1, l2),
-        Theta=Theta,
-        fitted=fitted,
-        gcv_value=gcv_score(sse_exact, edf_best, n),
+        Theta=np.ldexp(Theta, e),
+        fitted=np.ldexp(fitted, e, out=fitted),
+        gcv_value=float(gcv_exact),
         edf=float(edf_best),
-        sse=sse_exact,
+        sse=float(sse_exact),
         gcv_surface=gcv,
         grid=grid,
         specs=specs,

@@ -76,13 +76,32 @@ def half_inverse(M: np.ndarray) -> np.ndarray:
     return (V / np.sqrt(w)) @ V.T
 
 
+def _short_axis_message(n: int, c: int, spec: AxisSpec | None) -> str:
+    msg = f"an axis of {n} points cannot determine {c} basis functions"
+    if spec is None:
+        return msg
+    msg += f" (knot_segments={spec.knot_segments}, degree={spec.degree})"
+    most = n - spec.degree
+    if most < 1:
+        return msg + f"; {n} points are too few for any degree-{spec.degree} basis"
+    return msg + f"; use at most {most} knot segment{'s' if most > 1 else ''}"
+
+
 def build_spectrum(B: np.ndarray, D: np.ndarray, spec: AxisSpec | None = None) -> AxisSpectrum:
     """Factor one axis smoother from its design and difference matrices.
 
     Diagonalizes (B'B)^{-1/2} D'D (B'B)^{-1/2}; eigenvalues within
     ``NULL_RTOL`` of zero (relative to the largest) are clamped to exactly
     zero, which pins the penalty null-space dimension to the difference order.
+
+    Raises
+    ------
+    SingularGram
+        If B has fewer rows than columns, or B'B is numerically singular.
     """
+    n, c = B.shape
+    if n < c:
+        raise SingularGram(_short_axis_message(n, c, spec))
     G = B.T @ B
     Ghalf_inv = half_inverse(G)
     M = Ghalf_inv @ (D.T @ D) @ Ghalf_inv

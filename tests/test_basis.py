@@ -17,6 +17,38 @@ def cox_de_boor(x, k, i, t):
     return c1 + c2
 
 
+def eval_basis_loop(knots, degree, x):
+    """The per-point de Boor evaluation that the batched one replaced, kept
+    as its oracle."""
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"evaluation point {x} outside [0, 1]")
+    p = degree
+    c = len(knots) - p - 1
+    K = c - p
+    # Index of the knot interval containing x, clamped so 1.0 lands in the
+    # last interior segment.
+    seg = min(int(x * K), K - 1)
+    left = p + seg
+
+    # Iterative de Boor triangle: after round k, work[:k+1] holds the values
+    # of the k-degree splines supported on the interval.
+    work = np.zeros(p + 1)
+    work[0] = 1.0
+    for k in range(1, p + 1):
+        saved = 0.0
+        for j in range(k):
+            right_knot = knots[left + j + 1]
+            left_knot = knots[left + j + 1 - k]
+            term = work[j] / (right_knot - left_knot)
+            work[j] = saved + (right_knot - x) * term
+            saved = (x - left_knot) * term
+        work[k] = saved
+
+    out = np.zeros(c)
+    out[left - p : left + 1] = work
+    return out
+
+
 class TestKnots:
     def test_single_constant_segment(self):
         npt.assert_allclose(make_knots(AxisSpec(0, 1, 1)), [0.0, 1.0])
@@ -93,6 +125,25 @@ class TestDesignMatrix:
         rng = np.random.default_rng(3)
         B = design_matrix(np.sort(rng.uniform(0, 1, 40)), AxisSpec(3, 2, 10))
         npt.assert_allclose(B.sum(axis=1), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("degree", range(6))
+    @pytest.mark.parametrize("segments", [1, 3, 10, 35])
+    def test_matches_per_point_loop(self, degree, segments):
+        spec = AxisSpec(degree, 1, segments)
+        knots = make_knots(spec)
+        rng = np.random.default_rng(degree * 100 + segments)
+        x = np.concatenate([[0.0, 1.0], np.arange(segments + 1) / segments,
+                            rng.uniform(size=200)])
+        B = design_matrix(x, spec)
+        assert np.array_equal(B, np.array([eval_basis_loop(knots, degree, v) for v in x]))
+        for v in x[:10]:
+            assert np.array_equal(eval_basis(knots, degree, v), B[x == v][0])
+
+    @pytest.mark.parametrize("bad", [-0.25, 1.5, np.nan])
+    def test_domain_error_names_point(self, bad):
+        x = np.array([0.0, 0.5, bad, 0.7])
+        with pytest.raises(ValueError, match=f"evaluation point {bad} outside"):
+            design_matrix(x, AxisSpec(3, 2, 5))
 
     def test_bandwidth(self):
         x = (np.arange(20) + 0.5) / 20

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from sandsmooth import binning
 from sandsmooth.basis import AxisSpec
 from sandsmooth.binning import (
     BinnedGrid,
@@ -10,10 +13,12 @@ from sandsmooth.binning import (
     bin_scatter,
     fill_nearest,
     iterative_fit,
+    _masked_gram,
     _masked_search,
+    _masked_sse_table,
 )
-from sandsmooth.sandwich2d import GridData, LambdaGrid, select_lambda
-from sandsmooth.spectra import axis_spectrum
+from sandsmooth.sandwich2d import DegenerateFit, GridData, LambdaGrid, select_lambda
+from sandsmooth.spectra import apply_smoother, axis_spectrum, trace_smoother
 from sandsmooth.surfaces import f2
 
 
@@ -38,6 +43,38 @@ def fill_nearest_loop(grid, data, m):
         nearest = np.argsort(d2, kind="stable")[:take]
         means[k, l] = data.y[nearest].mean()
     return means
+
+
+def masked_search_loop(Y, occupied, sx, sz, lam1, lam2, n_eff):
+    """The per-pair search that _masked_search replaced, kept as its oracle."""
+    tr1 = np.array([trace_smoother(sx.s, l) for l in lam1])
+    tr2 = np.array([trace_smoother(sz.s, l) for l in lam2])
+    gcv = np.full((lam1.size, lam2.size), np.inf)
+    sse = np.full_like(gcv, np.nan)
+    for i, l1 in enumerate(lam1):
+        half = apply_smoother(sx, l1, Y)  # S1 @ Y
+        for j, l2 in enumerate(lam2):
+            yhat = apply_smoother(sz, l2, half.T).T  # S1 @ Y @ S2
+            resid = (Y - yhat)[occupied]
+            sse[i, j] = resid @ resid
+            edf = tr1[i] * tr2[j]
+            if edf < n_eff:
+                gcv[i, j] = (sse[i, j] / n_eff) / (1.0 - edf / n_eff) ** 2
+    best = gcv.min()
+    if not np.isfinite(best):
+        raise DegenerateFit("every candidate pair has edf >= occupied-cell count")
+    ties = np.argwhere(gcv == best)
+    i, j = max(ties, key=lambda ij: (lam1[ij[0]], lam2[ij[1]]))
+    return int(i), int(j), gcv[i, j], sse[i, j], tr1[i] * tr2[j]
+
+
+def holed_scatter(seed, n=600):
+    """Noisy smooth surface sampled around a disc with no points."""
+    rng = np.random.default_rng(seed)
+    x, z = rng.uniform(size=(2, 2 * n))
+    keep = ((x - 0.5) ** 2 + (z - 0.5) ** 2 > 0.2 ** 2).nonzero()[0][:n]
+    y = f2(x[keep], z[keep]) + 0.1 * rng.standard_normal(keep.size)
+    return ScatterData(x[keep], z[keep], y)
 
 
 class TestScatterData:
@@ -200,7 +237,8 @@ class TestMaskedSearch:
         sz = axis_spectrum(centers(i2), specs[1])
         lam1 = np.logspace(-2, 2, 5)
         lam2 = np.logspace(-1, 1, 4)
-        i, j, gcv, sse, edf = _masked_search(Y, occupied, sx, sz, lam1, lam2,
+        i, j, gcv, sse, edf = _masked_search(Y, _masked_gram(Y, occupied, sz),
+                                             sx, sz, lam1, lam2,
                                              int(occupied.sum()))
         st1 = 1 / (1 + lam1[i] * sx.s)
         st2 = 1 / (1 + lam2[j] * sz.s)
@@ -211,6 +249,73 @@ class TestMaskedSearch:
         npt.assert_allclose(edf, np.trace(S1) * np.trace(S2), rtol=1e-10)
         n_eff = occupied.sum()
         npt.assert_allclose(gcv, (sse / n_eff) / (1 - edf / n_eff) ** 2, rtol=1e-10)
+
+
+    @staticmethod
+    def masked_problem(seed, i1, i2):
+        """Working grid, mask with one empty row and column, and spectra."""
+        rng = np.random.default_rng(seed)
+        Y = rng.normal(size=(i1, i2))
+        occupied = rng.uniform(size=(i1, i2)) > 0.3
+        occupied[rng.integers(i1), :] = False
+        occupied[:, rng.integers(i2)] = False
+        sx = axis_spectrum(centers(i1), AxisSpec(3, 2, 4))
+        sz = axis_spectrum(centers(i2), AxisSpec(2, 2, 5))
+        return Y, occupied, sx, sz
+
+    @pytest.mark.parametrize("seed, i1, i2", [(1, 9, 13), (2, 14, 8), (3, 11, 11)])
+    def test_sse_table_matches_dense_smoothers(self, seed, i1, i2):
+        Y, occupied, sx, sz = self.masked_problem(seed, i1, i2)
+        lam1 = np.logspace(-3, 3, 6)
+        lam2 = np.logspace(-2, 4, 7)
+        table = _masked_sse_table(Y, _masked_gram(Y, occupied, sz), sx, sz,
+                                  lam1, lam2)
+        dense = np.empty((lam1.size, lam2.size))
+        for i, l1 in enumerate(lam1):
+            S1 = (sx.A / (1 + l1 * sx.s)) @ sx.A.T
+            for j, l2 in enumerate(lam2):
+                S2 = (sz.A / (1 + l2 * sz.s)) @ sz.A.T
+                resid = (Y - S1 @ Y @ S2)[occupied]
+                dense[i, j] = resid @ resid
+        npt.assert_allclose(table, dense, rtol=1e-10)
+
+    @pytest.mark.parametrize("seed, i1, i2", [(4, 9, 13), (5, 14, 8), (6, 11, 11)])
+    def test_winner_matches_loop(self, seed, i1, i2):
+        Y, occupied, sx, sz = self.masked_problem(seed, i1, i2)
+        lam1 = lam2 = LambdaGrid.default().lambda_x
+        n_eff = int(occupied.sum())
+        got = _masked_search(Y, _masked_gram(Y, occupied, sz), sx, sz,
+                             lam1, lam2, n_eff)
+        assert got == masked_search_loop(Y, occupied, sx, sz, lam1, lam2, n_eff)
+
+    @pytest.mark.parametrize("init", ["nearest", "zero"])
+    @pytest.mark.parametrize("seed", [31, 32, 33])
+    def test_iterative_fit_matches_loop(self, monkeypatch, seed, init):
+        data = holed_scatter(seed)
+        new = iterative_fit(data, 16, 20, init=init)
+        monkeypatch.setattr(
+            binning, "_masked_search",
+            lambda Y, masked, *rest: masked_search_loop(Y, masked.occupied, *rest))
+        old = iterative_fit(data, 16, 20, init=init)
+        assert new.binned.empty_mask.any()
+        assert new.fit.lambdas == old.fit.lambdas
+        assert np.array_equal(new.fit.fitted, old.fit.fitted)
+        assert new.changes == old.changes
+        assert new.masked_sse == old.masked_sse
+        assert new.masked_gcv == old.masked_gcv
+        assert new.iterations == old.iterations
+
+    def test_no_per_pair_smoother_work(self, monkeypatch):
+        calls = []
+
+        def counting_apply_smoother(*args, **kwargs):
+            calls.append(1)
+            return apply_smoother(*args, **kwargs)
+
+        monkeypatch.setattr(binning, "apply_smoother", counting_apply_smoother)
+        res = iterative_fit(holed_scatter(34), 16, 20, max_iter=5)
+        assert res.iterations == 5
+        assert len(calls) <= 4 * res.iterations
 
 
 class TestIterativeFit:
@@ -272,6 +377,21 @@ class TestIterativeFit:
                             max_iter=3)
         assert not res.converged
         assert res.iterations == 3
+
+    @pytest.mark.parametrize("init", ["nearest", "zero"])
+    def test_power_of_two_scaling_is_exact(self, init):
+        # |y| near 1e160 squares past the float range; the rounds run on a
+        # power-of-two rescaling, so the fit must scale exactly with the data
+        data = holed_scatter(35)
+        base = iterative_fit(data, 16, 20, init=init)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big = iterative_fit(ScatterData(data.x, data.z, np.ldexp(data.y, 530)),
+                                16, 20, init=init)
+        assert big.fit.lambdas == base.fit.lambdas
+        assert np.array_equal(big.fit.fitted, np.ldexp(base.fit.fitted, 530))
+        assert big.changes == tuple(np.ldexp(base.changes, 530))
+        assert big.iterations == base.iterations
 
     def test_unknown_init_rejected(self):
         with pytest.raises(ValueError):

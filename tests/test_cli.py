@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +104,27 @@ class TestSmoothGrid:
         rc = main(["smooth-grid", "-i", str(inp), "--knots", "10,10"])
         assert rc == 1
         assert "numeric failure" in capsys.readouterr().err
+
+    def test_short_axis_names_the_knot_limit(self, tmp_path, capsys):
+        # 4 rows under the auto rule: 2 cubic segments, 5 basis functions
+        inp = tmp_path / "in.csv"
+        make_grid_csv(inp, n1=4, n2=30)
+        assert main(["smooth-grid", "-i", str(inp)]) == 1
+        err = capsys.readouterr().err
+        assert ("an axis of 4 points cannot determine 5 basis functions "
+                "(knot_segments=2, degree=3); use at most 1 knot segment") in err
+
+    def test_huge_values_fit_without_overflow(self, tmp_path):
+        x, z = midpoints(20), midpoints(30)
+        Y = 1e160 * (1 + 0.1 * CounterNormals(4).normals((20, 30)))
+        inp, out = tmp_path / "in.csv", tmp_path / "fit.csv"
+        write_grid_csv(inp, x, z, Y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["smooth-grid", "-i", str(inp), "-o", str(out)]) == 0
+        _, _, fitted = read_grid_csv(out)
+        assert np.all(np.isfinite(fitted))
+        npt.assert_allclose(fitted.mean(), Y.mean(), rtol=0.01)
 
     def test_determinism_byte_identical(self, tmp_path):
         inp = tmp_path / "in.csv"

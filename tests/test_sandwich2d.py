@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -245,6 +247,24 @@ class TestSelectLambda:
         coarse = select_lambda(d, specs, LambdaGrid.default(8))
         fine = select_lambda(d, specs, LambdaGrid.default(8), fine_pass=7)
         assert fine.gcv_value <= coarse.gcv_value
+
+    @pytest.mark.parametrize("shift", [530, -530, 3])
+    def test_power_of_two_scaling_is_exact(self, shift):
+        # |Y| near 1e160 squares past the float range; the fit runs on a
+        # power-of-two rescaling, so it must scale exactly with the data
+        d = toy_data(20, 30, seed=8)
+        specs = (AxisSpec(3, 2, 10), AxisSpec(3, 2, 15))
+        base = select_lambda(d, specs, fine_pass=5)
+        big = GridData(np.ldexp(d.Y, shift), d.x_coords, d.z_coords)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = select_lambda(big, specs, fine_pass=5)
+        assert fit.lambdas == base.lambdas
+        assert np.array_equal(fit.fitted, np.ldexp(base.fitted, shift))
+        assert np.array_equal(fit.Theta, np.ldexp(base.Theta, shift))
+        with np.errstate(over="ignore"):
+            assert fit.sse == np.ldexp(base.sse, 2 * shift)
+            assert np.array_equal(fit.gcv_surface, np.ldexp(base.gcv_surface, 2 * shift))
 
     def test_near_saturated_square_design(self):
         # square design at tiny lambda: edf just below n, GCV finite, the

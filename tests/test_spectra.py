@@ -80,6 +80,18 @@ class TestBuildSpectrum:
             assert np.all(sp.s >= 0)
             assert np.all(np.diff(sp.s) >= 0)
 
+    @pytest.mark.parametrize("n, segments, hint", [
+        (4, 2, "use at most 1 knot segment$"),
+        (6, 8, "use at most 3 knot segments$"),
+        (3, 1, "3 points are too few for any degree-3 basis$"),
+    ])
+    def test_fewer_points_than_basis_functions(self, n, segments, hint):
+        spec = AxisSpec(3, 2, segments)
+        with pytest.raises(SingularGram, match=(
+                rf"^an axis of {n} points cannot determine {spec.n_basis} basis "
+                rf"functions \(knot_segments={segments}, degree=3\); {hint}")):
+            axis_spectrum(midpoints(n), spec)
+
     def test_empty_support_reports_indices(self):
         # all data in the left half: rightmost cubic basis functions unsupported
         spec = AxisSpec(3, 2, 10)
