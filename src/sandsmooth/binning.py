@@ -37,6 +37,9 @@ from .spectra import apply_smoother, axis_spectrum, trace_smoother
 # Largest distance array (empty cells x points) fill_nearest holds at once;
 # near the size of a core's L2 cache, its elementwise passes run fastest.
 FILL_BLOCK_BYTES = 1 << 20
+# Side, in cells, of the tiles of empty cells that share one candidate set
+# in fill_nearest; 8 ran faster than 4 or 12 at 70^2 bins and 5000 points.
+FILL_TILE = 8
 
 __all__ = [
     "ScatterData",
@@ -145,6 +148,26 @@ def bin_scatter(data: ScatterData, i1: int, i2: int) -> BinnedGrid:
     )
 
 
+def _window_radius(counts: np.ndarray, k: np.ndarray, l: np.ndarray,
+                   take: int) -> np.ndarray:
+    """Smallest r per cell (k, l) whose (2r+1) x (2r+1) window of cells,
+    clipped to the grid, holds at least `take` points (take <= the total)."""
+    i1, i2 = counts.shape
+    csum = np.zeros((i1 + 1, i2 + 1), dtype=np.int64)
+    csum[1:, 1:] = counts.cumsum(axis=0).cumsum(axis=1)
+    lo = np.zeros(k.size, dtype=int)
+    hi = np.full(k.size, max(i1, i2) - 1)  # that window covers the grid
+    while np.any(lo < hi):
+        mid = (lo + hi) // 2
+        k0, k1 = np.maximum(k - mid, 0), np.minimum(k + mid + 1, i1)
+        l0, l1 = np.maximum(l - mid, 0), np.minimum(l + mid + 1, i2)
+        held = csum[k1, l1] - csum[k0, l1] - csum[k1, l0] + csum[k0, l0]
+        enough = held >= take
+        hi = np.where(enough, mid, hi)
+        lo = np.where(enough, lo, mid + 1)
+    return lo
+
+
 def fill_nearest(grid: BinnedGrid, data: ScatterData, m: int = 3) -> BinnedGrid:
     """Fill each empty cell with the mean of the m nearest raw observations.
 
@@ -152,10 +175,18 @@ def fill_nearest(grid: BinnedGrid, data: ScatterData, m: int = 3) -> BinnedGrid:
     point-index order.  When fewer than m observations exist, all of them
     are used.
 
-    Empty cells are handled in blocks whose distance array stays within
-    FILL_BLOCK_BYTES.  Per block, a partition finds each cell's m-th
-    smallest squared distance; the points at or below it, stably sorted by
-    distance, give exactly the leading m of a full stable argsort.
+    The search is exact but bounded.  Prefix sums of the counts give each
+    empty cell the smallest r whose (2r+1) x (2r+1) window of cells,
+    clipped to the grid, holds min(m, n) points.  Every point of that
+    window lies within R = hypot((r + 1/2)/I1, (r + 1/2)/I2) of the
+    center, so the nearest ones do too.  Empty cells are grouped into
+    FILL_TILE x FILL_TILE tiles; a tile's candidates are the points, in
+    index order, inside its cells' bounding box grown by its largest R
+    (plus a slack for the rounding in binning).  Among them a partition
+    finds each cell's m-th smallest squared distance, and the candidates
+    at or below it, stably sorted by distance, give exactly the leading m
+    of a full stable argsort over all points.  A tile whose distance array
+    would exceed FILL_BLOCK_BYTES is split into chunks of cells.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
@@ -166,21 +197,35 @@ def fill_nearest(grid: BinnedGrid, data: ScatterData, m: int = 3) -> BinnedGrid:
         return grid
     means = grid.means.copy()
     take = min(m, data.n)
-    block = max(1, FILL_BLOCK_BYTES // (8 * data.n))
-    for start in range(0, len(empty), block):
-        k, l = empty[start:start + block].T
-        cx = grid.x_centers[k][:, None]
-        cz = grid.z_centers[l][:, None]
-        d2 = (data.x - cx) ** 2 + (data.z - cz) ** 2
-        kth = np.partition(d2, take - 1, axis=1)[:, take - 1:take]
-        rows, cols = np.nonzero(d2 <= kth)
-        # np.nonzero lists each row's candidates in index order and lexsort
-        # is stable, so distance ties keep that order
-        order = np.lexsort((d2[rows, cols], rows))
-        rows, cols = rows[order], cols[order]
-        first = np.searchsorted(rows, np.arange(k.size))
-        nearest = cols[first[:, None] + np.arange(take)]
-        means[k, l] = data.y[nearest].mean(axis=1)
+    i1, i2 = grid.shape
+    r = _window_radius(grid.counts, *empty.T, take)
+    reach = (1.0 + 1e-9) * np.hypot((r + 0.5) / i1, (r + 0.5) / i2) + 1e-12
+    tile = empty // FILL_TILE
+    tile_id = tile[:, 0] * (i2 // FILL_TILE + 1) + tile[:, 1]
+    by_tile = np.argsort(tile_id, kind="stable")
+    bounds = np.flatnonzero(np.diff(tile_id[by_tile])) + 1
+    for cells in np.split(by_tile, bounds):
+        k, l = empty[cells].T
+        cx, cz = grid.x_centers[k], grid.z_centers[l]
+        grow = reach[cells].max()
+        cand = np.flatnonzero(
+            (data.x >= cx.min() - grow) & (data.x <= cx.max() + grow)
+            & (data.z >= cz.min() - grow) & (data.z <= cz.max() + grow))
+        x, z = data.x[cand], data.z[cand]
+        chunk = max(1, FILL_BLOCK_BYTES // (8 * cand.size))
+        for start in range(0, k.size, chunk):
+            kc, lc = k[start:start + chunk], l[start:start + chunk]
+            d2 = ((x - cx[start:start + chunk, None]) ** 2
+                  + (z - cz[start:start + chunk, None]) ** 2)
+            kth = np.partition(d2, take - 1, axis=1)[:, take - 1:take]
+            rows, cols = np.nonzero(d2 <= kth)
+            # np.nonzero lists each row's candidates in index order and
+            # lexsort is stable, so distance ties keep that order
+            order = np.lexsort((d2[rows, cols], rows))
+            rows, cols = rows[order], cols[order]
+            first = np.searchsorted(rows, np.arange(kc.size))
+            nearest = cand[cols[first[:, None] + np.arange(take)]]
+            means[kc, lc] = data.y[nearest].mean(axis=1)
     return BinnedGrid(means, grid.counts, grid.x_centers, grid.z_centers)
 
 
@@ -235,7 +280,8 @@ def _masked_sse_table(Y, masked, sx, sz, lam1, lam2):
 
 
 def _masked_search(Y, masked, sx, sz, lam1, lam2, n_eff):
-    """Masked-SSE GCV over the lambda grid; returns (i, j, gcv, sse, edf).
+    """Masked-SSE GCV over the lambda grid; returns (i, j, gcv, sse, edf,
+    yhat), yhat the winner's fit of the whole grid.
 
     SSE sums squared residuals over occupied cells only; edf keeps the
     full-grid trace product.  The table of scores comes from the closed
@@ -260,7 +306,7 @@ def _masked_search(Y, masked, sx, sz, lam1, lam2, n_eff):
     sse_ij = resid @ resid
     edf_ij = tr1[i] * tr2[j]
     gcv_ij = (sse_ij / n_eff) / (1.0 - edf_ij / n_eff) ** 2
-    return int(i), int(j), gcv_ij, sse_ij, edf_ij
+    return int(i), int(j), gcv_ij, sse_ij, edf_ij, yhat
 
 
 def iterative_fit(
@@ -327,11 +373,9 @@ def iterative_fit(
     changes: list[float] = []
     converged = False
     for _ in range(max_iter):
-        i, j, gcv_val, sse_val, _edf = _masked_search(
+        i, j, gcv_val, sse_val, _edf, yhat = _masked_search(
             Y, masked, sx, sz, lam1, lam2, n_eff
         )
-        half = apply_smoother(sx, lam1[i], Y)
-        yhat = apply_smoother(sz, lam2[j], half.T).T
         change = float(np.ldexp(np.max(np.abs(yhat[~occupied] - Y[~occupied])), e))
         Y = np.where(occupied, means, yhat)
         changes.append(change)

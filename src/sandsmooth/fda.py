@@ -13,7 +13,10 @@ The smoothed matrix is A K A' with A the J x c orthonormal spectral basis
 and K = diag(st) (A'CA) diag(st), so its rank is at most c.  Its nonzero
 eigenpairs come exactly from the c x c matrix K: eigenvalues of K, with
 eigenvectors A U.  smooth_cov therefore never decomposes a J x J matrix
-and keeps only these at most c pairs.
+and keeps only these at most c pairs.  Its J x J work is the two J x c
+products and one pass each over the input and the smoothed matrix, which
+checks the asymmetry and symmetrizes in mirrored pairs of cache-sized
+tiles.
 
 The raw matrix is smoothed as-is, noise-inflated diagonal included; pass
 exclude_diagonal=True to replace the diagonal with NaN-free interpolation
@@ -54,6 +57,9 @@ __all__ = [
 ]
 
 ASYMMETRY_TOL = 1e-8
+# Side of the square tiles _symmetrize visits in mirrored pairs; a pair of
+# 128 x 128 float64 tiles (256 KB) stays in a core's L2 cache.
+SYM_TILE = 128
 
 
 def case_eigenvalues(case: int) -> np.ndarray:
@@ -192,6 +198,31 @@ def _decompose(matrix: np.ndarray, basis: np.ndarray | None = None
     return w / J, funcs
 
 
+def _symmetrize(C: np.ndarray) -> tuple[float, np.ndarray]:
+    """(max|C - C'|, 0.5 * (C + C')) of a square matrix in one pass.
+
+    Each mirrored pair of SYM_TILE tiles is read once, so the transpose
+    never strides across the whole matrix.  The elementwise operations are
+    those of the two whole-matrix expressions, and addition commutes, so
+    both results carry the same bits; the maximum propagates NaN as
+    np.max does.
+    """
+    J = C.shape[0]
+    out = np.empty_like(C)
+    worst = []
+    for a in range(0, J, SYM_TILE):
+        rows = slice(a, a + SYM_TILE)
+        for b in range(a, J, SYM_TILE):
+            cols = slice(b, b + SYM_TILE)
+            upper, lower = C[rows, cols], C[cols, rows].T
+            worst.append(np.max(np.abs(upper - lower)))
+            half = upper + lower
+            half *= 0.5
+            out[rows, cols] = half
+            out[cols, rows] = half.T
+    return float(np.max(worst)), out
+
+
 def smooth_cov(C: np.ndarray, spec: AxisSpec | None = None,
                lams=None, t: np.ndarray | None = None,
                exclude_diagonal: bool = False) -> CovModel:
@@ -204,14 +235,13 @@ def smooth_cov(C: np.ndarray, spec: AxisSpec | None = None,
     C = np.asarray(C, dtype=float)
     if C.ndim != 2 or C.shape[0] != C.shape[1]:
         raise ValueError("C must be square")
-    if np.max(np.abs(C - C.T)) > ASYMMETRY_TOL:
+    asymmetry, sym = _symmetrize(C)
+    if asymmetry > ASYMMETRY_TOL:
         raise ValueError(f"input asymmetric beyond {ASYMMETRY_TOL}")
-    raw = C
-    C = 0.5 * (C + C.T)
+    raw, C = C, sym
     if exclude_diagonal:
         # white noise inflates only the exact diagonal; rebuild it from the
         # first off-diagonal, whose entries are noise-free in expectation
-        C = C.copy()
         off = np.diag(C, 1)
         d_new = np.empty(C.shape[0])
         d_new[0], d_new[-1] = off[0], off[-1]
@@ -246,8 +276,7 @@ def smooth_cov(C: np.ndarray, spec: AxisSpec | None = None,
 
     st = shrink_weights(sp.s, lam)
     K = st[:, None] * Ct * st[None, :]
-    M = sp.A @ K @ sp.A.T
-    smoothed = 0.5 * (M + M.T)
+    _, smoothed = _symmetrize(sp.A @ K @ sp.A.T)
     edf = trace_smoother(sp.s, lam) ** 2
     values, funcs = _decompose(0.5 * (K + K.T), sp.A)
     return CovModel(

@@ -19,6 +19,7 @@ Blank lines are skipped but counted in the line numbers.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -176,8 +177,24 @@ def write_long_csv(path, header, rows) -> None:
             fh.write(template % tuple(row) + "\n")
 
 
+def _strict_json(obj):
+    """obj with each non-finite float replaced by "inf", "-inf" or "nan"."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "nan" if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
+    if isinstance(obj, dict):
+        return {key: _strict_json(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict_json(value) for value in obj]
+    return obj
+
+
 def write_json(path, obj) -> None:
-    """Single sorted JSON object; floats keep shortest round-trip form."""
+    """Single sorted JSON object; floats keep shortest round-trip form.
+
+    The output is strict JSON: a non-finite float is written as the string
+    "inf", "-inf" or "nan", since JSON has no token for it.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(_strict_json(obj), fh, indent=2, sort_keys=True,
+                  allow_nan=False)
         fh.write("\n")

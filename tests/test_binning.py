@@ -218,6 +218,131 @@ class TestFillNearest:
         assert np.array_equal(fill_nearest(grid, data, 50).means,
                               fill_nearest_loop(grid, data, 50))
 
+    @pytest.mark.parametrize("i1, i2", [(70, 23), (1, 40), (40, 1), (23, 70)])
+    def test_matches_loop_on_rectangular_bins(self, i1, i2):
+        rng = np.random.default_rng(24)
+        x, z = rng.uniform(size=(2, 1500))
+        # a disc and one band per axis with no points, so 1-wide grids
+        # have empty cells too
+        keep = (((x - 0.3) ** 2 + (z - 0.6) ** 2 > 0.25 ** 2)
+                & (np.abs(x - 0.8) > 0.06) & (np.abs(z - 0.2) > 0.06))
+        data = ScatterData(x[keep], z[keep], rng.normal(size=keep.sum()))
+        grid = bin_scatter(data, i1, i2)
+        assert grid.empty_mask.any()
+        for m in (1, 3, 5):
+            assert np.array_equal(fill_nearest(grid, data, m).means,
+                                  fill_nearest_loop(grid, data, m))
+
+    def test_matches_loop_with_points_on_cell_edges(self):
+        # every coordinate is a cell edge k/I, including x = 1.0 and z = 1.0,
+        # which fold into the last cell
+        rng = np.random.default_rng(25)
+        i1, i2 = 20, 12
+        x = rng.integers(0, i1 + 1, 150) / i1
+        z = rng.integers(0, i2 + 1, 150) / i2
+        x[:5], z[5:10] = 1.0, 1.0
+        data = ScatterData(x, z, rng.normal(size=150))
+        grid = bin_scatter(data, i1, i2)
+        assert grid.empty_mask.sum() > 50
+        for m in (1, 2, 4):
+            assert np.array_equal(fill_nearest(grid, data, m).means,
+                                  fill_nearest_loop(grid, data, m))
+
+    def test_ties_at_exactly_the_window_radius(self):
+        # the empty cell (4, 4) of 8 x 8 bins has one point in its 3 x 3
+        # window, at (3/8, 3/8): r = 1, R = hypot(1.5/8, 1.5/8).  Three
+        # points outside the window sit at exactly R too, and index order
+        # must pick them before the one inside
+        x = np.array([6, 6, 3, 3, 0, 8, 8, 0]) / 8
+        z = np.array([6, 3, 6, 3, 0, 0, 8, 8]) / 8
+        data = ScatterData(x, z, np.arange(8.0))
+        grid = bin_scatter(data, 8, 8)
+        assert grid.counts[3:6, 3:6].sum() == 1
+        d2 = (x - 4.5 / 8) ** 2 + (z - 4.5 / 8) ** 2
+        assert np.all(d2[:4] == 2 * (1.5 / 8) ** 2)
+        for m in (1, 2, 3, 4, 5, 8):
+            got = fill_nearest(grid, data, m).means
+            assert np.array_equal(got, fill_nearest_loop(grid, data, m))
+        assert fill_nearest(grid, data, 1).means[4, 4] == 0.0
+        # a rectangular dyadic lattice: many ties, and at the radius
+        rng = np.random.default_rng(26)
+        X, Z = np.meshgrid(np.arange(33) / 32, np.arange(9) / 8, indexing="ij")
+        keep = rng.uniform(size=X.size) > 0.7
+        data = ScatterData(X.ravel()[keep], Z.ravel()[keep],
+                           rng.normal(size=keep.sum()))
+        grid = bin_scatter(data, 32, 8)
+        for m in (1, 2, 3, 6):
+            assert np.array_equal(fill_nearest(grid, data, m).means,
+                                  fill_nearest_loop(grid, data, m))
+
+    def test_matches_loop_when_a_window_spans_the_grid(self):
+        # all points crowd one corner, so the far cells need a window as
+        # large as the grid, and m exceeds many windows' counts
+        rng = np.random.default_rng(27)
+        data = ScatterData(0.1 * rng.uniform(size=40), 0.1 * rng.uniform(size=40),
+                           rng.normal(size=40))
+        grid = bin_scatter(data, 30, 25)
+        for m in (1, 3, 7, 40, 41):
+            assert np.array_equal(fill_nearest(grid, data, m).means,
+                                  fill_nearest_loop(grid, data, m))
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_matches_loop_m_at_or_above_few_points(self, n):
+        rng = np.random.default_rng(28 + n)
+        data = ScatterData(rng.uniform(size=n), rng.uniform(size=n),
+                           rng.normal(size=n))
+        grid = bin_scatter(data, 9, 13)
+        for m in (1, n, n + 1, 10):
+            assert np.array_equal(fill_nearest(grid, data, m).means,
+                                  fill_nearest_loop(grid, data, m))
+
+    def test_matches_loop_when_tiles_split_into_chunks(self, monkeypatch):
+        rng = np.random.default_rng(29)
+        x, z = rng.uniform(size=(2, 3000))
+        keep = (x - 0.5) ** 2 + (z - 0.5) ** 2 > 0.3 ** 2
+        data = ScatterData(x[keep], z[keep], rng.normal(size=keep.sum()))
+        grid = bin_scatter(data, 40, 40)
+        calls = []
+        partition = np.partition
+
+        def counting_partition(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return partition(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "partition", counting_partition)
+        expect = fill_nearest_loop(grid, data, 3)
+        assert np.array_equal(fill_nearest(grid, data, 3).means, expect)
+        tiles = len(calls)
+        # room for a few rows of candidate distances, then for one row
+        for cap, rows in ((8 * 3 * 150, 8), (1, 1)):
+            monkeypatch.setattr(binning, "FILL_BLOCK_BYTES", cap)
+            calls.clear()
+            assert np.array_equal(fill_nearest(grid, data, 3).means, expect)
+            assert len(calls) > 2 * tiles
+            assert max(shape[0] for shape in calls) < rows + 1
+        assert len(calls) == grid.empty_mask.sum()
+
+    def test_no_full_distance_scan(self, monkeypatch):
+        # the distances partitioned stay a small share of empty cells x
+        # points; a scan of every point for every empty cell is 100%
+        rng = np.random.default_rng(30)
+        x, z = rng.uniform(size=(2, 26000))
+        keep = ((x - 0.5) ** 2 + (z - 0.5) ** 2 > 0.15 ** 2).nonzero()[0][:20000]
+        data = ScatterData(x[keep], z[keep], rng.normal(size=keep.size))
+        grid = bin_scatter(data, 100, 100)
+        sizes = []
+        partition = np.partition
+
+        def sizing_partition(a, *args, **kwargs):
+            sizes.append(np.size(a))
+            return partition(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "partition", sizing_partition)
+        fill_nearest(grid, data, 3)
+        empty = int(grid.empty_mask.sum())
+        assert empty > 1000
+        assert sum(sizes) <= 0.25 * empty * data.n
+
     def test_zero_points_rejected(self):
         data = ScatterData([], [], [])
         grid = bin_scatter(ScatterData([0.5], [0.5], [1.0]), 3, 3)
@@ -237,13 +362,14 @@ class TestMaskedSearch:
         sz = axis_spectrum(centers(i2), specs[1])
         lam1 = np.logspace(-2, 2, 5)
         lam2 = np.logspace(-1, 1, 4)
-        i, j, gcv, sse, edf = _masked_search(Y, _masked_gram(Y, occupied, sz),
-                                             sx, sz, lam1, lam2,
-                                             int(occupied.sum()))
+        i, j, gcv, sse, edf, yhat = _masked_search(
+            Y, _masked_gram(Y, occupied, sz), sx, sz, lam1, lam2,
+            int(occupied.sum()))
         st1 = 1 / (1 + lam1[i] * sx.s)
         st2 = 1 / (1 + lam2[j] * sz.s)
         S1 = (sx.A * st1) @ sx.A.T
         S2 = (sz.A * st2) @ sz.A.T
+        npt.assert_allclose(yhat, S1 @ Y @ S2, rtol=1e-10, atol=1e-12)
         resid = (Y - S1 @ Y @ S2)[occupied]
         npt.assert_allclose(sse, resid @ resid, rtol=1e-10)
         npt.assert_allclose(edf, np.trace(S1) * np.trace(S2), rtol=1e-10)
@@ -284,18 +410,27 @@ class TestMaskedSearch:
         Y, occupied, sx, sz = self.masked_problem(seed, i1, i2)
         lam1 = lam2 = LambdaGrid.default().lambda_x
         n_eff = int(occupied.sum())
-        got = _masked_search(Y, _masked_gram(Y, occupied, sz), sx, sz,
-                             lam1, lam2, n_eff)
-        assert got == masked_search_loop(Y, occupied, sx, sz, lam1, lam2, n_eff)
+        *got, yhat = _masked_search(Y, _masked_gram(Y, occupied, sz), sx, sz,
+                                    lam1, lam2, n_eff)
+        i, j = got[:2]
+        assert tuple(got) == masked_search_loop(Y, occupied, sx, sz, lam1, lam2,
+                                                n_eff)
+        half = apply_smoother(sx, lam1[i], Y)
+        assert np.array_equal(yhat, apply_smoother(sz, lam2[j], half.T).T)
 
     @pytest.mark.parametrize("init", ["nearest", "zero"])
     @pytest.mark.parametrize("seed", [31, 32, 33])
     def test_iterative_fit_matches_loop(self, monkeypatch, seed, init):
         data = holed_scatter(seed)
         new = iterative_fit(data, 16, 20, init=init)
-        monkeypatch.setattr(
-            binning, "_masked_search",
-            lambda Y, masked, *rest: masked_search_loop(Y, masked.occupied, *rest))
+
+        def loop_search(Y, masked, sx, sz, lam1, lam2, n_eff):
+            winner = masked_search_loop(Y, masked.occupied, sx, sz, lam1, lam2,
+                                        n_eff)
+            half = apply_smoother(sx, lam1[winner[0]], Y)
+            return (*winner, apply_smoother(sz, lam2[winner[1]], half.T).T)
+
+        monkeypatch.setattr(binning, "_masked_search", loop_search)
         old = iterative_fit(data, 16, 20, init=init)
         assert new.binned.empty_mask.any()
         assert new.fit.lambdas == old.fit.lambdas
@@ -315,7 +450,9 @@ class TestMaskedSearch:
         monkeypatch.setattr(binning, "apply_smoother", counting_apply_smoother)
         res = iterative_fit(holed_scatter(34), 16, 20, max_iter=5)
         assert res.iterations == 5
-        assert len(calls) <= 4 * res.iterations
+        # one two-sided application per round: the winner's fit, reused by
+        # the imputation step
+        assert len(calls) <= 2 * res.iterations
 
 
 class TestIterativeFit:

@@ -126,6 +126,23 @@ class TestSmoothGrid:
         assert np.all(np.isfinite(fitted))
         npt.assert_allclose(fitted.mean(), Y.mean(), rtol=0.01)
 
+    def test_summary_is_strict_json_past_the_float_range(self, tmp_path):
+        # the SSE of a 1e160 grid (about 1e318) reads inf; JSON has no token
+        # for it, so the summary holds the string "inf"
+        x, z = midpoints(20), midpoints(30)
+        Y = 1e160 * (1 + 0.1 * CounterNormals(4).normals((20, 30)))
+        inp, sump = tmp_path / "in.csv", tmp_path / "s.json"
+        write_grid_csv(inp, x, z, Y)
+        assert main(["smooth-grid", "-i", str(inp), "--summary", str(sump)]) == 0
+
+        def no_constants(name):
+            raise ValueError(f"non-standard JSON token {name}")
+
+        sm = json.loads(sump.read_text(), parse_constant=no_constants)
+        assert sm["sse"] == "inf"
+        assert sm["gcv"] == "inf"
+        assert all(np.isfinite(sm["lambda"]))
+
     def test_determinism_byte_identical(self, tmp_path):
         inp = tmp_path / "in.csv"
         make_grid_csv(inp)

@@ -126,6 +126,35 @@ class TestSmoothCov:
         with pytest.raises(ValueError, match="asymmetric"):
             smooth_cov(C)
 
+    @pytest.mark.parametrize("J", [2, 127, 128, 129, 300])
+    def test_tiled_symmetrize_is_exact(self, J):
+        rng = np.random.default_rng(J)
+        M = rng.normal(size=(J, J))
+        C = M + M.T + 1e-3 * rng.normal(size=(J, J))
+        C[0, -1] = np.inf
+        worst, sym = fda._symmetrize(C)
+        assert worst == np.max(np.abs(C - C.T))
+        assert np.array_equal(sym, 0.5 * (C + C.T))
+        C[-1, 0] = np.nan
+        assert np.isnan(fda._symmetrize(C)[0])
+
+    def test_asymmetry_tolerance_is_inclusive(self):
+        # one mirrored pair, in tiles on either side of the diagonal
+        J = 300
+        C = np.eye(J)
+        C[5, 290] = fda.ASYMMETRY_TOL
+        model = smooth_cov(C, lams=[1.0])
+        assert model.raw_cov is C
+        C[5, 290] = np.nextafter(fda.ASYMMETRY_TOL, 1.0)
+        with pytest.raises(ValueError, match="asymmetric"):
+            smooth_cov(C, lams=[1.0])
+
+    @pytest.mark.parametrize("J", [20, 129, 300])
+    def test_smoothed_exactly_symmetric(self, J):
+        C = sample_cov(simulate_fda(1, 30, J, 0.5, seed=J))
+        model = smooth_cov(C, exclude_diagonal=J == 129)
+        assert np.array_equal(model.smoothed_cov, model.smoothed_cov.T)
+
     def test_matches_bivariate_fit_at_same_lambda(self):
         # one smoother on both sides == the grid fit with lam1 = lam2
         curves = simulate_fda(1, 30, 20, 0.5, seed=5)

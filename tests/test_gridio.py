@@ -349,3 +349,22 @@ class TestLongCsvAndJson:
         assert text.index('"a"') < text.index('"b"')
         assert text.endswith("\n")
         assert json.loads(text)["b"] == 0.1 + 0.2
+
+    def test_json_strict_for_non_finite_floats(self, tmp_path):
+        p = tmp_path / "s.json"
+        write_json(p, {"sse": np.inf, "low": [-np.inf, (np.float64(np.nan), 2.5)],
+                       "nested": {"gcv": float("inf"), "n": 3, "ok": True}})
+
+        def no_constants(name):
+            raise ValueError(f"non-standard JSON token {name}")
+
+        got = json.loads(p.read_text(), parse_constant=no_constants)
+        assert got == {"sse": "inf", "low": ["-inf", ["nan", 2.5]],
+                       "nested": {"gcv": "inf", "n": 3, "ok": True}}
+
+    def test_json_finite_output_unchanged(self, tmp_path):
+        obj = {"b": [0.1, -0.0, 1e308, 5e-324, (1, 2.5)], "a": {"z": None, "y": "s"},
+               "c": np.float64(1 / 3), "d": False}
+        p = tmp_path / "s.json"
+        write_json(p, obj)
+        assert p.read_text() == json.dumps(obj, indent=2, sort_keys=True) + "\n"
