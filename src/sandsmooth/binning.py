@@ -12,7 +12,7 @@ per-row masked Grams A2' diag(O[a, :]) A2 are built once; each round then
 scores every candidate pair in closed form from c2 x c2 reductions (GLAM's
 weighted inner products with 0/1 weights), and only the winning pair is
 applied to the grid.  The trace term keeps the full-grid product form; no
-masked-trace correction is applied.
+masked-trace correction is applied; the GCV and tie rule are the grid fit's.
 """
 
 from __future__ import annotations
@@ -24,15 +24,20 @@ import numpy as np
 
 from .basis import AxisSpec, auto_knot_segments
 from .sandwich2d import (
-    SSE_CLAMP_REL,
-    DegenerateFit,
     GridData,
     LambdaGrid,
     SandwichFit,
+    _gcv,
+    _pick,
+    _scale_exponent,
+    _shrink_table,
+    _sse_table,
+    _unscale,
+    gcv_score,
     require_finite,
     select_lambda,
 )
-from .spectra import apply_smoother, axis_spectrum, trace_smoother
+from .spectra import apply_smoother, axis_spectrum
 
 # Largest distance array (empty cells x points) fill_nearest holds at once;
 # near the size of a core's L2 cache, its elementwise passes run fastest.
@@ -264,19 +269,13 @@ def _masked_sse_table(Y, masked, sx, sz, lam1, lam2):
     O(L1 n1 c2^2), whatever the number of empty cells, and no smoother is
     applied per pair.
     """
-    st1 = 1.0 / (1.0 + np.outer(lam1, sx.s))  # L1 x c1
-    st2 = 1.0 / (1.0 + np.outer(lam2, sz.s))  # L2 x c2
+    st1 = _shrink_table(lam1, sx.s)  # L1 x c1
+    st2 = _shrink_table(lam2, sz.s)  # L2 x c2
     P = sx.A @ (st1[:, :, None] * (sx.A.T @ Y @ sz.A))  # L1 x n1 x c2
     M = np.einsum("iak,ial,akl->ikl", P, P, masked.gram)
     fit_norm = np.einsum("jk,ikj->ij", st2, M @ st2.T)
     cross = np.einsum("iak,ak->ik", P, masked.cross) @ st2.T
-    sse = fit_norm - 2.0 * cross + masked.yty
-    if sse.min() < -SSE_CLAMP_REL * masked.yty:
-        raise FloatingPointError(
-            f"masked SSE as low as {sse.min()} on the grid; "
-            "the spectral decomposition is inconsistent"
-        )
-    return np.maximum(sse, 0.0, out=sse)
+    return _sse_table(fit_norm, cross, masked.yty)
 
 
 def _masked_search(Y, masked, sx, sz, lam1, lam2, n_eff):
@@ -288,25 +287,15 @@ def _masked_search(Y, masked, sx, sz, lam1, lam2, n_eff):
     form of _masked_sse_table; the winner's SSE and GCV are recomputed
     from its residual, so they carry no cancellation noise.
     """
-    tr1 = np.array([trace_smoother(sx.s, l) for l in lam1])
-    tr2 = np.array([trace_smoother(sz.s, l) for l in lam2])
     sse = _masked_sse_table(Y, masked, sx, sz, lam1, lam2)
-    edf = np.outer(tr1, tr2)
-    gcv = np.full(sse.shape, np.inf)
-    usable = edf < n_eff
-    gcv[usable] = (sse[usable] / n_eff) / (1.0 - edf[usable] / n_eff) ** 2
-    best = gcv.min()
-    if not np.isfinite(best):
-        raise DegenerateFit("every candidate pair has edf >= occupied-cell count")
-    ties = np.argwhere(gcv == best)
-    i, j = max(ties, key=lambda ij: (lam1[ij[0]], lam2[ij[1]]))
+    gcv, edf = _gcv(sse, [_shrink_table(lam1, sx.s), _shrink_table(lam2, sz.s)],
+                    n_eff)
+    i, j = _pick(gcv, n_eff, (lam1, lam2))
     half = apply_smoother(sx, lam1[i], Y)
     yhat = apply_smoother(sz, lam2[j], half.T).T
     resid = (Y - yhat)[masked.occupied]
     sse_ij = resid @ resid
-    edf_ij = tr1[i] * tr2[j]
-    gcv_ij = (sse_ij / n_eff) / (1.0 - edf_ij / n_eff) ** 2
-    return int(i), int(j), gcv_ij, sse_ij, edf_ij, yhat
+    return i, j, gcv_score(sse_ij, edf[i, j], n_eff), sse_ij, edf[i, j], yhat
 
 
 def iterative_fit(
@@ -353,10 +342,8 @@ def iterative_fit(
         fit = select_lambda(gdata, specs, grid)
         return ScatterFit(fit, binned, 1, True, (), fit.sse, fit.gcv_value, n_eff)
 
-    # As in select_lambda, the rounds work on Y * 2^-e, whose largest data
-    # magnitude lies in [0.5, 1), so no square overflows; the scaling is exact.
-    scale = float(np.max(np.abs(data.y))) or 1.0
-    e = math.frexp(scale)[1]
+    # as in select_lambda, the rounds work on Y * 2^-e
+    scale, e = _scale_exponent(data.y)
     means = np.ldexp(binned.means, -e)
     if init == "zero":
         Y = np.where(occupied, means, 0.0)
@@ -385,8 +372,7 @@ def iterative_fit(
 
     gdata = GridData(np.ldexp(Y, e), binned.x_centers, binned.z_centers)
     fit = select_lambda(gdata, specs, LambdaGrid([lam1[i]], [lam2[j]]))
-    with np.errstate(over="ignore"):  # squared quantities past the float range read inf
-        masked_sse, masked_gcv = np.ldexp([sse_val, gcv_val], 2 * e)
+    masked_sse, masked_gcv = _unscale(e, sse_val, gcv_val)
     return ScatterFit(
         fit=fit,
         binned=binned,

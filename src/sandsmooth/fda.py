@@ -3,11 +3,12 @@
 Curves observed on a common grid give a J x J sample second-moment matrix;
 smoothing it with the same univariate smoother on both sides keeps it
 symmetric and leaves a single smoothing parameter, selected by GCV along
-the equal-parameter diagonal of the bivariate score.  Eigenpairs of the
-smoothed matrix estimate the functional principal components, with
-midpoint-quadrature scaling: matrix eigenvalue / J estimates the process
-eigenvalue, sqrt(J) times the unit eigenvector estimates the eigenfunction
-(so it has unit quadrature norm).
+the equal-parameter diagonal of the grid fit's GCV table (edf = trace^2,
+ties to the largest lambda).  Eigenpairs of the smoothed matrix estimate
+the functional principal components, with midpoint-quadrature scaling:
+matrix eigenvalue / J estimates the process eigenvalue, sqrt(J) times the
+unit eigenvector estimates the eigenfunction (so it has unit quadrature
+norm).
 
 The smoothed matrix is A K A' with A the J x c orthonormal spectral basis
 and K = diag(st) (A'CA) diag(st), so its rank is at most c.  Its nonzero
@@ -37,8 +38,8 @@ import numpy as np
 
 from .basis import AxisSpec
 from .rng import CounterNormals, replicate_seed
-from .sandwich2d import DegenerateFit, gcv_score, require_finite, sse_fast
-from .spectra import axis_spectrum, shrink_weights, trace_smoother
+from .sandwich2d import _gcv_table, _pick, _scale_exponent, _unscale, require_finite
+from .spectra import axis_spectrum, shrink_weights
 from .surfaces import midpoints
 
 __all__ = [
@@ -235,8 +236,10 @@ def smooth_cov(C: np.ndarray, spec: AxisSpec | None = None,
     C = np.asarray(C, dtype=float)
     if C.ndim != 2 or C.shape[0] != C.shape[1]:
         raise ValueError("C must be square")
-    asymmetry, sym = _symmetrize(C)
-    if asymmetry > ASYMMETRY_TOL:
+    with np.errstate(invalid="ignore"):  # inf - inf reads NaN, rejected below
+        asymmetry, sym = _symmetrize(C)
+    if not asymmetry <= ASYMMETRY_TOL:  # NaN, from a non-finite entry, too
+        require_finite("C", C)
         raise ValueError(f"input asymmetric beyond {ASYMMETRY_TOL}")
     raw, C = C, sym
     if exclude_diagonal:
@@ -256,36 +259,31 @@ def smooth_cov(C: np.ndarray, spec: AxisSpec | None = None,
     if np.any(lams < 0):
         raise ValueError("lambdas must be nonnegative")
 
+    # as in select_lambda, the search runs on C * 2^-e (C is a fresh copy)
+    _, e = _scale_exponent(C)
+    C *= 2.0 ** -e
     sp = axis_spectrum(t, spec)
     Ct = sp.A.T @ C @ sp.A
     cc = float(np.sum(C * C))
     n = C.size
-    scores = np.empty(lams.size)
-    for i, lam in enumerate(lams):
-        sse = sse_fast(Ct, cc, sp.s, sp.s, lam, lam)
-        edf = trace_smoother(sp.s, lam) ** 2
-        try:
-            scores[i] = gcv_score(sse, edf, n)
-        except DegenerateFit:
-            scores[i] = np.inf
-    if not np.isfinite(scores.min()) and lams.size > 1:
-        raise DegenerateFit("every candidate lambda has edf >= J^2")
-    ties = np.nonzero(scores == scores.min())[0]
-    pick = ties[np.argmax(lams[ties])]
-    lam = float(lams[pick])
+    gcv, edf = _gcv_table(Ct * Ct, cc, (sp.s, sp.s), (lams, lams), n)
+    # one lambda on both sides: the diagonal of the bivariate table; a
+    # singleton list pins lambda, even where GCV is undefined
+    gcv, edf = np.diagonal(gcv), np.diagonal(edf)
+    (k,) = _pick(gcv, n, (lams,)) if lams.size > 1 else (0,)
+    lam = float(lams[k])
 
     st = shrink_weights(sp.s, lam)
-    K = st[:, None] * Ct * st[None, :]
+    K = np.ldexp(st[:, None] * Ct * st[None, :], e)  # unscaled
     _, smoothed = _symmetrize(sp.A @ K @ sp.A.T)
-    edf = trace_smoother(sp.s, lam) ** 2
     values, funcs = _decompose(0.5 * (K + K.T), sp.A)
     return CovModel(
         t=np.asarray(t, float),
         raw_cov=raw,
         smoothed_cov=smoothed,
         lam=lam,
-        gcv_value=float(scores[pick]),
-        edf=float(edf),
+        gcv_value=float(_unscale(e, gcv[k])[0]),
+        edf=float(edf[k]),
         eigenvalues=values,
         eigenfunctions=funcs,
         spec=spec,

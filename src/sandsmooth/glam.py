@@ -7,11 +7,11 @@ factor, one axis at a time.  The workhorse is the rotated transform rh(),
 which contracts a matrix against the leading axis and cycles that axis to
 the back; d chained calls smooth every axis and restore the original order.
 
-Selection reuses the grid-search GCV of the bivariate fit: with every axis
-reduced to its spectrum, the SSE for a candidate tuple is two weighted
-reductions of the c_1 x ... x c_d transformed array, and the trace of the
-full smoother is the product of the per-axis traces.  All candidate tuples
-are scored in one einsum per term.
+Selection reuses the grid-search GCV of the bivariate fit, through the
+same search in sandwich2d: with every axis reduced to its spectrum, the SSE
+for every candidate tuple comes from contracting the c_1 x ... x c_d
+transformed array with each axis's shrink table, one axis at a time, and
+the trace of the full smoother is the product of the per-axis traces.
 
 The first axis is the fastest-varying one under column-major flattening,
 so for d = 2 the flattened fit matches the column-stacked matrix fit.
@@ -19,14 +19,19 @@ so for d = 2 the flattened fit matches the column-stacked matrix fit.
 
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
 from .basis import AxisSpec, auto_knot_segments
-from .sandwich2d import DegenerateFit, gcv_score, require_finite
+from .sandwich2d import (
+    _gcv_table,
+    _pick,
+    _scale_exponent,
+    _unscale,
+    gcv_score,
+    require_finite,
+)
 from .spectra import axis_spectrum, shrink_weights
 
 __all__ = ["ArrayData", "MultiFit", "rh", "fit_array", "MAX_GRID_COMBINATIONS"]
@@ -158,48 +163,29 @@ def fit_array(data: ArrayData, specs=None, grids=None) -> MultiFit:
             raise ValueError(f"axis {axis}: lambdas must be strictly positive")
 
     spectra = [axis_spectrum(c, spec) for c, spec in zip(data.coords, specs)]
+    # As in select_lambda, the search runs on values * 2^-e.  A scaled copy
+    # of the values held through the projection would raise the peak memory.
+    _, e = _scale_exponent(data.values)
+    k = 2.0 ** -e
     Ytilde = _rh_chain([sp.A.T for sp in spectra], data.values)
-    yty = float(np.sum(data.values * data.values))
-    W = Ytilde * Ytilde
+    yty = float(np.sum((data.values * k) ** 2))
     n = data.n
-
-    # score every tuple at once: one einsum per SSE term
-    shrink = [1.0 / (1.0 + np.outer(g, sp.s))
-              for g, sp in zip(grids, spectra)]  # each L_i x c_i
-    lo = string.ascii_lowercase[:d]
-    up = string.ascii_uppercase[:d]
-    ein = ",".join(f"{U}{l}" for U, l in zip(up, lo)) + f",{lo}->{up}"
-    hh = np.einsum(ein, *[st * st for st in shrink], W, optimize=True)
-    hy = np.einsum(ein, *shrink, W, optimize=True)
-    sse = hh - 2.0 * hy + yty
-    if sse.min() < -1e-9 * yty:
-        raise FloatingPointError(
-            f"SSE as low as {sse.min()}; spectral decomposition inconsistent"
-        )
-    np.maximum(sse, 0.0, out=sse)
-    edf = reduce(np.multiply.outer, [st.sum(axis=1) for st in shrink])
-    gcv = np.full(sse.shape, np.inf)
-    usable = edf < n
-    gcv[usable] = (sse[usable] / n) / (1.0 - edf[usable] / n) ** 2
-
-    best = gcv.min()
-    if not np.isfinite(best):
-        raise DegenerateFit("every candidate tuple has edf >= n")
-    ties = np.argwhere(gcv == best)
-    idx = max(ties, key=lambda t: tuple(g[i] for g, i in zip(grids, t)))
+    gcv, edf = _gcv_table((Ytilde * k) ** 2, yty, [sp.s for sp in spectra], grids, n)
+    idx = _pick(gcv, n, grids)
     lambdas = tuple(float(g[i]) for g, i in zip(grids, idx))
 
     sts = [shrink_weights(sp.s, lam) for sp, lam in zip(spectra, lambdas)]
-    core = _scale_axes(Ytilde, sts)
-    fitted = _rh_chain([sp.A for sp in spectra], core)
-    sse_exact = float(np.sum((data.values - fitted) ** 2))
-    edf_best = float(edf[tuple(idx)])
+    fitted = _rh_chain([sp.A for sp in spectra], _scale_axes(Ytilde, sts))
+    sse_exact = float(np.sum(((data.values - fitted) * k) ** 2))
+    edf_best = float(edf[idx])
+    sse_exact, gcv_exact, gcv = _unscale(
+        e, sse_exact, gcv_score(sse_exact, edf_best, n), gcv)
     return MultiFit(
         lambdas=lambdas,
         fitted=fitted,
-        gcv_value=gcv_score(sse_exact, edf_best, n),
+        gcv_value=float(gcv_exact),
         edf=edf_best,
-        sse=sse_exact,
+        sse=float(sse_exact),
         gcv_table=gcv,
         specs=specs,
     )

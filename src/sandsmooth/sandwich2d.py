@@ -6,7 +6,8 @@ Kronecker smoother (S2 kron S1) vec(Y), but neither Kronecker factor is ever
 formed.  With each axis reduced to its spectrum (see spectra), the residual
 sum of squares and the smoother trace for any (lam1, lam2) pair come from a
 handful of c1 x c2 array reductions, so a full grid search over hundreds of
-candidate pairs costs little more than a single fit.
+candidate pairs costs little more than a single fit.  That search is written
+once, for any number of axes; the array, covariance and scatter fits use it.
 
 Selection uses GCV = (SSE/n) / (1 - edf/n)^2, the standard form, with
 edf = tr(S1) * tr(S2).  The raw (SSE, edf) pair is kept on the result so
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -174,13 +176,7 @@ def sse_fast(Ytilde: np.ndarray, yty: float, s1: np.ndarray, s2: np.ndarray,
              lam1: float, lam2: float) -> float:
     """Residual sum of squares at (lam1, lam2), clamped at zero."""
     fit_norm, cross, _ = sse_terms(Ytilde, yty, s1, s2, lam1, lam2)
-    sse = fit_norm - 2.0 * cross + yty
-    if sse < -SSE_CLAMP_REL * yty:
-        raise FloatingPointError(
-            f"SSE = {sse} is negative beyond roundoff tolerance; "
-            "the spectral decomposition is inconsistent"
-        )
-    return max(sse, 0.0)
+    return float(_sse_table(fit_norm, cross, yty))
 
 
 def gcv_score(sse: float, edf: float, n: int) -> float:
@@ -194,39 +190,78 @@ def gcv_score(sse: float, edf: float, n: int) -> float:
     return (sse / n) / (1.0 - edf / n) ** 2
 
 
-def _gcv_table(Ytilde, yty, s1, s2, lam1, lam2, n):
-    """GCV, SSE and edf at every (lam1[i], lam2[j]) pair, vectorized.
+def _scale_exponent(values: np.ndarray) -> tuple[float, int]:
+    """(m, e): m = max|values|, and m * 2^-e in [0.5, 1) unless m < 2^-1022,
+    where e stops at -1022 so that 2^-e is finite.  GCV selection is
+    scale-free, so fits run on values * 2^-e: no square overflows, and
+    scaling by a power of two is exact."""
+    m = float(max(values.max(), -values.min()))
+    return m, max(math.frexp(m)[1], -1022)
 
-    Returns matrices of shape (len(lam1), len(lam2)).  Degenerate pairs
-    (edf >= n) get GCV = +inf rather than raising, so a grid containing
-    some usable pairs still selects.
-    """
-    st1 = 1.0 / (1.0 + np.outer(lam1, s1))  # L1 x c1
-    st2 = 1.0 / (1.0 + np.outer(lam2, s2))  # L2 x c2
-    W = Ytilde * Ytilde
-    sse = (st1 * st1) @ W @ (st2 * st2).T - 2.0 * (st1 @ W @ st2.T) + yty
+
+def _unscale(e, *squares):
+    """Squared quantities of a fit on values * 2^-e, scaled back; those
+    past the float range read inf."""
+    with np.errstate(over="ignore"):
+        return [np.ldexp(v, 2 * e) for v in squares]
+
+
+def _shrink_table(lams, s):
+    """Row i holds the spectral shrinkage 1/(1 + lams[i] s) of one candidate."""
+    return 1.0 / (1.0 + np.outer(lams, s))
+
+
+def _contract(W, tables):
+    """out[i_1, ..., i_d] = sum_c W[c_1, ..., c_d] prod_k tables[k][i_k, c_k],
+    the first axis first; for d = 2 this is (T1 @ W) @ T2'."""
+    out = (tables[0] @ W.reshape(W.shape[0], -1)).reshape((-1,) + W.shape[1:])
+    for k, table in enumerate(tables[1:], start=1):
+        out = np.moveaxis(np.moveaxis(out, k, -1) @ table.T, -1, k)
+    return out
+
+
+def _sse_table(fit_norm, cross, yty):
+    """SSE = yhat'yhat - 2 yhat'y + y'y at every candidate (or at one), with
+    the fast form's cancellation noise clamped at zero; anything more raises."""
+    sse = np.asarray(fit_norm - 2.0 * cross + yty)
     if sse.min() < -SSE_CLAMP_REL * yty:
         raise FloatingPointError(
-            f"SSE as low as {sse.min()} on the grid; "
+            f"SSE as low as {sse.min()} among the candidates; "
             "the spectral decomposition is inconsistent"
         )
-    np.maximum(sse, 0.0, out=sse)
-    edf = np.outer(st1.sum(axis=1), st2.sum(axis=1))
+    return np.maximum(sse, 0.0, out=sse)
+
+
+def _gcv(sse, shrink, n):
+    """(GCV, edf) at every candidate tuple: edf is the product of the shrink
+    tables' traces, GCV = (SSE/n) / (1 - edf/n)^2, and +inf where edf >= n,
+    so a table with some usable candidates still selects."""
+    edf = reduce(np.multiply.outer, [st.sum(axis=1) for st in shrink])
     gcv = np.full(sse.shape, np.inf)
     usable = edf < n
     gcv[usable] = (sse[usable] / n) / (1.0 - edf[usable] / n) ** 2
-    return gcv, sse, edf
+    return gcv, edf
 
 
-def _argmin_prefer_smooth(gcv, lam1, lam2):
-    """Index of the smallest GCV; exact ties go to the largest (lam1, lam2)
-    in lexicographic order, so repeated runs pick one deterministic winner."""
+def _pick(gcv, n, lams):
+    """Index tuple of the smallest GCV, lams holding one candidate list per
+    axis; exact ties go to the largest lambda tuple in lexicographic order,
+    so repeated runs pick one deterministic winner."""
     best = gcv.min()
     if not np.isfinite(best):
-        raise DegenerateFit("every candidate pair has edf >= n")
+        raise DegenerateFit(f"every candidate has edf >= n = {n}")
     ties = np.argwhere(gcv == best)
-    i, j = max(ties, key=lambda ij: (lam1[ij[0]], lam2[ij[1]]))
-    return int(i), int(j)
+    idx = max(ties, key=lambda t: tuple(l[i] for l, i in zip(lams, t)))
+    return tuple(int(i) for i in idx)
+
+
+def _gcv_table(W, yty, spectra_s, lams, n):
+    """(GCV, edf) tables over the candidate tuples lams (one list per axis),
+    with W = Ytilde**2 and spectra_s each axis's penalty eigenvalues."""
+    shrink = [_shrink_table(l, s) for l, s in zip(lams, spectra_s)]
+    sse = _sse_table(_contract(W, [st * st for st in shrink]),
+                     _contract(W, shrink), yty)
+    return _gcv(sse, shrink, n)
 
 
 def _refined_axis(lams, idx, count):
@@ -255,28 +290,24 @@ def select_lambda(data: GridData, specs: tuple[AxisSpec, AxisSpec] | None = None
         grid = LambdaGrid.default()
     sx = axis_spectrum(data.x_coords, specs[0])
     sz = axis_spectrum(data.z_coords, specs[1])
-    # Selection is scale-free: fit Y * 2^-e, whose largest magnitude lies in
-    # [0.5, 1), so no square overflows; scaling by a power of two is exact.
-    e = math.frexp(float(max(data.Y.max(), -data.Y.min())))[1]
+    _, e = _scale_exponent(data.Y)
     Ys = np.ldexp(data.Y, -e)
     Ytilde, yty = transform_data(GridData(Ys, data.x_coords, data.z_coords), sx, sz)
+    W = Ytilde * Ytilde
     n = data.n
 
-    lam1, lam2 = grid.lambda_x, grid.lambda_z
-    gcv, sse, edf = _gcv_table(Ytilde, yty, sx.s, sz.s, lam1, lam2, n)
-    i, j = _argmin_prefer_smooth(gcv, lam1, lam2)
-    best = (float(lam1[i]), float(lam2[j]), gcv[i, j], sse[i, j], edf[i, j])
-
+    lams = (grid.lambda_x, grid.lambda_z)
+    gcv, edf = _gcv_table(W, yty, (sx.s, sz.s), lams, n)
+    i, j = _pick(gcv, n, lams)
+    l1, l2, edf_best = float(lams[0][i]), float(lams[1][j]), edf[i, j]
     if fine_pass > 0:
-        f1 = _refined_axis(lam1, i, fine_pass)
-        f2 = _refined_axis(lam2, j, fine_pass)
-        fgcv, fsse, fedf = _gcv_table(Ytilde, yty, sx.s, sz.s, f1, f2, n)
-        if fgcv.min() <= best[2]:
-            fi, fj = _argmin_prefer_smooth(fgcv, f1, f2)
-            best = (float(f1[fi]), float(f2[fj]),
-                    fgcv[fi, fj], fsse[fi, fj], fedf[fi, fj])
+        fine = (_refined_axis(lams[0], i, fine_pass),
+                _refined_axis(lams[1], j, fine_pass))
+        fgcv, fedf = _gcv_table(W, yty, (sx.s, sz.s), fine, n)
+        if fgcv.min() <= gcv[i, j]:
+            fi, fj = _pick(fgcv, n, fine)
+            l1, l2, edf_best = float(fine[0][fi]), float(fine[1][fj]), fedf[fi, fj]
 
-    l1, l2, _, _, edf_best = best
     st1 = shrink_weights(sx.s, l1)
     st2 = shrink_weights(sz.s, l2)
     core = st1[:, None] * Ytilde * st2[None, :]
@@ -291,10 +322,8 @@ def select_lambda(data: GridData, specs: tuple[AxisSpec, AxisSpec] | None = None
     Ys -= fitted
     Ys **= 2
     sse_exact = float(np.sum(Ys))
-    gcv_exact = gcv_score(sse_exact, edf_best, n)
-    with np.errstate(over="ignore"):  # squared quantities past the float range read inf
-        sse_exact, gcv_exact = np.ldexp([sse_exact, gcv_exact], 2 * e)
-        gcv = np.ldexp(gcv, 2 * e)
+    sse_exact, gcv_exact, gcv = _unscale(
+        e, sse_exact, gcv_score(sse_exact, edf_best, n), gcv)
     return SandwichFit(
         lambdas=(l1, l2),
         Theta=np.ldexp(Theta, e),

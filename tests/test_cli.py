@@ -302,6 +302,21 @@ class TestSmoothArray:
         assert rc == 0
         npt.assert_allclose(np.load(out), arr, atol=1e-10)
 
+    def test_huge_values_fit_without_overflow(self, tmp_path):
+        rng = np.random.default_rng(11)
+        arr = 1e160 * (1 + 0.1 * rng.normal(size=(12, 14, 10)))
+        inp, out, sump = tmp_path / "a.npy", tmp_path / "f.npy", tmp_path / "s.json"
+        np.save(inp, arr)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["smooth-array", "-i", str(inp), "-o", str(out),
+                       "--summary", str(sump)])
+        assert rc == 0
+        fitted = np.load(out)
+        assert np.all(np.isfinite(fitted))
+        npt.assert_allclose(fitted.mean(), arr.mean(), rtol=0.01)
+        assert json.loads(sump.read_text())["sse"] == "inf"
+
     def test_not_an_npy_exits_2(self, tmp_path):
         inp = tmp_path / "a.npy"
         inp.write_text("plain text")

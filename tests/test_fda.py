@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -9,6 +11,7 @@ from sandsmooth.fda import (
     CurveSet,
     case_eigenvalues,
     eigenfunction_set,
+    default_cov_spec,
     eigenpairs,
     sample_cov,
     simulate_fda,
@@ -178,6 +181,71 @@ class TestSmoothCov:
                              (spec, spec), LambdaGrid(lams, lams))
         diag = np.diag(gfit.gcv_surface)
         assert model.lam == lams[np.argmin(diag)]
+
+    def test_picks_on_the_diagonal_not_the_full_surface(self):
+        # the full-surface winner here is off the diagonal, at (1.62, 8.86e-5);
+        # one lambda on both sides must take the diagonal's own winner
+        curves = simulate_fda(1, 60, 80, 0.5, seed=80)
+        C = sample_cov(curves, center=True)
+        spec = default_cov_spec(80)
+        lams = np.logspace(-5, 4, 20)
+        model = smooth_cov(C, spec, lams)
+        gfit = select_lambda(GridData(0.5 * (C + C.T), curves.t, curves.t),
+                             (spec, spec), LambdaGrid(lams, lams))
+        assert gfit.lambdas[0] != gfit.lambdas[1]
+        diag = np.diag(gfit.gcv_surface)
+        k = np.argmin(diag)
+        assert model.lam == lams[k] != gfit.lambdas[0]
+        npt.assert_allclose(model.gcv_value, diag[k], rtol=1e-12)
+
+    def test_exact_ties_go_to_the_largest_lambda(self):
+        # a constant matrix lies in the penalty null space on both sides, so
+        # every lambda fits it equally well; the list order must not matter
+        lams = np.array([3.0, 1e-4, 1e4, 0.5, 10.0])
+        model = smooth_cov(np.full((20, 20), 2.0), AxisSpec(3, 2, 6), lams)
+        assert model.lam == 1e4
+
+    @pytest.mark.parametrize("index, bad", [((2, 5), np.nan), ((3, 3), np.nan),
+                                            ((2, 5), np.inf), ((4, 4), -np.inf)])
+    @pytest.mark.parametrize("lams", [None, [1.0]])
+    def test_non_finite_entry_named(self, index, bad, lams):
+        C = np.eye(10)
+        C[index] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"C\[{index[0]}, {index[1]}\] "
+                               rf"is {bad}; values must be finite"):
+                smooth_cov(C, lams=lams)
+
+    @pytest.mark.parametrize("exclude_diagonal", [False, True])
+    def test_power_of_two_scaling_is_exact(self, exclude_diagonal):
+        # entries near 2^530 square past the float range; the search runs on
+        # a power-of-two rescaling, so lambda and the smoothed matrix scale
+        # exactly (eigh rescales large inputs itself, so eigenvalues only
+        # to rounding)
+        C = sample_cov(simulate_fda(2, 30, 40, 0.5, seed=4))
+        base = smooth_cov(C, exclude_diagonal=exclude_diagonal)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big = smooth_cov(np.ldexp(C, 530), exclude_diagonal=exclude_diagonal)
+        assert big.lam == base.lam
+        assert big.edf == base.edf
+        assert np.array_equal(big.smoothed_cov, np.ldexp(base.smoothed_cov, 530))
+        npt.assert_allclose(big.eigenvalues, np.ldexp(base.eigenvalues, 530),
+                            rtol=1e-12, atol=1e-12 * np.ldexp(base.eigenvalues[0], 530))
+        with np.errstate(over="ignore"):
+            assert big.gcv_value == np.ldexp(base.gcv_value, 1060)
+
+    def test_huge_entries_fit_without_overflow(self):
+        C = sample_cov(simulate_fda(1, 30, 40, 0.5, seed=5))
+        base = smooth_cov(C)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big = smooth_cov(1e160 * C)
+        assert big.lam == base.lam
+        npt.assert_allclose(big.smoothed_cov, 1e160 * base.smoothed_cov, rtol=1e-10,
+                            atol=1e-12 * 1e160)
+        assert np.all(np.isfinite(big.eigenvalues))
 
     def test_exclude_diagonal_flag(self):
         curves = simulate_fda(1, 200, 20, 0.5, seed=3)

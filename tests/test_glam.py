@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -142,6 +144,41 @@ class TestFitArray:
         yty = np.sum(data.values ** 2)
         assert mfit.sse <= 1e-12 * yty
         npt.assert_allclose(mfit.fitted, 2.5, atol=1e-8)
+
+    def test_exact_ties_go_to_the_largest_lambdas(self):
+        # SSE ties at every tuple; the winner is the largest lambda on every
+        # axis, whatever the order of the candidate lists
+        data = ArrayData.on_midpoints(np.full((6, 7, 8), 2.5))
+        grids = ([1.0, 1e3, 1e-3], [1e3, 1e-3, 1.0], [1e-3, 1.0, 1e3])
+        assert fit_array(data, grids=grids).lambdas == (1e3, 1e3, 1e3)
+
+    @pytest.mark.parametrize("shift", [530, -530, 3])
+    def test_power_of_two_scaling_is_exact(self, shift):
+        # values near 2^530 square past the float range; the search runs on a
+        # power-of-two rescaling, so the fit scales exactly with the data
+        rng = np.random.default_rng(9)
+        values = rng.normal(size=(12, 14, 10)) + np.linspace(0, 1, 10)
+        base = fit_array(ArrayData.on_midpoints(values))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_array(ArrayData.on_midpoints(np.ldexp(values, shift)))
+        assert fit.lambdas == base.lambdas
+        assert fit.edf == base.edf
+        assert np.array_equal(fit.fitted, np.ldexp(base.fitted, shift))
+        with np.errstate(over="ignore"):
+            assert fit.sse == np.ldexp(base.sse, 2 * shift)
+            assert fit.gcv_value == np.ldexp(base.gcv_value, 2 * shift)
+            assert np.array_equal(fit.gcv_table, np.ldexp(base.gcv_table, 2 * shift))
+
+    def test_huge_values_fit_without_overflow(self):
+        rng = np.random.default_rng(10)
+        values = 1 + 0.1 * rng.normal(size=(12, 14, 10))
+        base = fit_array(ArrayData.on_midpoints(values))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_array(ArrayData.on_midpoints(1e160 * values))
+        assert fit.lambdas == base.lambdas
+        npt.assert_allclose(fit.fitted, 1e160 * base.fitted, rtol=1e-10)
 
     def test_grid_explosion_guard(self):
         data = ArrayData.on_midpoints(np.zeros((6, 6, 6)))

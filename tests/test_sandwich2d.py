@@ -3,10 +3,18 @@ import warnings
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sandsmooth.basis import AxisSpec, design_matrix, diff_matrix
 from sandsmooth.sandwich2d import (
     DegenerateFit,
+    _contract,
+    _gcv,
+    _gcv_table,
+    _pick,
+    _shrink_table,
+    _sse_table,
     GridData,
     LambdaGrid,
     gcv_score,
@@ -401,3 +409,115 @@ class TestPredict:
     def test_out_of_domain(self):
         with pytest.raises(ValueError):
             predict(self.fit.Theta, self.specs, 1.2, 0.5)
+
+
+@st.composite
+def search_problems(draw):
+    """Data of d = 1, 2 or 3 axes with random orthonormal axis bases A_k,
+    nonnegative penalty eigenvalues s_k and ascending candidate lists."""
+    d = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    n = [draw(st.integers(2, 6)) for _ in range(d)]
+    c = [draw(st.integers(1, k)) for k in n]
+    bases = [np.linalg.qr(rng.normal(size=(nk, ck)))[0] for nk, ck in zip(n, c)]
+    s = [np.sort(rng.exponential(size=ck)) * (rng.uniform(size=ck) > 0.2)
+         for ck in c]
+    lams = [np.sort(10.0 ** rng.uniform(-3, 3, size=draw(st.integers(1, 4))))
+            for _ in range(d)]
+    return rng.normal(size=n), bases, s, lams
+
+
+def project(Y, bases):
+    """Contract axis k of Y with bases[k]' (the d-axis Ytilde)."""
+    for k, A in enumerate(bases):
+        Y = np.moveaxis(np.tensordot(A.T, Y, axes=(1, k)), 0, k)
+    return Y
+
+
+def sse_table(W, yty, s, lams):
+    """The engine's fast-form SSE table, as _gcv_table forms it."""
+    shrink = [_shrink_table(l, sk) for l, sk in zip(lams, s)]
+    return _sse_table(_contract(W, [t * t for t in shrink]), _contract(W, shrink),
+                      yty)
+
+
+class TestSearchEngine:
+    """The one GCV search that the grid, array, covariance and scattered-data
+    fits share, checked at d = 1, 2 and 3."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(search_problems())
+    def test_matches_dense_kronecker(self, problem):
+        Y, bases, s, lams = problem
+        W, yty = project(Y, bases) ** 2, float(np.sum(Y * Y))
+        sse = sse_table(W, yty, s, lams)
+        gcv, edf = _gcv_table(W, yty, s, lams, Y.size)
+        shrink = [_shrink_table(l, sk) for l, sk in zip(lams, s)]
+        assert np.array_equal(gcv, _gcv(sse, shrink, Y.size)[0])
+        y = Y.ravel(order="F")
+        for idx in np.ndindex(*sse.shape):
+            S = [(A / (1.0 + l[i] * sk)) @ A.T
+                 for A, sk, l, i in zip(bases, s, lams, idx)]
+            big = S[0]
+            for Sk in S[1:]:
+                big = np.kron(Sk, big)
+            resid = y - big @ y
+            npt.assert_allclose(sse[idx], resid @ resid, rtol=1e-10,
+                                atol=1e-10 * yty)
+            npt.assert_allclose(edf[idx], np.prod([np.trace(Sk) for Sk in S]),
+                                rtol=1e-10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(search_problems(), st.randoms(use_true_random=False))
+    def test_permuted_axes_permute_the_table(self, problem, random):
+        Y, bases, s, lams = problem
+        order = list(range(Y.ndim))
+        random.shuffle(order)
+        W = project(Y, bases) ** 2
+        yty = float(np.sum(Y * Y))
+        ps, plams = [s[k] for k in order], [lams[k] for k in order]
+        npt.assert_allclose(sse_table(W.transpose(order), yty, ps, plams),
+                            sse_table(W, yty, s, lams).transpose(order),
+                            rtol=1e-12, atol=1e-12 * yty)
+        npt.assert_allclose(_gcv_table(W.transpose(order), yty, ps, plams, Y.size)[1],
+                            _gcv_table(W, yty, s, lams, Y.size)[1].transpose(order),
+                            rtol=1e-13)
+
+    @settings(max_examples=60, deadline=None)
+    @given(search_problems())
+    def test_edf_never_grows_with_lambda(self, problem):
+        _, _, s, lams = problem
+        _, edf = _gcv(np.zeros([l.size for l in lams]),
+                      [_shrink_table(l, sk) for l, sk in zip(lams, s)], np.inf)
+        for axis in range(edf.ndim):
+            assert np.all(np.diff(edf, axis=axis) <= 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(search_problems(), st.randoms(use_true_random=False))
+    def test_all_ties_pick_the_largest_lambdas(self, problem, random):
+        # with SSE = 0 everywhere every usable candidate scores 0; the winner
+        # must be the largest lambda on each axis, in whatever order listed
+        _, _, s, lams = problem
+        lams = [random.sample(list(l), len(l)) for l in lams]
+        shrink = [_shrink_table(l, sk) for l, sk in zip(lams, s)]
+        gcv, _ = _gcv(np.zeros([len(l) for l in lams]), shrink, np.inf)
+        assert _pick(gcv, np.inf, lams) == tuple(int(np.argmax(l)) for l in lams)
+
+    def test_no_usable_candidate_names_n(self):
+        shrink = [_shrink_table([1.0, 2.0], np.zeros(3))]  # edf = 3 everywhere
+        gcv, _ = _gcv(np.ones(2), shrink, 3)
+        assert np.all(np.isinf(gcv))
+        with pytest.raises(DegenerateFit, match="every candidate has edf >= n = 3"):
+            _pick(gcv, 3, [[1.0, 2.0]])
+
+    def test_inconsistent_sse_raises(self):
+        rng = np.random.default_rng(3)
+        W = rng.uniform(size=(3, 4))
+        s = [np.zeros(3), np.zeros(4)]
+        # with s = 0 the fit keeps all of Ytilde: SSE = y'y - sum(W), and a
+        # y'y below sum(W) is impossible for real data
+        with pytest.raises(FloatingPointError, match="among the candidates"):
+            _gcv_table(W, 0.5 * W.sum(), s, [[1.0], [1.0]], 100)
+        gcv, _ = _gcv_table(W, W.sum(), s, [[1.0], [1.0]], 100)
+        assert gcv[0, 0] >= 0.0
