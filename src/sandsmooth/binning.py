@@ -2,17 +2,15 @@
 
 Scattered observations on the unit square are averaged within the cells of
 an I1 x I2 rectangular partition, turning the problem into a grid fit at
-the bin centers.  Cells that caught no data are either filled once from
-nearby observations or imputed iteratively: fit, replace empty cells with
-their fitted values, refit, until the imputed values stop moving.
-
-Smoothing-parameter selection under imputation scores only the cells that
-hold real data.  The mask and the binned means stay fixed across rounds, so
-per-row masked Grams A2' diag(O[a, :]) A2 are built once; each round then
-scores every candidate pair in closed form from c2 x c2 reductions (GLAM's
-weighted inner products with 0/1 weights), and only the winning pair is
-applied to the grid.  The trace term keeps the full-grid product form; no
-masked-trace correction is applied; the GCV and tie rule are the grid fit's.
+the bin centers.  At a fixed (lambda1, lambda2), the fixed point of "fit,
+overwrite the empty cells with the fitted values, refit" is the penalized
+fit with 0/1 cell weights O, (B'OB + P_lambda) theta = B'Oy (Currie,
+Durban & Eilers, JRSS-B 2006); it is solved directly.  Lambda selection
+scores only occupied cells: per-row masked Grams A2' diag(O[a, :]) A2,
+built once, score every candidate pair in closed form and also apply the
+weighted term of the solve.  The trace keeps the full-grid product form;
+the GCV and tie rule are the grid fit's.  fill_nearest is a standalone
+utility; the fit does not use it.
 """
 
 from __future__ import annotations
@@ -37,8 +35,12 @@ from .sandwich2d import (
     require_finite,
     select_lambda,
 )
-from .spectra import apply_smoother, axis_spectrum
+from .spectra import axis_spectrum, shrink_weights
 
+# Conjugate gradients stop at a relative residual of CG_RTOL; a fit counts
+# as converged only if its chosen solve ended at most at CONVERGED_RTOL.
+CG_RTOL = 1e-13
+CONVERGED_RTOL = 1e-10
 # Largest distance array (empty cells x points) fill_nearest holds at once;
 # near the size of a core's L2 cache, its elementwise passes run fastest.
 FILL_BLOCK_BYTES = 1 << 20
@@ -110,7 +112,8 @@ class BinnedGrid:
 
 @dataclass(frozen=True)
 class ScatterFit:
-    """Grid fit of binned data plus the imputation trail that produced it."""
+    """Grid fit of binned data and the facts of the search that chose it
+    (the fields are defined in iterative_fit)."""
 
     fit: SandwichFit
     binned: BinnedGrid
@@ -120,6 +123,7 @@ class ScatterFit:
     masked_sse: float
     masked_gcv: float
     n_occupied: int
+    cycled: bool = False
 
 
 def auto_bin_count(n: int) -> int:
@@ -174,24 +178,16 @@ def _window_radius(counts: np.ndarray, k: np.ndarray, l: np.ndarray,
 
 
 def fill_nearest(grid: BinnedGrid, data: ScatterData, m: int = 3) -> BinnedGrid:
-    """Fill each empty cell with the mean of the m nearest raw observations.
+    """Fill each empty cell with the mean of the m nearest observations
+    (Euclidean distance from the cell center, ties in point order; all of
+    them when fewer than m exist).
 
-    Nearness is Euclidean distance from the cell center; distance ties keep
-    point-index order.  When fewer than m observations exist, all of them
-    are used.
-
-    The search is exact but bounded.  Prefix sums of the counts give each
-    empty cell the smallest r whose (2r+1) x (2r+1) window of cells,
-    clipped to the grid, holds min(m, n) points.  Every point of that
-    window lies within R = hypot((r + 1/2)/I1, (r + 1/2)/I2) of the
-    center, so the nearest ones do too.  Empty cells are grouped into
-    FILL_TILE x FILL_TILE tiles; a tile's candidates are the points, in
-    index order, inside its cells' bounding box grown by its largest R
-    (plus a slack for the rounding in binning).  Among them a partition
-    finds each cell's m-th smallest squared distance, and the candidates
-    at or below it, stably sorted by distance, give exactly the leading m
-    of a full stable argsort over all points.  A tile whose distance array
-    would exceed FILL_BLOCK_BYTES is split into chunks of cells.
+    Exact but bounded: each empty cell's smallest (2r+1)^2 window holding
+    min(m, n) points lies within R = hypot((r + 1/2)/I1, (r + 1/2)/I2), so
+    a FILL_TILE^2 tile of empty cells needs only the points in its bounding
+    box grown by its largest R.  A partition and a stable sort of those
+    give exactly the leading m of a full stable argsort; tiles whose
+    distance array would exceed FILL_BLOCK_BYTES go in chunks of cells.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
@@ -236,13 +232,10 @@ def fill_nearest(grid: BinnedGrid, data: ScatterData, m: int = 3) -> BinnedGrid:
 
 @dataclass(frozen=True)
 class _MaskedGram:
-    """Round-invariant pieces of the masked SSE: O the occupied mask, A2 the
-    second axis's orthonormal basis, and Y the working grid, whose occupied
-    cells hold the binned means in every round.
-
+    """Fixed pieces of the masked SSE, with O the occupied mask, A2 the
+    second axis's basis and Y a grid holding the binned means:
     gram[a] = A2' diag(O[a, :]) A2, one c2 x c2 Gram per grid row;
-    cross = (O * Y) A2; yty = the sum of Y^2 over occupied cells.
-    """
+    cross = (O * Y) A2; yty = the sum of Y^2 over occupied cells."""
 
     occupied: np.ndarray
     gram: np.ndarray
@@ -266,9 +259,7 @@ def _masked_sse_table(Y, masked, sx, sz, lam1, lam2):
     st2_j' M_i st2_j - 2 st2_j . sum_a (P_i[a] * cross[a]) + yty with
     M_i = sum_a (P_i[a] P_i[a]') * gram[a]: the weighted inner products of
     Currie, Durban & Eilers (2006) with 0/1 weights.  The work is
-    O(L1 n1 c2^2), whatever the number of empty cells, and no smoother is
-    applied per pair.
-    """
+    O(L1 n1 c2^2); no smoother is applied per pair."""
     st1 = _shrink_table(lam1, sx.s)  # L1 x c1
     st2 = _shrink_table(lam2, sz.s)  # L2 x c2
     P = sx.A @ (st1[:, :, None] * (sx.A.T @ Y @ sz.A))  # L1 x n1 x c2
@@ -279,23 +270,42 @@ def _masked_sse_table(Y, masked, sx, sz, lam1, lam2):
 
 
 def _masked_search(Y, masked, sx, sz, lam1, lam2, n_eff):
-    """Masked-SSE GCV over the lambda grid; returns (i, j, gcv, sse, edf,
-    yhat), yhat the winner's fit of the whole grid.
-
-    SSE sums squared residuals over occupied cells only; edf keeps the
-    full-grid trace product.  The table of scores comes from the closed
-    form of _masked_sse_table; the winner's SSE and GCV are recomputed
-    from its residual, so they carry no cancellation noise.
-    """
+    """Index pair (i, j) of the smallest GCV over the lambda grid, from the
+    occupied-cell SSE of _masked_sse_table and the full-grid edf."""
     sse = _masked_sse_table(Y, masked, sx, sz, lam1, lam2)
-    gcv, edf = _gcv(sse, [_shrink_table(lam1, sx.s), _shrink_table(lam2, sz.s)],
-                    n_eff)
-    i, j = _pick(gcv, n_eff, (lam1, lam2))
-    half = apply_smoother(sx, lam1[i], Y)
-    yhat = apply_smoother(sz, lam2[j], half.T).T
-    resid = (Y - yhat)[masked.occupied]
-    sse_ij = resid @ resid
-    return i, j, gcv_score(sse_ij, edf[i, j], n_eff), sse_ij, edf[i, j], yhat
+    gcv, _ = _gcv(sse, [_shrink_table(lam1, sx.s), _shrink_table(lam2, sz.s)],
+                  n_eff)
+    return _pick(gcv, n_eff, (lam1, lam2))
+
+
+def _weighted_solve(theta, rhs, masked, A1, shrink):
+    """Solve A1' (O * (A1 Theta A2')) A2 + (1/shrink - 1) * Theta = rhs,
+    the 0/1-weighted fit in spectral coordinates (shrink = st1 (x) st2),
+    by conjugate gradients from theta, preconditioned with shrink.  The
+    weighted term goes row by row through the masked Grams.  Returns
+    (Theta, |shrink * r| / |shrink * rhs|); shrink * r is the fixed-point
+    gap S Y - fit of the filled grid Y, in spectral coordinates."""
+    with np.errstate(divide="ignore"):  # shrink underflows to 0 at huge lambda
+        penalty = np.minimum(1.0 / shrink, np.finfo(float).max) - 1.0
+
+    def apply(T):
+        return A1.T @ (masked.gram @ (A1 @ T)[:, :, None])[:, :, 0] + penalty * T
+
+    norm = np.linalg.norm(shrink * rhs) or 1.0
+    r = rhs - apply(theta)
+    z = shrink * r
+    p, rz = z, np.vdot(r, z)
+    for _ in range(rhs.size):
+        if np.linalg.norm(z) <= CG_RTOL * norm:
+            break
+        q = apply(p)
+        alpha = rz / np.vdot(p, q)
+        theta = theta + alpha * p
+        r = r - alpha * q
+        z = shrink * r
+        rz, rz_old = np.vdot(r, z), rz
+        p = z + (rz / rz_old) * p
+    return theta, float(np.linalg.norm(shrink * (rhs - apply(theta))) / norm)
 
 
 def iterative_fit(
@@ -307,23 +317,30 @@ def iterative_fit(
     *,
     init: str = "nearest",
     fill_m: int = 3,
-    tol: float = 1e-6,
     max_iter: int = 20,
 ) -> ScatterFit:
-    """Bin scattered data and fit, imputing empty cells by iteration.
+    """Bin scattered data and fit, imputing empty cells exactly.
 
-    With no empty cells this is exactly the grid fit of the binned means.
-    Otherwise empty cells start at zero (init="zero") or at a nearest-
-    observations fill (init="nearest", the default), and each round
-    re-selects lambda by masked GCV, then overwrites the empty cells with
-    the fitted values there, until the largest imputed-value change falls
-    below tol * max|y| or max_iter rounds have run.  Non-convergence is
-    reported on the result, not raised.
+    With no empty cells this is the grid fit of the binned means.  Else
+    each pass picks a lambda pair by masked GCV on the working grid (zeros
+    in the empty cells at first), solves the weighted fit there, warm
+    started, and fills the empty cells from it, which makes the grid that
+    pair's fixed point.  Passes stop when a pair repeats; a repeat of an
+    earlier pair (a cycle) takes the cycle's pair of smallest masked GCV,
+    scored at its own fixed point, and sets `cycled`.  `iterations` counts
+    searches (at most max_iter), `changes` holds each solve's relative
+    residual, and `converged` means the pair repeated and the chosen solve
+    ended at most at CONVERGED_RTOL.  `init` ('nearest' or 'zero') and
+    `fill_m` (>= 1) are validated but have no effect.
     """
     if data.n == 0:
         raise ValueError("cannot fit zero observations")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
+    if init not in ("zero", "nearest"):
+        raise ValueError(f"unknown init {init!r}; use 'zero' or 'nearest'")
+    if fill_m < 1:
+        raise ValueError("fill_m must be at least 1")
     if i1 is None:
         i1 = auto_bin_count(data.n)
     if i2 is None:
@@ -342,44 +359,41 @@ def iterative_fit(
         fit = select_lambda(gdata, specs, grid)
         return ScatterFit(fit, binned, 1, True, (), fit.sse, fit.gcv_value, n_eff)
 
-    # as in select_lambda, the rounds work on Y * 2^-e
-    scale, e = _scale_exponent(data.y)
-    means = np.ldexp(binned.means, -e)
-    if init == "zero":
-        Y = np.where(occupied, means, 0.0)
-    elif init == "nearest":
-        Y = np.ldexp(fill_nearest(binned, data, fill_m).means, -e)
-    else:
-        raise ValueError(f"unknown init {init!r}; use 'zero' or 'nearest'")
-
+    # as in select_lambda, the passes work on Y * 2^-e
+    e = _scale_exponent(data.y)
+    means = np.where(occupied, np.ldexp(binned.means, -e), 0.0)
     sx = axis_spectrum(binned.x_centers, specs[0])
     sz = axis_spectrum(binned.z_centers, specs[1])
-    masked = _masked_gram(Y, occupied, sz)
+    masked = _masked_gram(means, occupied, sz)
+    rhs = sx.A.T @ masked.cross
     lam1, lam2 = grid.lambda_x, grid.lambda_z
 
-    changes: list[float] = []
-    converged = False
-    for _ in range(max_iter):
-        i, j, gcv_val, sse_val, _edf, yhat = _masked_search(
-            Y, masked, sx, sz, lam1, lam2, n_eff
-        )
-        change = float(np.ldexp(np.max(np.abs(yhat[~occupied] - Y[~occupied])), e))
-        Y = np.where(occupied, means, yhat)
-        changes.append(change)
-        if change <= tol * scale:
-            converged = True
+    # solved[(i, j)] = (masked GCV, masked SSE, filled grid, residual) at
+    # the pair's own fixed point, in solve order
+    solved: dict = {}
+    Y, theta, repeat = means, np.zeros_like(rhs), None
+    for searches in range(1, max_iter + 1):
+        pair = _masked_search(Y, masked, sx, sz, lam1, lam2, n_eff)
+        if pair in solved:
+            repeat = pair
             break
+        st1 = shrink_weights(sx.s, lam1[pair[0]])
+        st2 = shrink_weights(sz.s, lam2[pair[1]])
+        theta, resid = _weighted_solve(theta, rhs, masked, sx.A, np.outer(st1, st2))
+        fitted = sx.A @ theta @ sz.A.T
+        sse = float(np.sum((fitted - means)[occupied] ** 2))
+        Y = np.where(occupied, means, fitted)
+        solved[pair] = (gcv_score(sse, st1.sum() * st2.sum(), n_eff), sse, Y, resid)
 
+    order = list(solved)
+    cycle = order[order.index(repeat):] if repeat is not None else order[-1:]
+    best = min(cycle, key=lambda p: solved[p][0])
+    gcv_val, sse_val, Y, resid = solved[best]
     gdata = GridData(np.ldexp(Y, e), binned.x_centers, binned.z_centers)
-    fit = select_lambda(gdata, specs, LambdaGrid([lam1[i]], [lam2[j]]))
+    fit = select_lambda(gdata, specs, LambdaGrid([lam1[best[0]]], [lam2[best[1]]]))
     masked_sse, masked_gcv = _unscale(e, sse_val, gcv_val)
-    return ScatterFit(
-        fit=fit,
-        binned=binned,
-        iterations=len(changes),
-        converged=converged,
-        changes=tuple(changes),
-        masked_sse=float(masked_sse),
-        masked_gcv=float(masked_gcv),
-        n_occupied=n_eff,
-    )
+    return ScatterFit(fit, binned, iterations=searches,
+                      converged=repeat is not None and resid <= CONVERGED_RTOL,
+                      changes=tuple(solved[p][3] for p in order),
+                      masked_sse=float(masked_sse), masked_gcv=float(masked_gcv),
+                      n_occupied=n_eff, cycled=len(cycle) > 1)

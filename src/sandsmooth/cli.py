@@ -31,7 +31,7 @@ import numpy as np
 from .basis import AxisSpec, auto_knot_segments
 from .binning import ScatterData, auto_bin_count, iterative_fit
 from .fda import CurveSet, eigenpairs, replicate_ise, sample_cov, smooth_cov
-from .glam import ArrayData, default_lambda_grids, fit_array
+from .glam import ArrayData, fit_array
 from .gridio import (
     FileFormatError,
     read_curves_csv,
@@ -162,8 +162,6 @@ _BUILTIN = {
     "reps": 100,
     "threads": None,  # resolved from the environment at build time
     "bins": "auto",
-    "init": "nearest",
-    "fill_m": 3,
     "max_iter": 20,
     "center": False,
     "exclude_diagonal": False,
@@ -204,8 +202,6 @@ class RunConfig:
     reps: int
     threads: int
     bins: object
-    init: str
-    fill_m: int
     max_iter: int
     center: bool
     exclude_diagonal: bool
@@ -235,10 +231,8 @@ class RunConfig:
             raise ValueError("threads must be >= 1")
         if self.bins != "auto" and any(b < 1 for b in self.bins):
             raise ValueError("bins must be >= 1 or 'auto'")
-        if self.init not in ("nearest", "zero"):
-            raise ValueError(f"init must be 'nearest' or 'zero', got {self.init!r}")
-        if self.fill_m < 1 or self.max_iter < 1:
-            raise ValueError("fill-m and max-iter must be >= 1")
+        if self.max_iter < 1:
+            raise ValueError("max-iter must be >= 1")
         if self.npairs < 1:
             raise ValueError("npairs must be >= 1")
         if self.kind not in ("surface", "fda"):
@@ -301,12 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     _opt(s, "--output", "-o", dest="output", metavar="CSV")
     _opt(s, "--bins", dest="bins", parse=_parse_bins, metavar="I[,I]",
          help="bins per axis, or 'auto'")
-    _opt(s, "--init", dest="init", metavar="MODE",
-         help="empty-cell start: 'nearest' (default) or 'zero'")
-    _opt(s, "--fill-m", dest="fill_m", parse=int, metavar="M",
-         help="observations averaged by the nearest fill (default 3)")
     _opt(s, "--max-iter", dest="max_iter", parse=int, metavar="N",
-         help="imputation round limit (default 20)")
+         help="lambda-search limit (default 20)")
 
     c = sub.add_parser("smooth-cov", parents=[shared],
                        help="smooth the sample covariance of a curve set")
@@ -501,7 +491,6 @@ def cmd_smooth_scatter(cfg: RunConfig) -> int:
     specs = resolve_specs(cfg, (i1, i2))
     t0 = time.perf_counter()
     sfit = iterative_fit(data, i1, i2, specs=specs, grid=_lambda_grid(cfg),
-                         init=cfg.init, fill_m=cfg.fill_m,
                          max_iter=cfg.max_iter)
     elapsed = time.perf_counter() - t0
     grid = sfit.binned
@@ -531,6 +520,7 @@ def cmd_smooth_scatter(cfg: RunConfig) -> int:
             "n_occupied": sfit.n_occupied,
             "iterations": sfit.iterations,
             "converged": sfit.converged,
+            "cycled": sfit.cycled,
             **_spec_summary(specs),
             "lambda": list(sfit.fit.lambdas),
             "edf": sfit.fit.edf,
@@ -550,10 +540,8 @@ def cmd_smooth_cov(cfg: RunConfig) -> int:
     curves = CurveSet(Y, t)
     C = sample_cov(curves, center=cfg.center)
     spec = resolve_specs(cfg, (curves.J,))[0]
-    count, low, high = cfg.lambda_grid
-    lams = np.logspace(low, high, count) if count > 1 else [10.0 ** low]
     t0 = time.perf_counter()
-    model = smooth_cov(C, spec=spec, lams=lams, t=t,
+    model = smooth_cov(C, spec=spec, lams=_lambda_grid(cfg).lambda_x, t=t,
                        exclude_diagonal=cfg.exclude_diagonal)
     elapsed = time.perf_counter() - t0
     npairs = min(cfg.npairs, model.eigenvalues.size)
@@ -602,9 +590,7 @@ def cmd_smooth_array(cfg: RunConfig) -> int:
         raise FileFormatError(f"{path}: not a loadable .npy array ({exc})") from None
     data = ArrayData.on_midpoints(np.asarray(values, dtype=float))
     specs = resolve_specs(cfg, values.shape)
-    count, low, high = cfg.lambda_grid
-    grids = tuple(np.logspace(low, high, count) if count > 1 else
-                  np.array([10.0 ** low]) for _ in range(data.ndim))
+    grids = (_lambda_grid(cfg).lambda_x,) * data.ndim
     t0 = time.perf_counter()
     fit = fit_array(data, specs=specs, grids=grids)
     elapsed = time.perf_counter() - t0
@@ -683,9 +669,9 @@ def cmd_simulate(cfg: RunConfig) -> int:
     else:
         n, J = cfg.size if cfg.size else (25, 20)
         spec = resolve_specs(cfg, (J,))[0]
-        lams = np.logspace(low, high, count) if count > 1 else [10.0 ** low]
         ises = run_fda_study(cfg.case, n, J, cfg.sigma, cfg.seed, cfg.reps,
-                             spec=spec, lams=lams, threads=cfg.threads)
+                             spec=spec, lams=_lambda_grid(cfg).lambda_x,
+                             threads=cfg.threads)
         label = f"fda case {cfg.case} (n,J)=({n},{J})"
         params = {"case": cfg.case, "n_curves": n, "n_points": J,
                   **_spec_summary([spec])}

@@ -242,27 +242,27 @@ def smooth_cov(C: np.ndarray, spec: AxisSpec | None = None,
         require_finite("C", C)
         raise ValueError(f"input asymmetric beyond {ASYMMETRY_TOL}")
     raw, C = C, sym
-    if exclude_diagonal:
-        # white noise inflates only the exact diagonal; rebuild it from the
-        # first off-diagonal, whose entries are noise-free in expectation
-        off = np.diag(C, 1)
-        d_new = np.empty(C.shape[0])
-        d_new[0], d_new[-1] = off[0], off[-1]
-        d_new[1:-1] = 0.5 * (off[:-1] + off[1:])
-        C[np.diag_indices_from(C)] = d_new
     J = C.shape[0]
     if t is None:
         t = midpoints(J)
     if spec is None:
         spec = default_cov_spec(J)
+    sp = axis_spectrum(t, spec)  # a J too short for the basis raises here
+    if exclude_diagonal:
+        # white noise inflates only the exact diagonal; rebuild it from the
+        # first off-diagonal, whose entries are noise-free in expectation
+        off = np.diag(C, 1)
+        d_new = np.empty(J)
+        d_new[0], d_new[-1] = off[0], off[-1]
+        d_new[1:-1] = 0.5 * (off[:-1] + off[1:])
+        C[np.diag_indices_from(C)] = d_new
     lams = default_lambda_list() if lams is None else np.atleast_1d(np.asarray(lams, float))
     if np.any(lams < 0):
         raise ValueError("lambdas must be nonnegative")
 
     # as in select_lambda, the search runs on C * 2^-e (C is a fresh copy)
-    _, e = _scale_exponent(C)
+    e = _scale_exponent(C)
     C *= 2.0 ** -e
-    sp = axis_spectrum(t, spec)
     Ct = sp.A.T @ C @ sp.A
     cc = float(np.sum(C * C))
     n = C.size

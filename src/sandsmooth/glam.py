@@ -165,7 +165,7 @@ def fit_array(data: ArrayData, specs=None, grids=None) -> MultiFit:
     spectra = [axis_spectrum(c, spec) for c, spec in zip(data.coords, specs)]
     # As in select_lambda, the search runs on values * 2^-e.  A scaled copy
     # of the values held through the projection would raise the peak memory.
-    _, e = _scale_exponent(data.values)
+    e = _scale_exponent(data.values)
     k = 2.0 ** -e
     Ytilde = _rh_chain([sp.A.T for sp in spectra], data.values)
     yty = float(np.sum((data.values * k) ** 2))

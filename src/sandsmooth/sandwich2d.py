@@ -190,13 +190,12 @@ def gcv_score(sse: float, edf: float, n: int) -> float:
     return (sse / n) / (1.0 - edf / n) ** 2
 
 
-def _scale_exponent(values: np.ndarray) -> tuple[float, int]:
-    """(m, e): m = max|values|, and m * 2^-e in [0.5, 1) unless m < 2^-1022,
-    where e stops at -1022 so that 2^-e is finite.  GCV selection is
-    scale-free, so fits run on values * 2^-e: no square overflows, and
-    scaling by a power of two is exact."""
-    m = float(max(values.max(), -values.min()))
-    return m, max(math.frexp(m)[1], -1022)
+def _scale_exponent(values: np.ndarray) -> int:
+    """e with max|values| * 2^-e in [0.5, 1), except that e stops at -1022
+    so that 2^-e is finite.  GCV selection is scale-free, so fits run on
+    values * 2^-e: no square overflows, and scaling by a power of two is
+    exact."""
+    return max(math.frexp(float(max(values.max(), -values.min())))[1], -1022)
 
 
 def _unscale(e, *squares):
@@ -290,7 +289,7 @@ def select_lambda(data: GridData, specs: tuple[AxisSpec, AxisSpec] | None = None
         grid = LambdaGrid.default()
     sx = axis_spectrum(data.x_coords, specs[0])
     sz = axis_spectrum(data.z_coords, specs[1])
-    _, e = _scale_exponent(data.Y)
+    e = _scale_exponent(data.Y)
     Ys = np.ldexp(data.Y, -e)
     Ytilde, yty = transform_data(GridData(Ys, data.x_coords, data.z_coords), sx, sz)
     W = Ytilde * Ytilde

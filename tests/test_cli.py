@@ -24,7 +24,7 @@ from sandsmooth.gridio import (
     write_scatter_csv,
 )
 from sandsmooth.rng import CounterNormals
-from sandsmooth.sandwich2d import GridData, select_lambda
+from sandsmooth.sandwich2d import GridData, LambdaGrid, select_lambda
 from sandsmooth.surfaces import SURFACES, midpoints, sample_surface
 
 
@@ -255,6 +255,32 @@ class TestSmoothScatter:
         assert main(["smooth-scatter", "-i", str(sc)]) == 2
         assert "y[1] is nan" in capsys.readouterr().err
 
+    def test_holed_scatter_reports_the_exact_fit(self, tmp_path):
+        rng = np.random.Generator(np.random.Philox(18))
+        x, z = rng.random((2, 1500))
+        keep = (x - 0.5) ** 2 + (z - 0.5) ** 2 > 0.2 ** 2
+        y = SURFACES["f2"].f(x[keep], z[keep]) + 0.1 * rng.standard_normal(keep.sum())
+        sc = tmp_path / "sc.csv"
+        write_scatter_csv(sc, x[keep], z[keep], y)
+        sump = tmp_path / "s.json"
+        assert main(["smooth-scatter", "-i", str(sc), "--summary", str(sump),
+                     "--bins", "20"]) == 0
+        sm = json.loads(sump.read_text())
+        assert sm["n_occupied"] < 400
+        assert sm["converged"] is True and sm["cycled"] is False
+        assert 2 <= sm["iterations"] <= 4
+
+    @pytest.mark.parametrize("line", ["init = zero", "fill-m = 3"])
+    def test_removed_start_options_exit_2(self, tmp_path, capsys, line):
+        cfgp = tmp_path / "run.cfg"
+        cfgp.write_text(line + "\n")
+        assert main(["smooth-scatter", "--config", str(cfgp)]) == 2
+        key = line.split(" ")[0].replace("-", "_")
+        assert f"unknown option '{key}'" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["smooth-scatter", "--" + line.split(" ")[0], "1"])
+        assert exc.value.code == 2
+
 
 class TestSmoothCov:
     def test_end_to_end(self, tmp_path):
@@ -286,6 +312,17 @@ class TestSmoothCov:
         assert len(eig.read_text().splitlines()) == 1 + 13
         assert len(json.loads(sump.read_text())["eigenvalues"]) == 13
 
+    def test_single_lambda_is_the_grid_helpers(self, tmp_path):
+        # --lambda-grid 1,LO,HI pins the first value of the N,LO,HI list
+        curves = simulate_fda(1, 40, 20, 0.5, seed=23)
+        cv, sump = tmp_path / "cv.csv", tmp_path / "s.json"
+        write_curves_csv(cv, curves.t, curves.Y)
+        for low in ("-5", "-2.5", "1"):
+            assert main(["smooth-cov", "-i", str(cv), "--summary", str(sump),
+                         "--lambda-grid", f"1,{low},4"]) == 0
+            lam = json.loads(sump.read_text())["lambda"]
+            assert lam == LambdaGrid.default(7, float(low), 4.0).lambda_x[0]
+
     def test_ragged_curves_exit_2(self, tmp_path):
         cv = tmp_path / "cv.csv"
         cv.write_text("t:0.25,t:0.75\n1.0,2.0\n3.0\n")
@@ -316,6 +353,15 @@ class TestSmoothArray:
         assert np.all(np.isfinite(fitted))
         npt.assert_allclose(fitted.mean(), arr.mean(), rtol=0.01)
         assert json.loads(sump.read_text())["sse"] == "inf"
+
+    def test_single_lambda_is_the_grid_helpers(self, tmp_path):
+        rng = np.random.default_rng(12)
+        inp, sump = tmp_path / "a.npy", tmp_path / "s.json"
+        np.save(inp, rng.normal(size=(12, 14, 10)))
+        assert main(["smooth-array", "-i", str(inp), "--summary", str(sump),
+                     "--lambda-grid", "1,-5,4"]) == 0
+        lam = LambdaGrid.default(20, -5.0, 4.0).lambda_x[0]
+        assert json.loads(sump.read_text())["lambda"] == [lam] * 3
 
     def test_not_an_npy_exits_2(self, tmp_path):
         inp = tmp_path / "a.npy"

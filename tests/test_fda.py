@@ -20,7 +20,7 @@ from sandsmooth.fda import (
 )
 from sandsmooth.rng import CounterNormals
 from sandsmooth.sandwich2d import GridData, LambdaGrid, select_lambda
-from sandsmooth.spectra import apply_smoother, axis_spectrum
+from sandsmooth.spectra import SingularGram, apply_smoother, axis_spectrum
 from sandsmooth.surfaces import midpoints
 
 
@@ -258,6 +258,14 @@ class TestSmoothCov:
         # dropping the noise-inflated diagonal should not hurt much; at this
         # n it typically helps
         assert err_without < 2 * err_with
+
+    @pytest.mark.parametrize("exclude_diagonal", [False, True])
+    def test_one_point_axis_raises_singular_gram(self, exclude_diagonal):
+        # a 1 x 1 matrix has no off-diagonal to rebuild the diagonal from;
+        # the short axis must be named before that step is reached
+        with pytest.raises(SingularGram, match="^an axis of 1 points cannot "
+                           "determine 4 basis functions"):
+            smooth_cov(np.ones((1, 1)), exclude_diagonal=exclude_diagonal)
 
 
 class TestEigenpairs:
