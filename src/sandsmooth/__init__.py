@@ -22,7 +22,6 @@ from sandsmooth.binning import (
     ScatterFit,
     auto_bin_count,
     bin_scatter,
-    fill_nearest,
     iterative_fit,
 )
 from sandsmooth.fda import (
@@ -101,7 +100,6 @@ __all__ = [
     "ScatterFit",
     "auto_bin_count",
     "bin_scatter",
-    "fill_nearest",
     "iterative_fit",
     "ArrayData",
     "MultiFit",

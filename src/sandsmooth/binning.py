@@ -9,8 +9,7 @@ Durban & Eilers, JRSS-B 2006); it is solved directly.  Lambda selection
 scores only occupied cells: per-row masked Grams A2' diag(O[a, :]) A2,
 built once, score every candidate pair in closed form and also apply the
 weighted term of the solve.  The trace keeps the full-grid product form;
-the GCV and tie rule are the grid fit's.  fill_nearest is a standalone
-utility; the fit does not use it.
+the GCV and tie rule are the grid fit's.
 """
 
 from __future__ import annotations
@@ -22,6 +21,7 @@ import numpy as np
 
 from .basis import AxisSpec, auto_knot_segments
 from .sandwich2d import (
+    DegenerateFit,
     GridData,
     LambdaGrid,
     SandwichFit,
@@ -35,18 +35,12 @@ from .sandwich2d import (
     require_finite,
     select_lambda,
 )
-from .spectra import axis_spectrum, shrink_weights
+from .spectra import GRAM_RTOL, axis_spectrum, shrink_weights
 
 # Conjugate gradients stop at a relative residual of CG_RTOL; a fit counts
 # as converged only if its chosen solve ended at most at CONVERGED_RTOL.
 CG_RTOL = 1e-13
 CONVERGED_RTOL = 1e-10
-# Largest distance array (empty cells x points) fill_nearest holds at once;
-# near the size of a core's L2 cache, its elementwise passes run fastest.
-FILL_BLOCK_BYTES = 1 << 20
-# Side, in cells, of the tiles of empty cells that share one candidate set
-# in fill_nearest; 8 ran faster than 4 or 12 at 70^2 bins and 5000 points.
-FILL_TILE = 8
 
 __all__ = [
     "ScatterData",
@@ -54,7 +48,6 @@ __all__ = [
     "ScatterFit",
     "auto_bin_count",
     "bin_scatter",
-    "fill_nearest",
     "iterative_fit",
 ]
 
@@ -157,79 +150,6 @@ def bin_scatter(data: ScatterData, i1: int, i2: int) -> BinnedGrid:
     )
 
 
-def _window_radius(counts: np.ndarray, k: np.ndarray, l: np.ndarray,
-                   take: int) -> np.ndarray:
-    """Smallest r per cell (k, l) whose (2r+1) x (2r+1) window of cells,
-    clipped to the grid, holds at least `take` points (take <= the total)."""
-    i1, i2 = counts.shape
-    csum = np.zeros((i1 + 1, i2 + 1), dtype=np.int64)
-    csum[1:, 1:] = counts.cumsum(axis=0).cumsum(axis=1)
-    lo = np.zeros(k.size, dtype=int)
-    hi = np.full(k.size, max(i1, i2) - 1)  # that window covers the grid
-    while np.any(lo < hi):
-        mid = (lo + hi) // 2
-        k0, k1 = np.maximum(k - mid, 0), np.minimum(k + mid + 1, i1)
-        l0, l1 = np.maximum(l - mid, 0), np.minimum(l + mid + 1, i2)
-        held = csum[k1, l1] - csum[k0, l1] - csum[k1, l0] + csum[k0, l0]
-        enough = held >= take
-        hi = np.where(enough, mid, hi)
-        lo = np.where(enough, lo, mid + 1)
-    return lo
-
-
-def fill_nearest(grid: BinnedGrid, data: ScatterData, m: int = 3) -> BinnedGrid:
-    """Fill each empty cell with the mean of the m nearest observations
-    (Euclidean distance from the cell center, ties in point order; all of
-    them when fewer than m exist).
-
-    Exact but bounded: each empty cell's smallest (2r+1)^2 window holding
-    min(m, n) points lies within R = hypot((r + 1/2)/I1, (r + 1/2)/I2), so
-    a FILL_TILE^2 tile of empty cells needs only the points in its bounding
-    box grown by its largest R.  A partition and a stable sort of those
-    give exactly the leading m of a full stable argsort; tiles whose
-    distance array would exceed FILL_BLOCK_BYTES go in chunks of cells.
-    """
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    if data.n == 0:
-        raise ValueError("cannot fill from zero observations")
-    empty = np.argwhere(grid.empty_mask)
-    if empty.size == 0:
-        return grid
-    means = grid.means.copy()
-    take = min(m, data.n)
-    i1, i2 = grid.shape
-    r = _window_radius(grid.counts, *empty.T, take)
-    reach = (1.0 + 1e-9) * np.hypot((r + 0.5) / i1, (r + 0.5) / i2) + 1e-12
-    tile = empty // FILL_TILE
-    tile_id = tile[:, 0] * (i2 // FILL_TILE + 1) + tile[:, 1]
-    by_tile = np.argsort(tile_id, kind="stable")
-    bounds = np.flatnonzero(np.diff(tile_id[by_tile])) + 1
-    for cells in np.split(by_tile, bounds):
-        k, l = empty[cells].T
-        cx, cz = grid.x_centers[k], grid.z_centers[l]
-        grow = reach[cells].max()
-        cand = np.flatnonzero(
-            (data.x >= cx.min() - grow) & (data.x <= cx.max() + grow)
-            & (data.z >= cz.min() - grow) & (data.z <= cz.max() + grow))
-        x, z = data.x[cand], data.z[cand]
-        chunk = max(1, FILL_BLOCK_BYTES // (8 * cand.size))
-        for start in range(0, k.size, chunk):
-            kc, lc = k[start:start + chunk], l[start:start + chunk]
-            d2 = ((x - cx[start:start + chunk, None]) ** 2
-                  + (z - cz[start:start + chunk, None]) ** 2)
-            kth = np.partition(d2, take - 1, axis=1)[:, take - 1:take]
-            rows, cols = np.nonzero(d2 <= kth)
-            # np.nonzero lists each row's candidates in index order and
-            # lexsort is stable, so distance ties keep that order
-            order = np.lexsort((d2[rows, cols], rows))
-            rows, cols = rows[order], cols[order]
-            first = np.searchsorted(rows, np.arange(kc.size))
-            nearest = cand[cols[first[:, None] + np.arange(take)]]
-            means[kc, lc] = data.y[nearest].mean(axis=1)
-    return BinnedGrid(means, grid.counts, grid.x_centers, grid.z_centers)
-
-
 @dataclass(frozen=True)
 class _MaskedGram:
     """Fixed pieces of the masked SSE, with O the occupied mask, A2 the
@@ -249,6 +169,23 @@ def _masked_gram(Y, occupied, sz) -> _MaskedGram:
     rows = occupied[:, :, None] * sz.A  # n1 x n2 x c2
     return _MaskedGram(occupied, rows.transpose(0, 2, 1) @ sz.A, Yo @ sz.A,
                        float(np.sum(Yo * Yo)))
+
+
+def _require_determined(occupied, sx, sz) -> None:
+    """Raise DegenerateFit unless the occupied cells determine the penalty
+    null space, the tensor polynomials the penalty leaves free (1, x, z, xz
+    for second differences): else the weighted fit is singular and any
+    extrapolation of that part would be arbitrary."""
+    null = np.einsum("ip,jq->ijpq", sx.A[:, sx.s == 0], sz.A[:, sz.s == 0])
+    on_occupied = null[occupied].reshape(int(occupied.sum()), -1)
+    w = np.linalg.eigvalsh(on_occupied.T @ on_occupied)
+    if w[0] <= GRAM_RTOL * w[-1]:
+        rows, cols = occupied.any(axis=1).sum(), occupied.any(axis=0).sum()
+        raise DegenerateFit(
+            f"{occupied.sum()} occupied cells, in {rows} of {occupied.shape[0]} "
+            f"rows and {cols} of {occupied.shape[1]} columns, cannot determine "
+            f"the polynomial part of the fit the penalty leaves free "
+            f"(eigenvalue ratio {w[0] / w[-1]:.2e})")
 
 
 def _masked_sse_table(Y, masked, sx, sz, lam1, lam2):
@@ -331,7 +268,8 @@ def iterative_fit(
     searches (at most max_iter), `changes` holds each solve's relative
     residual, and `converged` means the pair repeated and the chosen solve
     ended at most at CONVERGED_RTOL.  `init` ('nearest' or 'zero') and
-    `fill_m` (>= 1) are validated but have no effect.
+    `fill_m` (>= 1) are validated but have no effect.  Raises DegenerateFit
+    when empty cells exist and the occupied ones cannot determine the fit.
     """
     if data.n == 0:
         raise ValueError("cannot fit zero observations")
@@ -364,6 +302,7 @@ def iterative_fit(
     means = np.where(occupied, np.ldexp(binned.means, -e), 0.0)
     sx = axis_spectrum(binned.x_centers, specs[0])
     sz = axis_spectrum(binned.z_centers, specs[1])
+    _require_determined(occupied, sx, sz)
     masked = _masked_gram(means, occupied, sz)
     rhs = sx.A.T @ masked.cross
     lam1, lam2 = grid.lambda_x, grid.lambda_z

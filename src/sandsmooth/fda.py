@@ -36,9 +36,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import AxisSpec
+from .basis import AxisSpec, auto_knot_segments
 from .rng import CounterNormals, replicate_seed
-from .sandwich2d import _gcv_table, _pick, _scale_exponent, _unscale, require_finite
+from .sandwich2d import (
+    LambdaGrid,
+    _gcv_table,
+    _pick,
+    _scale_exponent,
+    _unscale,
+    require_finite,
+)
 from .spectra import axis_spectrum, shrink_weights
 from .surfaces import midpoints
 
@@ -54,7 +61,6 @@ __all__ = [
     "simulate_fda",
     "replicate_ise",
     "default_cov_spec",
-    "default_lambda_list",
 ]
 
 ASYMMETRY_TOL = 1e-8
@@ -170,11 +176,7 @@ def sample_cov(curves: CurveSet, center: bool = False) -> np.ndarray:
 
 
 def default_cov_spec(J: int) -> AxisSpec:
-    return AxisSpec(degree=3, penalty_order=2, knot_segments=max(1, min(J // 2, 35)))
-
-
-def default_lambda_list(count: int = 20) -> np.ndarray:
-    return np.logspace(-5.0, 4.0, count)
+    return AxisSpec(knot_segments=auto_knot_segments(J))
 
 
 def _decompose(matrix: np.ndarray, basis: np.ndarray | None = None
@@ -256,7 +258,8 @@ def smooth_cov(C: np.ndarray, spec: AxisSpec | None = None,
         d_new[0], d_new[-1] = off[0], off[-1]
         d_new[1:-1] = 0.5 * (off[:-1] + off[1:])
         C[np.diag_indices_from(C)] = d_new
-    lams = default_lambda_list() if lams is None else np.atleast_1d(np.asarray(lams, float))
+    lams = (LambdaGrid.default().lambda_x if lams is None
+            else np.atleast_1d(np.asarray(lams, float)))
     if np.any(lams < 0):
         raise ValueError("lambdas must be nonnegative")
 

@@ -25,6 +25,7 @@ import numpy as np
 
 from .basis import AxisSpec, auto_knot_segments
 from .sandwich2d import (
+    LambdaGrid,
     _gcv_table,
     _pick,
     _scale_exponent,
@@ -127,10 +128,9 @@ def _scale_axes(A, vectors):
     return out
 
 
-def default_lambda_grids(d: int, log10_low: float = -5.0,
-                         log10_high: float = 4.0) -> tuple[np.ndarray, ...]:
+def default_lambda_grids(d: int) -> tuple[np.ndarray, ...]:
     count = _DEFAULT_GRID_SIZES.get(d, _DEFAULT_GRID_SIZE_HIGH_D)
-    return tuple(np.logspace(log10_low, log10_high, count) for _ in range(d))
+    return tuple(LambdaGrid.default(count).lambda_x for _ in range(d))
 
 
 def fit_array(data: ArrayData, specs=None, grids=None) -> MultiFit:

@@ -7,11 +7,9 @@ import pytest
 from sandsmooth import binning
 from sandsmooth.basis import AxisSpec, design_matrix, diff_matrix
 from sandsmooth.binning import (
-    BinnedGrid,
     ScatterData,
     auto_bin_count,
     bin_scatter,
-    fill_nearest,
     iterative_fit,
     _masked_gram,
     _masked_search,
@@ -31,18 +29,6 @@ def full_scatter(i1, i2, values):
     x = np.repeat(centers(i1), i2)
     z = np.tile(centers(i2), i1)
     return ScatterData(x, z, np.asarray(values, dtype=float).ravel())
-
-
-def fill_nearest_loop(grid, data, m):
-    """The per-cell fill that fill_nearest replaced, kept as its oracle."""
-    empty = np.argwhere(grid.empty_mask)
-    means = grid.means.copy()
-    take = min(m, data.n)
-    for k, l in empty:
-        d2 = (data.x - grid.x_centers[k]) ** 2 + (data.z - grid.z_centers[l]) ** 2
-        nearest = np.argsort(d2, kind="stable")[:take]
-        means[k, l] = data.y[nearest].mean()
-    return means
 
 
 def masked_search_loop(Y, occupied, sx, sz, lam1, lam2, n_eff):
@@ -155,199 +141,6 @@ class TestBinScatter:
     def test_rejects_bad_counts(self):
         with pytest.raises(ValueError):
             bin_scatter(ScatterData([0.5], [0.5], [1.0]), 0, 4)
-
-
-class TestFillNearest:
-    def test_no_empty_is_identity(self):
-        vals = np.arange(12.0).reshape(3, 4)
-        data = full_scatter(3, 4, vals)
-        grid = bin_scatter(data, 3, 4)
-        filled = fill_nearest(grid, data, 3)
-        npt.assert_array_equal(filled.means, vals)
-
-    def test_single_point_fills_everything(self):
-        data = ScatterData([0.31], [0.77], [5.5])
-        grid = bin_scatter(data, 6, 6)
-        filled = fill_nearest(grid, data, 1)
-        npt.assert_array_equal(filled.means, 5.5)
-        assert filled.empty_mask.sum() == 35  # mask reflects raw occupancy
-
-    def test_hand_placed_distance_oracle(self):
-        data = ScatterData([0.05, 0.55, 0.95], [0.05, 0.55, 0.95],
-                           [10.0, 20.0, 30.0])
-        grid = bin_scatter(data, 2, 2)
-        filled = fill_nearest(grid, data, 2)
-        for k, l in np.argwhere(grid.empty_mask):
-            cx, cz = grid.x_centers[k], grid.z_centers[l]
-            d2 = (data.x - cx) ** 2 + (data.z - cz) ** 2
-            expect = data.y[np.argsort(d2, kind="stable")[:2]].mean()
-            assert filled.means[k, l] == expect
-
-    def test_matches_loop_around_a_hole(self):
-        rng = np.random.default_rng(21)
-        x, z = rng.uniform(size=2000), rng.uniform(size=2000)
-        keep = (x - 0.5) ** 2 + (z - 0.5) ** 2 > 0.2 ** 2
-        data = ScatterData(x[keep], z[keep], rng.normal(size=keep.sum()))
-        grid = bin_scatter(data, 40, 40)
-        assert grid.empty_mask.sum() > 100
-        for m in (1, 3, 8):
-            assert np.array_equal(fill_nearest(grid, data, m).means,
-                                  fill_nearest_loop(grid, data, m))
-
-    def test_matches_loop_on_lattice_ties(self):
-        # dyadic lattice k/16 and 16 x 16 bins: every distance is exact, and
-        # each empty center is equidistant from up to four lattice corners
-        rng = np.random.default_rng(22)
-        X, Z = np.meshgrid(np.arange(17) / 16, np.arange(17) / 16, indexing="ij")
-        keep = rng.uniform(size=X.size) > 0.5
-        data = ScatterData(X.ravel()[keep], Z.ravel()[keep],
-                           rng.normal(size=keep.sum()))
-        grid = bin_scatter(data, 16, 16)
-        k, l = np.argwhere(grid.empty_mask)[0]
-        d2 = (data.x - grid.x_centers[k]) ** 2 + (data.z - grid.z_centers[l]) ** 2
-        assert np.sum(d2 == d2.min()) > 1
-        for m in (1, 2, 3, 4, 5, 9):
-            assert np.array_equal(fill_nearest(grid, data, m).means,
-                                  fill_nearest_loop(grid, data, m))
-
-    def test_matches_loop_m_above_n(self):
-        rng = np.random.default_rng(23)
-        data = ScatterData(rng.uniform(size=7), rng.uniform(size=7),
-                           rng.normal(size=7))
-        grid = bin_scatter(data, 6, 6)
-        assert np.array_equal(fill_nearest(grid, data, 50).means,
-                              fill_nearest_loop(grid, data, 50))
-
-    @pytest.mark.parametrize("i1, i2", [(70, 23), (1, 40), (40, 1), (23, 70)])
-    def test_matches_loop_on_rectangular_bins(self, i1, i2):
-        rng = np.random.default_rng(24)
-        x, z = rng.uniform(size=(2, 1500))
-        # a disc and one band per axis with no points, so 1-wide grids
-        # have empty cells too
-        keep = (((x - 0.3) ** 2 + (z - 0.6) ** 2 > 0.25 ** 2)
-                & (np.abs(x - 0.8) > 0.06) & (np.abs(z - 0.2) > 0.06))
-        data = ScatterData(x[keep], z[keep], rng.normal(size=keep.sum()))
-        grid = bin_scatter(data, i1, i2)
-        assert grid.empty_mask.any()
-        for m in (1, 3, 5):
-            assert np.array_equal(fill_nearest(grid, data, m).means,
-                                  fill_nearest_loop(grid, data, m))
-
-    def test_matches_loop_with_points_on_cell_edges(self):
-        # every coordinate is a cell edge k/I, including x = 1.0 and z = 1.0,
-        # which fold into the last cell
-        rng = np.random.default_rng(25)
-        i1, i2 = 20, 12
-        x = rng.integers(0, i1 + 1, 150) / i1
-        z = rng.integers(0, i2 + 1, 150) / i2
-        x[:5], z[5:10] = 1.0, 1.0
-        data = ScatterData(x, z, rng.normal(size=150))
-        grid = bin_scatter(data, i1, i2)
-        assert grid.empty_mask.sum() > 50
-        for m in (1, 2, 4):
-            assert np.array_equal(fill_nearest(grid, data, m).means,
-                                  fill_nearest_loop(grid, data, m))
-
-    def test_ties_at_exactly_the_window_radius(self):
-        # the empty cell (4, 4) of 8 x 8 bins has one point in its 3 x 3
-        # window, at (3/8, 3/8): r = 1, R = hypot(1.5/8, 1.5/8).  Three
-        # points outside the window sit at exactly R too, and index order
-        # must pick them before the one inside
-        x = np.array([6, 6, 3, 3, 0, 8, 8, 0]) / 8
-        z = np.array([6, 3, 6, 3, 0, 0, 8, 8]) / 8
-        data = ScatterData(x, z, np.arange(8.0))
-        grid = bin_scatter(data, 8, 8)
-        assert grid.counts[3:6, 3:6].sum() == 1
-        d2 = (x - 4.5 / 8) ** 2 + (z - 4.5 / 8) ** 2
-        assert np.all(d2[:4] == 2 * (1.5 / 8) ** 2)
-        for m in (1, 2, 3, 4, 5, 8):
-            got = fill_nearest(grid, data, m).means
-            assert np.array_equal(got, fill_nearest_loop(grid, data, m))
-        assert fill_nearest(grid, data, 1).means[4, 4] == 0.0
-        # a rectangular dyadic lattice: many ties, and at the radius
-        rng = np.random.default_rng(26)
-        X, Z = np.meshgrid(np.arange(33) / 32, np.arange(9) / 8, indexing="ij")
-        keep = rng.uniform(size=X.size) > 0.7
-        data = ScatterData(X.ravel()[keep], Z.ravel()[keep],
-                           rng.normal(size=keep.sum()))
-        grid = bin_scatter(data, 32, 8)
-        for m in (1, 2, 3, 6):
-            assert np.array_equal(fill_nearest(grid, data, m).means,
-                                  fill_nearest_loop(grid, data, m))
-
-    def test_matches_loop_when_a_window_spans_the_grid(self):
-        # all points crowd one corner, so the far cells need a window as
-        # large as the grid, and m exceeds many windows' counts
-        rng = np.random.default_rng(27)
-        data = ScatterData(0.1 * rng.uniform(size=40), 0.1 * rng.uniform(size=40),
-                           rng.normal(size=40))
-        grid = bin_scatter(data, 30, 25)
-        for m in (1, 3, 7, 40, 41):
-            assert np.array_equal(fill_nearest(grid, data, m).means,
-                                  fill_nearest_loop(grid, data, m))
-
-    @pytest.mark.parametrize("n", [1, 2, 5])
-    def test_matches_loop_m_at_or_above_few_points(self, n):
-        rng = np.random.default_rng(28 + n)
-        data = ScatterData(rng.uniform(size=n), rng.uniform(size=n),
-                           rng.normal(size=n))
-        grid = bin_scatter(data, 9, 13)
-        for m in (1, n, n + 1, 10):
-            assert np.array_equal(fill_nearest(grid, data, m).means,
-                                  fill_nearest_loop(grid, data, m))
-
-    def test_matches_loop_when_tiles_split_into_chunks(self, monkeypatch):
-        rng = np.random.default_rng(29)
-        x, z = rng.uniform(size=(2, 3000))
-        keep = (x - 0.5) ** 2 + (z - 0.5) ** 2 > 0.3 ** 2
-        data = ScatterData(x[keep], z[keep], rng.normal(size=keep.sum()))
-        grid = bin_scatter(data, 40, 40)
-        calls = []
-        partition = np.partition
-
-        def counting_partition(a, *args, **kwargs):
-            calls.append(np.shape(a))
-            return partition(a, *args, **kwargs)
-
-        monkeypatch.setattr(np, "partition", counting_partition)
-        expect = fill_nearest_loop(grid, data, 3)
-        assert np.array_equal(fill_nearest(grid, data, 3).means, expect)
-        tiles = len(calls)
-        # room for a few rows of candidate distances, then for one row
-        for cap, rows in ((8 * 3 * 150, 8), (1, 1)):
-            monkeypatch.setattr(binning, "FILL_BLOCK_BYTES", cap)
-            calls.clear()
-            assert np.array_equal(fill_nearest(grid, data, 3).means, expect)
-            assert len(calls) > 2 * tiles
-            assert max(shape[0] for shape in calls) < rows + 1
-        assert len(calls) == grid.empty_mask.sum()
-
-    def test_no_full_distance_scan(self, monkeypatch):
-        # the distances partitioned stay a small share of empty cells x
-        # points; a scan of every point for every empty cell is 100%
-        rng = np.random.default_rng(30)
-        x, z = rng.uniform(size=(2, 26000))
-        keep = ((x - 0.5) ** 2 + (z - 0.5) ** 2 > 0.15 ** 2).nonzero()[0][:20000]
-        data = ScatterData(x[keep], z[keep], rng.normal(size=keep.size))
-        grid = bin_scatter(data, 100, 100)
-        sizes = []
-        partition = np.partition
-
-        def sizing_partition(a, *args, **kwargs):
-            sizes.append(np.size(a))
-            return partition(a, *args, **kwargs)
-
-        monkeypatch.setattr(np, "partition", sizing_partition)
-        fill_nearest(grid, data, 3)
-        empty = int(grid.empty_mask.sum())
-        assert empty > 1000
-        assert sum(sizes) <= 0.25 * empty * data.n
-
-    def test_zero_points_rejected(self):
-        data = ScatterData([], [], [])
-        grid = bin_scatter(ScatterData([0.5], [0.5], [1.0]), 3, 3)
-        with pytest.raises(ValueError):
-            fill_nearest(grid, data, 1)
 
 
 class TestMaskedSearch:
@@ -536,6 +329,29 @@ class TestIterativeFit:
         assert np.array_equal(big.fit.fitted, np.ldexp(base.fit.fitted, 530))
         assert big.changes == base.changes  # relative residuals
         assert big.iterations == base.iterations
+
+    @pytest.mark.parametrize("where", ["one row", "diagonal"])
+    def test_undetermined_occupancy_raises(self, where):
+        # one occupied row leaves x free, and the diagonal cells leave x - z
+        # free: a bilinear function the penalty does not see, so the
+        # weighted fit is singular
+        rng = np.random.default_rng(61)
+        t = rng.uniform(size=200)
+        x = np.full(200, 0.31) if where == "one row" else t
+        data = ScatterData(x, t, rng.normal(size=200))
+        with pytest.raises(DegenerateFit, match="cannot determine") as exc:
+            iterative_fit(data, 10, 10)
+        rows = 1 if where == "one row" else 10
+        assert f"in {rows} of 10 rows and 10 of 10 columns" in str(exc.value)
+
+    def test_two_occupied_rows_determine_the_fit(self):
+        rng = np.random.default_rng(62)
+        x = np.where(rng.uniform(size=200) < 0.5, 0.15, 0.75)
+        z = rng.uniform(size=200)
+        res = iterative_fit(ScatterData(x, z, f2(x, z)), 10, 10)
+        assert res.n_occupied == 20
+        assert res.converged
+        assert np.isfinite(res.fit.fitted).all()
 
     def test_unknown_init_rejected(self):
         with pytest.raises(ValueError):

@@ -270,6 +270,20 @@ class TestSmoothScatter:
         assert sm["converged"] is True and sm["cycled"] is False
         assert 2 <= sm["iterations"] <= 4
 
+    def test_one_occupied_row_exits_1(self, tmp_path, capsys):
+        # every point at x = 0.31: the x-trend of the fit is undetermined
+        rng = np.random.Generator(np.random.Philox(19))
+        z = rng.random(50)
+        sc = tmp_path / "sc.csv"
+        write_scatter_csv(sc, np.full(50, 0.31), z, rng.standard_normal(50))
+        out = tmp_path / "fs.csv"
+        assert main(["smooth-scatter", "-i", str(sc), "-o", str(out),
+                     "--bins", "10"]) == 1
+        err = capsys.readouterr().err
+        assert "in 1 of 10 rows and 10 of 10 columns" in err
+        assert "cannot determine" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("line", ["init = zero", "fill-m = 3"])
     def test_removed_start_options_exit_2(self, tmp_path, capsys, line):
         cfgp = tmp_path / "run.cfg"
