@@ -25,6 +25,7 @@ from .sandwich2d import (
     GridData,
     LambdaGrid,
     SandwichFit,
+    _axis_spectra,
     _gcv,
     _pick,
     _scale_exponent,
@@ -35,7 +36,7 @@ from .sandwich2d import (
     require_finite,
     select_lambda,
 )
-from .spectra import GRAM_RTOL, axis_spectrum, shrink_weights
+from .spectra import GRAM_RTOL, shrink_weights
 
 # Conjugate gradients stop at a relative residual of CG_RTOL; a fit counts
 # as converged only if its chosen solve ended at most at CONVERGED_RTOL.
@@ -300,8 +301,7 @@ def iterative_fit(
     # as in select_lambda, the passes work on Y * 2^-e
     e = _scale_exponent(data.y)
     means = np.where(occupied, np.ldexp(binned.means, -e), 0.0)
-    sx = axis_spectrum(binned.x_centers, specs[0])
-    sz = axis_spectrum(binned.z_centers, specs[1])
+    sx, sz = _axis_spectra((binned.x_centers, binned.z_centers), specs)
     _require_determined(occupied, sx, sz)
     masked = _masked_gram(means, occupied, sz)
     rhs = sx.A.T @ masked.cross

@@ -17,7 +17,9 @@ eigenvectors A U.  smooth_cov therefore never decomposes a J x J matrix
 and keeps only these at most c pairs.  Its J x J work is the two J x c
 products and one pass each over the input and the smoothed matrix, which
 checks the asymmetry and symmetrizes in mirrored pairs of cache-sized
-tiles.
+tiles, plus the finiteness check and scaling exponent (min and max), the
+scaling itself and ||C||^2, which squares and sums one cache-sized block
+at a time (sandwich2d._sum_sq).
 
 The raw matrix is smoothed as-is, noise-inflated diagonal included; pass
 exclude_diagonal=True to replace the diagonal with NaN-free interpolation
@@ -43,6 +45,7 @@ from .sandwich2d import (
     _gcv_table,
     _pick,
     _scale_exponent,
+    _sum_sq,
     _unscale,
     require_finite,
 )
@@ -267,7 +270,7 @@ def smooth_cov(C: np.ndarray, spec: AxisSpec | None = None,
     e = _scale_exponent(C)
     C *= 2.0 ** -e
     Ct = sp.A.T @ C @ sp.A
-    cc = float(np.sum(C * C))
+    cc = _sum_sq(C)
     n = C.size
     gcv, edf = _gcv_table(Ct * Ct, cc, (sp.s, sp.s), (lams, lams), n)
     # one lambda on both sides: the diagonal of the bivariate table; a

@@ -15,6 +15,13 @@ alternative scores can be computed downstream.  Coefficients are solved only
 for the winning pair: Theta = F1 @ (shrink1 * Ytilde * shrink2) @ F2.T with
 F_i the per-axis coefficient maps, which is the penalized normal-equation
 solution without any c1*c2-sized linear system.
+
+Per fit, the passes the size of the data are: the finiteness check and
+the scaling exponent (min and max), the scaled copy Y * 2^-e, the
+projection A1' Y A2, y'y, the reconstruction A1 (.) A2', and the exact SSE
+of the returned fit.  y'y and the exact SSE go through _sum_sq, which
+squares and sums one cache-sized block at a time, so neither allocates a
+temporary the size of the data.
 """
 
 from __future__ import annotations
@@ -45,6 +52,9 @@ __all__ = [
 # Tiny negative SSE values are cancellation noise from the three-term form;
 # anything below -SSE_CLAMP_REL * y'y signals an implementation bug.
 SSE_CLAMP_REL = 1e-9
+# Largest leaf of _sum_sq's pairwise tree: 2^17 float64 entries (1 MB), so
+# a leaf's buffer stays in cache between its fill, square and sum.
+SUM_LEAF = 1 << 17
 
 
 class DegenerateFit(ValueError):
@@ -52,12 +62,104 @@ class DegenerateFit(ValueError):
 
 
 def require_finite(name: str, values: np.ndarray) -> None:
-    """Raise ValueError naming the first non-finite entry of values."""
-    finite = np.isfinite(values)
-    if not finite.all():
-        idx = tuple(int(i) for i in np.argwhere(~finite)[0])
-        raise ValueError(f"{name}[{', '.join(map(str, idx))}] is {values[idx]}; "
-                         "values must be finite")
+    """Raise ValueError naming the first non-finite entry of values.
+
+    NaN propagates through min and max, so two reductions clear finite
+    values; the data-sized mask is built only to name the offending entry.
+    """
+    if values.size == 0 or (np.isfinite(values.min()) and np.isfinite(values.max())):
+        return
+    idx = tuple(int(i) for i in np.argwhere(~np.isfinite(values))[0])
+    raise ValueError(f"{name}[{', '.join(map(str, idx))}] is {values[idx]}; "
+                     "values must be finite")
+
+
+def _walk_order(a, b):
+    """Axes of a, slowest first, in the memory order numpy gives a fresh
+    a - b (or a * k when b is None): descending stride magnitude, C order
+    winning ties and conflicts between the operands.  numpy decides it on
+    two 2 x ... x 2 arrays whose strides are ordered like those of a and b.
+    """
+    def proxy(x):
+        rank = np.argsort(np.argsort(-np.abs(x.strides), kind="stable"))
+        return np.empty((2,) * x.ndim).transpose(rank)
+
+    laid = proxy(a) if b is None else np.subtract(proxy(a), proxy(b))
+    return np.argsort(np.negative(laid.strides), kind="stable")
+
+
+def _fill(out, a, b, k, lo):
+    """out = (a - b) * k, or a * k when b is None, over the out.size
+    entries of a's C-order walk that start at entry lo.  The entries come
+    as the rest of one leading-axis row, whole rows, and the start of one
+    more row; the partial rows recurse on the row's own axes."""
+    n = out.size
+    row = math.prod(a.shape[1:])
+    r, c = divmod(lo, row)
+    done = 0
+    if c:
+        done = min(row - c, n)
+        _fill(out[:done], a[r], None if b is None else b[r], k, c)
+        r += 1
+    full = (n - done) // row
+    if full:
+        block = out[done:done + full * row].reshape((full,) + a.shape[1:])
+        if b is None:
+            np.multiply(a[r:r + full], k, out=block)
+        else:
+            np.subtract(a[r:r + full], b[r:r + full], out=block)
+            block *= k
+        done += full * row
+        r += full
+    if done < n:
+        _fill(out[done:], a[r], None if b is None else b[r], k, 0)
+
+
+def _tree_sum(a, b, k, lo, n, buf):
+    """Sum of the squared entries lo .. lo + n - 1 of a's C-order walk of
+    (a - b) * k, split as numpy's pairwise summation splits them: halves
+    cut at a multiple of 8 down to SUM_LEAF entries, each leaf filled into
+    buf and summed by np.sum."""
+    if n > SUM_LEAF:
+        h = n // 2
+        h -= h % 8
+        return _tree_sum(a, b, k, lo, h, buf) + _tree_sum(a, b, k, lo + h, n - h, buf)
+    leaf = buf[:n]
+    _fill(leaf, a, b, k, lo)
+    np.square(leaf, out=leaf)
+    return np.sum(leaf)
+
+
+def _sum_sq(a, b=None, k=1.0) -> float:
+    """float(np.sum(((a - b) * k) ** 2)) bit for bit, b None reading as zero,
+    without the data-sized temporary.
+
+    numpy sums the temporary in its memory order, halving the range at a
+    multiple of 8 until at most 128 entries are left.  The walk takes the
+    same order (_walk_order) and the same halves, and fills each leaf of
+    at most SUM_LEAF entries into one cache-sized buffer, where np.sum
+    continues the same tree.  a and b may have any layout.  The buffer is
+    allocated per call and the recursion holds no reference cycle, so fits
+    on different threads share nothing and the operands are freed as soon
+    as the caller drops them.
+    """
+    if a.size == 0:
+        return 0.0
+    order = _walk_order(a, b)
+    a = a.transpose(order)
+    b = None if b is None else b.transpose(order)
+    return float(_tree_sum(a, b, k, 0, a.size, np.empty(min(a.size, SUM_LEAF))))
+
+
+def _axis_spectra(coords, specs) -> list[AxisSpectrum]:
+    """One AxisSpectrum per axis; axes with equal coordinates and spec share
+    the one built for the first of them."""
+    spectra = []
+    for i, (c, spec) in enumerate(zip(coords, specs)):
+        same = [j for j in range(i)
+                if specs[j] == spec and np.array_equal(coords[j], c)]
+        spectra.append(spectra[same[0]] if same else axis_spectrum(c, spec))
+    return spectra
 
 
 @dataclass(frozen=True)
@@ -152,8 +254,7 @@ def transform_data(data: GridData, sx: AxisSpectrum,
             f"but Y is {Y.shape}"
         )
     Ytilde = sx.A.T @ Y @ sz.A
-    yty = float(np.sum(Y * Y))
-    return Ytilde, yty
+    return Ytilde, _sum_sq(Y)
 
 
 def sse_terms(Ytilde: np.ndarray, yty: float, s1: np.ndarray, s2: np.ndarray,
@@ -287,8 +388,7 @@ def select_lambda(data: GridData, specs: tuple[AxisSpec, AxisSpec] | None = None
                  AxisSpec(knot_segments=auto_knot_segments(data.shape[1])))
     if grid is None:
         grid = LambdaGrid.default()
-    sx = axis_spectrum(data.x_coords, specs[0])
-    sz = axis_spectrum(data.z_coords, specs[1])
+    sx, sz = _axis_spectra((data.x_coords, data.z_coords), specs)
     e = _scale_exponent(data.Y)
     Ys = np.ldexp(data.Y, -e)
     Ytilde, yty = transform_data(GridData(Ys, data.x_coords, data.z_coords), sx, sz)
@@ -316,11 +416,12 @@ def select_lambda(data: GridData, specs: tuple[AxisSpec, AxisSpec] | None = None
     # reported sse/gcv are recomputed from the returned fitted values so
     # they are exact for the artifact (the fast form carries cancellation
     # noise of order eps * y'y, visible when the fit is near-perfect).
-    # The grid-sized arrays are updated in place, so the scaling costs no
-    # more memory than the unscaled fit.
-    Ys -= fitted
-    Ys **= 2
-    sse_exact = float(np.sum(Ys))
+    # The SSE sums in Ys's memory order (C or F, following data.Y); fitted
+    # is C-ordered, so an F-ordered Ys is walked through the transposes.
+    if Ys.flags.c_contiguous:
+        sse_exact = _sum_sq(Ys, fitted)
+    else:
+        sse_exact = _sum_sq(Ys.T, fitted.T)
     sse_exact, gcv_exact, gcv = _unscale(
         e, sse_exact, gcv_score(sse_exact, edf_best, n), gcv)
     return SandwichFit(
