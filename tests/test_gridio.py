@@ -1,4 +1,6 @@
+import io
 import json
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from sandsmooth import gridio
 from sandsmooth.gridio import (
     FileFormatError,
     read_curves_csv,
@@ -368,3 +371,207 @@ class TestLongCsvAndJson:
         p = tmp_path / "s.json"
         write_json(p, obj)
         assert p.read_text() == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def kernel_text(values):
+    """The table kernel's text for values written as one column."""
+    fh = io.StringIO()
+    gridio._write_table(fh, [np.asarray(values, dtype=float).reshape(-1, 1)])
+    return fh.getvalue()
+
+
+def assert_matches_percent_g(values):
+    values = np.asarray(values, dtype=float).ravel()
+    got, want = kernel_text(values), ("%.17g\n" * values.size) % tuple(values.tolist())
+    if got != want:
+        for v, g, w in zip(values.tolist(), got.splitlines(), want.splitlines()):
+            assert g == w, f"{v.hex()}: kernel wrote {g!r}, '%.17g' writes {w!r}"
+        pytest.fail("line counts differ")
+
+
+def around(values, ulps=3):
+    """Each value and its `ulps` neighbours on either side."""
+    out, up, down = [values], values, values
+    for _ in range(ulps):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        out += [up, down]
+    return np.concatenate(out)
+
+
+POWERS_OF_TEN = np.array([float(f"1e{e}") for e in range(-323, 309)])
+
+
+class TestKernelMatchesPercentG:
+    """The vectorised kernel writes exactly the bytes of '%.17g' % v, here
+    on 2 million values; '%.17g' itself takes most of the time."""
+
+    def test_random_bit_patterns(self):
+        rng = np.random.Generator(np.random.Philox(7))
+        bits = rng.integers(0, 2**64, size=400_000, dtype=np.uint64, endpoint=False)
+        special = np.array([0x7FF0000000000001, 0xFFF8000000000000, 0x7FF8DEADBEEF0000,
+                            0x7FF0000000000000, 0xFFF0000000000000, 0, 1 << 63, 1,
+                            0x000FFFFFFFFFFFFF, 0x0010000000000000, 0x7FEFFFFFFFFFFFFF],
+                           dtype=np.uint64)
+        assert_matches_percent_g(np.concatenate([special, bits]).view(np.float64))
+
+    def test_powers_of_ten_and_neighbours(self):
+        values = around(POWERS_OF_TEN)
+        assert_matches_percent_g(np.concatenate([values, -values]))
+
+    def test_log10_rounding_up_to_the_power(self):
+        # log10 rounds to -7.0 here, so X must be confirmed on the
+        # unrounded scaled value, not on its rounded digits
+        assert kernel_text([9.9999999999999995e-08, 1e23]) == (
+            "9.9999999999999995e-08\n9.9999999999999992e+22\n")
+        assert_matches_percent_g(np.nextafter(POWERS_OF_TEN, 0))
+
+    def test_exact_ties_at_the_18th_digit(self):
+        # n / 2**j with n odd has exactly len(str(n * 5**j)) digits, the
+        # last a 5: an exact tie that rounds half to even
+        rng = np.random.Generator(np.random.Philox(8))
+        ties = [1234567890123456.25]
+        for j in range(1, 60):
+            lo, hi = -(-10**17 // 5**j), min((10**18 - 1) // 5**j, 2**53 - 1)
+            for n in rng.integers(lo, hi, size=300, endpoint=True) if lo <= hi else []:
+                n = int(n) | 1
+                if len(str(n * 5**j)) == 18:
+                    ties.append(n / 2**j)
+        assert len(ties) > 5000
+        ties = np.array(ties)
+        assert kernel_text(ties[:1]) == "1234567890123456.2\n"
+        assert_matches_percent_g(np.concatenate([ties, -ties, around(ties, 1)]))
+
+    def test_carries_from_runs_of_nines(self):
+        rng = np.random.Generator(np.random.Philox(9))
+        texts = [f"{d}.{'9' * k}e{x}" for d in range(1, 10) for k in range(14, 20)
+                 for x in range(-30, 31)]
+        texts += [f"{int(p)}{'9' * k}e{int(x)}" for p, k, x in
+                  zip(rng.integers(1, 10**6, 20000), rng.integers(11, 17, 20000),
+                      rng.integers(-320, 300, 20000))]
+        values = np.array([float(s) for s in texts])
+        assert_matches_percent_g(np.concatenate([values, -values]))
+
+    def test_notation_switches_and_long_exponents(self):
+        rng = np.random.Generator(np.random.Philox(10))
+        mantissa = 1.0 + 9.0 * rng.random(400_000)
+        exponent = np.concatenate([rng.choice([-6, -5, -4, -3, 15, 16, 17, 18], 200_000),
+                                   rng.choice(np.r_[-323:-99, 100:308], 200_000)])
+        values = mantissa * 10.0 ** exponent.astype(float)
+        assert_matches_percent_g(values * np.where(rng.random(values.size) < 0.5, -1, 1))
+
+    def test_data_scaled_values(self):
+        rng = np.random.Generator(np.random.Philox(16))
+        assert_matches_percent_g(awkward_values(rng, 1_150_000))
+
+
+class TestTableKernelBlocks:
+    """Writer bytes equal the oracle's across block boundaries."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(gridio, "BLOCK", 16)
+
+    def grid_bytes(self, tmp_path, x, z, values):
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        write_grid_csv(new, x, z, values)
+        oracle_write_grid_csv(old, x, z, values)
+        return new.read_bytes(), old.read_bytes()
+
+    def test_row_longer_than_a_block(self, tmp_path):
+        rng = np.random.Generator(np.random.Philox(11))
+        t, Y = np.sort(rng.random(53)), edge_grid(rng, (3, 53))
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        write_curves_csv(new, t, Y)
+        oracle_write_curves_csv(old, t, Y)
+        assert new.read_bytes() == old.read_bytes()
+
+    @pytest.mark.parametrize("shape", [(7, 5), (5, 15), (4, 16), (3, 17), (2, 40)])
+    def test_block_boundaries_inside_and_between_rows(self, tmp_path, shape):
+        rng = np.random.Generator(np.random.Philox(12))
+        x, z = np.sort(rng.random(shape[0])), np.sort(rng.random(shape[1]))
+        new, old = self.grid_bytes(tmp_path, x, z, edge_grid(rng, shape))
+        assert new == old
+
+    @pytest.mark.parametrize("shape", [(1, 70), (70, 1)])
+    def test_single_row_and_single_column(self, tmp_path, shape):
+        rng = np.random.Generator(np.random.Philox(13))
+        x, z = np.sort(rng.random(shape[0])), np.sort(rng.random(shape[1]))
+        new, old = self.grid_bytes(tmp_path, x, z, awkward_values(rng, shape))
+        assert new == old
+
+    def test_all_fallback_table(self, tmp_path):
+        rng = np.random.Generator(np.random.Philox(14))
+        pool = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -1e-310,
+                         2.2250738585072014e-308, 1e300, -1.7976931348623157e308, 1.0,
+                         1234567890123456.25])
+        values = rng.choice(pool, (9, 11))
+        new, old = self.grid_bytes(tmp_path, np.sort(rng.random(9)), np.linspace(0, 1, 11),
+                                   values)
+        assert new == old
+        scatter_new, scatter_old = tmp_path / "s_new.csv", tmp_path / "s_old.csv"
+        write_scatter_csv(scatter_new, *values[:3])
+        oracle_write_scatter_csv(scatter_old, *values[:3])
+        assert scatter_new.read_bytes() == scatter_old.read_bytes()
+
+
+def test_full_size_blocks_match_oracle(tmp_path):
+    # one row spanning more than two full blocks, plus a partial one
+    rng = np.random.Generator(np.random.Philox(15))
+    t, Y = np.sort(rng.random(2 * gridio.BLOCK + 3)), edge_grid(rng, (2, 2 * gridio.BLOCK + 3))
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    write_curves_csv(new, t, Y)
+    oracle_write_curves_csv(old, t, Y)
+    assert new.read_bytes() == old.read_bytes()
+
+
+def test_smooth_cov_output_matches_oracle(tmp_path):
+    # J = 300: the 300 x 301 body spans eleven full-size blocks
+    from sandsmooth.cli import main
+    from sandsmooth.fda import simulate_fda
+
+    curves = simulate_fda(1, 40, 300, 0.5, seed=31)
+    cv, out, old = tmp_path / "cv.csv", tmp_path / "K.csv", tmp_path / "old.csv"
+    write_curves_csv(cv, curves.t, curves.Y)
+    assert main(["smooth-cov", "-i", str(cv), "-o", str(out)]) == 0
+    t, t2, K = read_grid_csv(out)
+    assert K.size > 10 * gridio.BLOCK
+    oracle_write_grid_csv(old, t, t2, K)
+    assert out.read_bytes() == old.read_bytes()
+
+
+def test_writer_memory_does_not_grow_with_the_table(tmp_path):
+    def traced_peak(n):
+        x = midpoints(n)
+        values = np.sin(np.add.outer(x, 2 * x))
+        tracemalloc.start()
+        try:
+            write_grid_csv(tmp_path / "g.csv", x, x, values)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    write_grid_csv(tmp_path / "g.csv", [0.5], [0.5], [[1.0]])  # builds the tables
+    small, large = traced_peak(500), traced_peak(2000)
+    assert large < 1.1 * small + 100_000, (small, large)
+
+
+class TestWriterShapeChecks:
+    """Mismatched shapes raise before the file is opened."""
+
+    def test_grid(self, tmp_path):
+        p = tmp_path / "g.csv"
+        with pytest.raises(ValueError, match=r"shape \(3, 2\).*2 and 1"):
+            write_grid_csv(p, [0.1, 0.2], [0.5], np.ones((3, 2)))
+        assert not p.exists()
+
+    def test_scatter(self, tmp_path):
+        p = tmp_path / "s.csv"
+        with pytest.raises(ValueError, match="3, 1 and 3"):
+            write_scatter_csv(p, [0.1, 0.2, 0.3], [0.5], [1.0, 2.0, 3.0])
+        assert not p.exists()
+
+    def test_curves(self, tmp_path):
+        p = tmp_path / "c.csv"
+        with pytest.raises(ValueError, match=r"shape \(2, 3\).*2 entries"):
+            write_curves_csv(p, [0.25, 0.75], np.ones((2, 3)))
+        assert not p.exists()
