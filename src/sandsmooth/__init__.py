@@ -33,7 +33,7 @@ from sandsmooth.fda import (
     simulate_fda,
     smooth_cov,
 )
-from sandsmooth.glam import ArrayData, MultiFit, fit_array, rh
+from sandsmooth.glam import ArrayData, MultiFit, fit_array
 from sandsmooth.kernelcheck import (
     AsymptoticReport,
     EquivalentKernel,
@@ -104,7 +104,6 @@ __all__ = [
     "ArrayData",
     "MultiFit",
     "fit_array",
-    "rh",
     "CovModel",
     "CurveSet",
     "eigenpairs",

@@ -26,8 +26,10 @@ from .sandwich2d import (
     LambdaGrid,
     SandwichFit,
     _axis_spectra,
+    _contract,
     _gcv,
     _pick,
+    _project,
     _scale_exponent,
     _shrink_table,
     _sse_table,
@@ -200,7 +202,7 @@ def _masked_sse_table(Y, masked, sx, sz, lam1, lam2):
     O(L1 n1 c2^2); no smoother is applied per pair."""
     st1 = _shrink_table(lam1, sx.s)  # L1 x c1
     st2 = _shrink_table(lam2, sz.s)  # L2 x c2
-    P = sx.A @ (st1[:, :, None] * (sx.A.T @ Y @ sz.A))  # L1 x n1 x c2
+    P = sx.A @ (st1[:, :, None] * _project(Y, (sx, sz)))  # L1 x n1 x c2
     M = np.einsum("iak,ial,akl->ikl", P, P, masked.gram)
     fit_norm = np.einsum("jk,ikj->ij", st2, M @ st2.T)
     cross = np.einsum("iak,ak->ik", P, masked.cross) @ st2.T
@@ -319,7 +321,7 @@ def iterative_fit(
         st1 = shrink_weights(sx.s, lam1[pair[0]])
         st2 = shrink_weights(sz.s, lam2[pair[1]])
         theta, resid = _weighted_solve(theta, rhs, masked, sx.A, np.outer(st1, st2))
-        fitted = sx.A @ theta @ sz.A.T
+        fitted = _contract(theta, (sx.A, sz.A))
         sse = float(np.sum((fitted - means)[occupied] ** 2))
         Y = np.where(occupied, means, fitted)
         solved[pair] = (gcv_score(sse, st1.sum() * st2.sum(), n_eff), sse, Y, resid)

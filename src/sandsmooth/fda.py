@@ -17,9 +17,10 @@ eigenvectors A U.  smooth_cov therefore never decomposes a J x J matrix
 and keeps only these at most c pairs.  Its J x J work is the two J x c
 products and one pass each over the input and the smoothed matrix, which
 checks the asymmetry and symmetrizes in mirrored pairs of cache-sized
-tiles, plus the finiteness check and scaling exponent (min and max), the
-scaling itself and ||C||^2, which squares and sums one cache-sized block
-at a time (sandwich2d._sum_sq).
+tiles, plus the finiteness check and scaling exponent (min and max) and
+||C||^2, which squares and sums one cache-sized block at a time
+(sandwich2d._sum_sq).  The search runs on C * 2^-e without a scaled copy:
+the power of two rides in the J x c factors of the projection.
 
 The raw matrix is smoothed as-is, noise-inflated diagonal included; pass
 exclude_diagonal=True to replace the diagonal with NaN-free interpolation
@@ -42,11 +43,11 @@ from .basis import AxisSpec, auto_knot_segments
 from .rng import CounterNormals, replicate_seed
 from .sandwich2d import (
     LambdaGrid,
-    _gcv_table,
+    _contract,
     _pick,
-    _scale_exponent,
-    _sum_sq,
+    _SpectralFit,
     _unscale,
+    require_coordinates,
     require_finite,
 )
 from .spectra import axis_spectrum, shrink_weights
@@ -96,7 +97,7 @@ class CurveSet:
         if t.shape != (Y.shape[1],):
             raise ValueError(f"t has {t.size} points for J = {Y.shape[1]}")
         require_finite("Y", Y)
-        require_finite("t", t)
+        require_coordinates("t", t)
         object.__setattr__(self, "Y", Y)
         object.__setattr__(self, "t", t)
 
@@ -266,29 +267,24 @@ def smooth_cov(C: np.ndarray, spec: AxisSpec | None = None,
     if np.any(lams < 0):
         raise ValueError("lambdas must be nonnegative")
 
-    # as in select_lambda, the search runs on C * 2^-e (C is a fresh copy)
-    e = _scale_exponent(C)
-    C *= 2.0 ** -e
-    Ct = sp.A.T @ C @ sp.A
-    cc = _sum_sq(C)
-    n = C.size
-    gcv, edf = _gcv_table(Ct * Ct, cc, (sp.s, sp.s), (lams, lams), n)
+    fit = _SpectralFit(C, (sp, sp))
+    gcv, edf = fit.score((lams, lams))
     # one lambda on both sides: the diagonal of the bivariate table; a
     # singleton list pins lambda, even where GCV is undefined
     gcv, edf = np.diagonal(gcv), np.diagonal(edf)
-    (k,) = _pick(gcv, n, (lams,)) if lams.size > 1 else (0,)
+    (k,) = _pick(gcv, fit.n, (lams,)) if lams.size > 1 else (0,)
     lam = float(lams[k])
 
     st = shrink_weights(sp.s, lam)
-    K = np.ldexp(st[:, None] * Ct * st[None, :], e)  # unscaled
-    _, smoothed = _symmetrize(sp.A @ K @ sp.A.T)
+    K = np.ldexp(st[:, None] * fit.Ytilde * st[None, :], fit.e)  # unscaled
+    _, smoothed = _symmetrize(_contract(K, (sp.A, sp.A)))
     values, funcs = _decompose(0.5 * (K + K.T), sp.A)
     return CovModel(
         t=np.asarray(t, float),
         raw_cov=raw,
         smoothed_cov=smoothed,
         lam=lam,
-        gcv_value=float(_unscale(e, gcv[k])[0]),
+        gcv_value=float(_unscale(fit.e, gcv[k])[0]),
         edf=float(edf[k]),
         eigenvalues=values,
         eigenfunctions=funcs,

@@ -3,15 +3,15 @@
 The d-dimensional smoother is (S_d kron ... kron S_1) applied to the
 flattened array.  Materializing that operator is hopeless even at modest
 sizes, but applying it is cheap: contract each axis with its thin smoother
-factor, one axis at a time.  The workhorse is the rotated transform rh(),
-which contracts a matrix against the leading axis and cycles that axis to
-the back; d chained calls smooth every axis and restore the original order.
+factor, one axis at a time (sandwich2d._contract, GLAM's rotated
+H-transform).
 
-Selection reuses the grid-search GCV of the bivariate fit, through the
-same search in sandwich2d: with every axis reduced to its spectrum, the SSE
-for every candidate tuple comes from contracting the c_1 x ... x c_d
-transformed array with each axis's shrink table, one axis at a time, and
-the trace of the full smoother is the product of the per-axis traces.
+The fit is the bivariate one, run by the same engine in sandwich2d
+(_SpectralFit): with every axis reduced to its spectrum, the SSE for every
+candidate tuple comes from contracting the c_1 x ... x c_d transformed
+array with each axis's shrink table, one axis at a time, and the trace of
+the full smoother is the product of the per-axis traces.  For d = 2 the
+fit carries the bits of select_lambda's.
 
 The first axis is the fastest-varying one under column-major flattening,
 so for d = 2 the flattened fit matches the column-stacked matrix fit.
@@ -21,9 +21,8 @@ the scaling exponent (min and max), the projection's first contraction,
 y'y, the reconstruction's last contraction, and the exact SSE of the
 returned fit.  y'y and the exact SSE read the values (and the fit) one
 cache-sized block at a time (sandwich2d._sum_sq).  The peak working memory
-is the fitted array plus the last contraction's input and the copy that
-tensordot reshapes it into: 1.4 x the values at 200^3 with 38 basis
-functions per axis.
+is the fitted array plus the last contraction's input, (n_1 ... n_{d-1})
+c_d entries: 1.2 x the values at 200^3 with 38 basis functions per axis.
 """
 
 from __future__ import annotations
@@ -36,17 +35,13 @@ from .basis import AxisSpec, auto_knot_segments
 from .sandwich2d import (
     LambdaGrid,
     _axis_spectra,
-    _gcv_table,
     _pick,
-    _scale_exponent,
-    _sum_sq,
-    _unscale,
-    gcv_score,
+    _SpectralFit,
+    require_coordinates,
     require_finite,
 )
-from .spectra import shrink_weights
 
-__all__ = ["ArrayData", "MultiFit", "rh", "fit_array", "MAX_GRID_COMBINATIONS"]
+__all__ = ["ArrayData", "MultiFit", "fit_array", "MAX_GRID_COMBINATIONS"]
 
 MAX_GRID_COMBINATIONS = 100_000
 
@@ -74,13 +69,10 @@ class ArrayData:
             )
         require_finite("values", values)
         for axis, c in enumerate(coords):
-            require_finite(f"coords[{axis}]", c)
+            require_coordinates(f"coords[{axis}]", c)
             if c.size != values.shape[axis]:
                 raise ValueError(f"axis {axis}: {c.size} coordinates for "
                                  f"{values.shape[axis]} entries")
-            if c[0] < 0.0 or c[-1] > 1.0 or np.any(np.diff(c) <= 0):
-                raise ValueError(f"axis {axis}: coordinates must be strictly "
-                                 "increasing within [0, 1]")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "coords", coords)
 
@@ -110,33 +102,6 @@ class MultiFit:
     sse: float
     gcv_table: np.ndarray
     specs: tuple[AxisSpec, ...]
-
-
-def rh(S: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """Contract S against the leading axis of A, cycling that axis last.
-
-    (n1,...,nd) with an m x n1 matrix becomes (n2,...,nd,m); d chained
-    calls apply one matrix per axis and restore the axis order.
-    """
-    if S.shape[1] != A.shape[0]:
-        raise ValueError(f"cannot contract {S.shape} against leading axis "
-                         f"of {A.shape}")
-    return np.moveaxis(np.tensordot(S, A, axes=(1, 0)), 0, -1)
-
-
-def _rh_chain(mats, A):
-    for S in mats:
-        A = rh(S, A)
-    return A
-
-
-def _scale_axes(A, vectors):
-    """Multiply A by one weight vector along each axis (broadcasted)."""
-    d = A.ndim
-    out = A.copy()
-    for axis, v in enumerate(vectors):
-        out *= v.reshape((-1,) + (1,) * (d - 1 - axis))
-    return out
 
 
 def default_lambda_grids(d: int) -> tuple[np.ndarray, ...]:
@@ -173,30 +138,18 @@ def fit_array(data: ArrayData, specs=None, grids=None) -> MultiFit:
         if np.any(g <= 0):
             raise ValueError(f"axis {axis}: lambdas must be strictly positive")
 
-    spectra = _axis_spectra(data.coords, specs)
-    # As in select_lambda, the search runs on values * 2^-e.  A scaled copy
-    # of the values held through the projection would raise the peak memory.
-    e = _scale_exponent(data.values)
-    k = 2.0 ** -e
-    Ytilde = _rh_chain([sp.A.T for sp in spectra], data.values)
-    yty = _sum_sq(data.values, k=k)
-    n = data.n
-    gcv, edf = _gcv_table((Ytilde * k) ** 2, yty, [sp.s for sp in spectra], grids, n)
-    idx = _pick(gcv, n, grids)
+    fit = _SpectralFit(data.values, _axis_spectra(data.coords, specs))
+    gcv, edf = fit.score(grids)
+    idx = _pick(gcv, fit.n, grids)
     lambdas = tuple(float(g[i]) for g, i in zip(grids, idx))
-
-    sts = [shrink_weights(sp.s, lam) for sp, lam in zip(spectra, lambdas)]
-    fitted = _rh_chain([sp.A for sp in spectra], _scale_axes(Ytilde, sts))
-    sse_exact = _sum_sq(data.values, fitted, k)
     edf_best = float(edf[idx])
-    sse_exact, gcv_exact, gcv = _unscale(
-        e, sse_exact, gcv_score(sse_exact, edf_best, n), gcv)
+    _, fitted, sse, gcv_value, gcv = fit.finish(data.values, lambdas, edf_best, gcv)
     return MultiFit(
         lambdas=lambdas,
         fitted=fitted,
-        gcv_value=float(gcv_exact),
+        gcv_value=gcv_value,
         edf=edf_best,
-        sse=float(sse_exact),
+        sse=sse,
         gcv_table=gcv,
         specs=specs,
     )

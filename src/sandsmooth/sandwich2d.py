@@ -6,8 +6,10 @@ Kronecker smoother (S2 kron S1) vec(Y), but neither Kronecker factor is ever
 formed.  With each axis reduced to its spectrum (see spectra), the residual
 sum of squares and the smoother trace for any (lam1, lam2) pair come from a
 handful of c1 x c2 array reductions, so a full grid search over hundreds of
-candidate pairs costs little more than a single fit.  That search is written
-once, for any number of axes; the array, covariance and scatter fits use it.
+candidate pairs costs little more than a single fit.  The fit (projection,
+search, reconstruction and exact SSE) is written once, for any number of
+axes, in _SpectralFit: the array and covariance fits use it too, and the
+scatter fit uses its search.
 
 Selection uses GCV = (SSE/n) / (1 - edf/n)^2, the standard form, with
 edf = tr(S1) * tr(S2).  The raw (SSE, edf) pair is kept on the result so
@@ -17,11 +19,12 @@ F_i the per-axis coefficient maps, which is the penalized normal-equation
 solution without any c1*c2-sized linear system.
 
 Per fit, the passes the size of the data are: the finiteness check and
-the scaling exponent (min and max), the scaled copy Y * 2^-e, the
-projection A1' Y A2, y'y, the reconstruction A1 (.) A2', and the exact SSE
-of the returned fit.  y'y and the exact SSE go through _sum_sq, which
-squares and sums one cache-sized block at a time, so neither allocates a
-temporary the size of the data.
+the scaling exponent (min and max), the projection A1' Y A2, y'y, the
+reconstruction A1 (.) A2', and the exact SSE of the returned fit.  The fit
+runs on Y * 2^-e, but the power of two rides in the small per-axis factors
+of the projection, so no scaled copy of the data is made.  y'y and the
+exact SSE go through _sum_sq, which squares and sums one cache-sized block
+at a time, so neither allocates a temporary the size of the data.
 """
 
 from __future__ import annotations
@@ -72,6 +75,19 @@ def require_finite(name: str, values: np.ndarray) -> None:
     idx = tuple(int(i) for i in np.argwhere(~np.isfinite(values))[0])
     raise ValueError(f"{name}[{', '.join(map(str, idx))}] is {values[idx]}; "
                      "values must be finite")
+
+
+def require_coordinates(name: str, c: np.ndarray) -> None:
+    """Raise ValueError unless c is a non-empty vector of finite values,
+    strictly increasing within [0, 1], naming the first offending entry."""
+    if c.ndim != 1 or c.size == 0:
+        raise ValueError(f"{name} must be a non-empty vector, got shape {c.shape}")
+    require_finite(name, c)
+    for bad, rule in (((c < 0.0) | (c > 1.0), "lie within [0, 1]"),
+                      (np.diff(c, prepend=-np.inf) <= 0, "be strictly increasing")):
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"{name}[{i}] is {c[i]}; coordinates must {rule}")
 
 
 def _walk_order(a, b):
@@ -180,13 +196,9 @@ class GridData:
             raise ValueError(
                 f"Y is {Y.shape} but coordinates imply {(x.size, z.size)}"
             )
-        for name, c in (("Y", Y), ("x_coords", x), ("z_coords", z)):
-            require_finite(name, c)
-        for name, c in (("x_coords", x), ("z_coords", z)):
-            if c.size == 0:
-                raise ValueError(f"{name} is empty")
-            if c[0] < 0.0 or c[-1] > 1.0 or np.any(np.diff(c) <= 0):
-                raise ValueError(f"{name} must be strictly increasing within [0, 1]")
+        require_finite("Y", Y)
+        require_coordinates("x_coords", x)
+        require_coordinates("z_coords", z)
         object.__setattr__(self, "Y", Y)
         object.__setattr__(self, "x_coords", x)
         object.__setattr__(self, "z_coords", z)
@@ -247,14 +259,7 @@ def transform_data(data: GridData, sx: AxisSpectrum,
     Returns (Ytilde, y'y).  Computed once per dataset; every candidate
     (lam1, lam2) reuses the pair.
     """
-    Y = data.Y
-    if sx.n_points != Y.shape[0] or sz.n_points != Y.shape[1]:
-        raise ValueError(
-            f"spectra built for {(sx.n_points, sz.n_points)} points "
-            f"but Y is {Y.shape}"
-        )
-    Ytilde = sx.A.T @ Y @ sz.A
-    return Ytilde, _sum_sq(Y)
+    return _project(data.Y, (sx, sz)), _sum_sq(data.Y)
 
 
 def sse_terms(Ytilde: np.ndarray, yty: float, s1: np.ndarray, s2: np.ndarray,
@@ -313,7 +318,9 @@ def _shrink_table(lams, s):
 
 def _contract(W, tables):
     """out[i_1, ..., i_d] = sum_c W[c_1, ..., c_d] prod_k tables[k][i_k, c_k],
-    the first axis first; for d = 2 this is (T1 @ W) @ T2'."""
+    the first axis first; for d = 2 this is (T1 @ W) @ T2'.  This is GLAM's
+    rotated H-transform (Currie, Durban & Eilers 2006): the d-dimensional
+    smoother applied one axis at a time, no Kronecker factor formed."""
     out = (tables[0] @ W.reshape(W.shape[0], -1)).reshape((-1,) + W.shape[1:])
     for k, table in enumerate(tables[1:], start=1):
         out = np.moveaxis(np.moveaxis(out, k, -1) @ table.T, -1, k)
@@ -373,6 +380,51 @@ def _refined_axis(lams, idx, count):
     return np.geomspace(lo, hi, count)
 
 
+def _project(values, spectra, e=0):
+    """A_1' ... A_d' applied to values * 2^-e, one axis at a time.  The
+    power of two rides in the small per-axis factors, in parts that differ
+    by at most one, so that no factor or partial product leaves the normal
+    range (scaling stays exact) and no scaled copy of the data is made."""
+    d = len(spectra)
+    return _contract(values, [np.ldexp(sp.A.T, -((e + k) // d))
+                              for k, sp in enumerate(spectra)])
+
+
+class _SpectralFit:
+    """The smoother of values on the axes of spectra, run on values * 2^-e
+    (e from _scale_exponent) so that no square overflows; GCV selection is
+    scale-free.  Every candidate score and the fit share one projection."""
+
+    def __init__(self, values, spectra):
+        self.spectra, self.n = spectra, values.size
+        self.e = _scale_exponent(values)
+        self.Ytilde = _project(values, spectra, self.e)
+        self.yty = _sum_sq(values, k=2.0 ** -self.e)
+
+    def score(self, lams):
+        """(GCV, edf) tables over the candidate tuples lams, one list per axis."""
+        return _gcv_table(self.Ytilde * self.Ytilde, self.yty,
+                          [sp.s for sp in self.spectra], lams, self.n)
+
+    def finish(self, values, lambdas, edf, table):
+        """(core, fitted, sse, gcv, table) of the fit at lambdas, of trace
+        edf: core is Ytilde shrunk along every axis and fitted is
+        A_1 ... A_d core, scaled back.  The table keeps the fast-form scores
+        that drove selection; sse and gcv are exact for the returned fit
+        (the fast form carries cancellation noise of order eps * y'y), with
+        the SSE summed in the values' own memory order."""
+        core = self.Ytilde
+        for axis, (sp, lam) in enumerate(zip(self.spectra, lambdas)):
+            core = core * shrink_weights(sp.s, lam).reshape(
+                (-1,) + (1,) * (core.ndim - 1 - axis))
+        fitted = _contract(core, [sp.A for sp in self.spectra])
+        np.ldexp(fitted, self.e, out=fitted)
+        order = np.argsort(np.negative(np.abs(values.strides)), kind="stable")
+        sse = _sum_sq(values.transpose(order), fitted.transpose(order), 2.0 ** -self.e)
+        sse, gcv, table = _unscale(self.e, sse, gcv_score(sse, edf, self.n), table)
+        return core, fitted, float(sse), float(gcv), table
+
+
 def select_lambda(data: GridData, specs: tuple[AxisSpec, AxisSpec] | None = None,
                   grid: LambdaGrid | None = None, fine_pass: int = 0) -> SandwichFit:
     """Grid-search GCV fit of the sandwich smoother.
@@ -388,49 +440,29 @@ def select_lambda(data: GridData, specs: tuple[AxisSpec, AxisSpec] | None = None
                  AxisSpec(knot_segments=auto_knot_segments(data.shape[1])))
     if grid is None:
         grid = LambdaGrid.default()
-    sx, sz = _axis_spectra((data.x_coords, data.z_coords), specs)
-    e = _scale_exponent(data.Y)
-    Ys = np.ldexp(data.Y, -e)
-    Ytilde, yty = transform_data(GridData(Ys, data.x_coords, data.z_coords), sx, sz)
-    W = Ytilde * Ytilde
-    n = data.n
+    sx, sz = spectra = _axis_spectra((data.x_coords, data.z_coords), specs)
+    fit = _SpectralFit(data.Y, spectra)
 
     lams = (grid.lambda_x, grid.lambda_z)
-    gcv, edf = _gcv_table(W, yty, (sx.s, sz.s), lams, n)
-    i, j = _pick(gcv, n, lams)
+    gcv, edf = fit.score(lams)
+    i, j = _pick(gcv, fit.n, lams)
     l1, l2, edf_best = float(lams[0][i]), float(lams[1][j]), edf[i, j]
     if fine_pass > 0:
         fine = (_refined_axis(lams[0], i, fine_pass),
                 _refined_axis(lams[1], j, fine_pass))
-        fgcv, fedf = _gcv_table(W, yty, (sx.s, sz.s), fine, n)
+        fgcv, fedf = fit.score(fine)
         if fgcv.min() <= gcv[i, j]:
-            fi, fj = _pick(fgcv, n, fine)
+            fi, fj = _pick(fgcv, fit.n, fine)
             l1, l2, edf_best = float(fine[0][fi]), float(fine[1][fj]), fedf[fi, fj]
 
-    st1 = shrink_weights(sx.s, l1)
-    st2 = shrink_weights(sz.s, l2)
-    core = st1[:, None] * Ytilde * st2[None, :]
-    fitted = sx.A @ core @ sz.A.T
-    Theta = sx.coef_map @ core @ sz.coef_map.T
-    # The surface keeps the fast-form scores that drove selection; the
-    # reported sse/gcv are recomputed from the returned fitted values so
-    # they are exact for the artifact (the fast form carries cancellation
-    # noise of order eps * y'y, visible when the fit is near-perfect).
-    # The SSE sums in Ys's memory order (C or F, following data.Y); fitted
-    # is C-ordered, so an F-ordered Ys is walked through the transposes.
-    if Ys.flags.c_contiguous:
-        sse_exact = _sum_sq(Ys, fitted)
-    else:
-        sse_exact = _sum_sq(Ys.T, fitted.T)
-    sse_exact, gcv_exact, gcv = _unscale(
-        e, sse_exact, gcv_score(sse_exact, edf_best, n), gcv)
+    core, fitted, sse, gcv_value, gcv = fit.finish(data.Y, (l1, l2), edf_best, gcv)
     return SandwichFit(
         lambdas=(l1, l2),
-        Theta=np.ldexp(Theta, e),
-        fitted=np.ldexp(fitted, e, out=fitted),
-        gcv_value=float(gcv_exact),
+        Theta=np.ldexp(_contract(core, (sx.coef_map, sz.coef_map)), fit.e),
+        fitted=fitted,
+        gcv_value=gcv_value,
         edf=float(edf_best),
-        sse=float(sse_exact),
+        sse=sse,
         gcv_surface=gcv,
         grid=grid,
         specs=specs,
@@ -445,10 +477,8 @@ def solve_coefficients(data: GridData, sx: AxisSpectrum, sz: AxisSpectrum,
     two thin matrix products per side, no c1*c2 x c1*c2 system.
     """
     Ytilde, _ = transform_data(data, sx, sz)
-    st1 = shrink_weights(sx.s, lam1)
-    st2 = shrink_weights(sz.s, lam2)
-    core = st1[:, None] * Ytilde * st2[None, :]
-    return sx.coef_map @ core @ sz.coef_map.T
+    core = shrink_weights(sx.s, lam1)[:, None] * Ytilde * shrink_weights(sz.s, lam2)
+    return _contract(core, (sx.coef_map, sz.coef_map))
 
 
 def predict(Theta: np.ndarray, specs: tuple[AxisSpec, AxisSpec],

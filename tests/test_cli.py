@@ -337,6 +337,19 @@ class TestSmoothCov:
             lam = json.loads(sump.read_text())["lambda"]
             assert lam == LambdaGrid.default(7, float(low), 4.0).lambda_x[0]
 
+    @pytest.mark.parametrize("swap, extra", [(False, []), (True, ["--exclude-diagonal"])])
+    def test_repeated_or_unsorted_t_exits_2(self, tmp_path, capsys, swap, extra):
+        # an unsorted t would rebuild the diagonal from index neighbours
+        curves = simulate_fda(1, 40, 30, 0.5, seed=23)
+        t = np.linspace(0.05, 0.95, 30)
+        t[7] = 0.25
+        t[6] = 0.3 if swap else 0.25
+        cv = tmp_path / "cv.csv"
+        write_curves_csv(cv, t, curves.Y)
+        assert main(["smooth-cov", "-i", str(cv), *extra]) == 2
+        err = capsys.readouterr().err
+        assert "t[7] is 0.25; coordinates must be strictly increasing" in err
+
     def test_ragged_curves_exit_2(self, tmp_path):
         cv = tmp_path / "cv.csv"
         cv.write_text("t:0.25,t:0.75\n1.0,2.0\n3.0\n")
@@ -376,6 +389,21 @@ class TestSmoothArray:
                      "--lambda-grid", "1,-5,4"]) == 0
         lam = LambdaGrid.default(20, -5.0, 4.0).lambda_x[0]
         assert json.loads(sump.read_text())["lambda"] == [lam] * 3
+
+    def test_values_near_the_float_limit_fit(self, tmp_path):
+        rng = np.random.default_rng(14)
+        inp, out = tmp_path / "a.npy", tmp_path / "f.npy"
+        np.save(inp, 1e307 * (1 + 0.1 * rng.normal(size=(20, 20, 20))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["smooth-array", "-i", str(inp), "-o", str(out)]) == 0
+        assert np.all(np.isfinite(np.load(out)))
+
+    def test_zero_length_axis_exits_2(self, tmp_path, capsys):
+        inp = tmp_path / "a.npy"
+        np.save(inp, np.zeros((4, 0, 5)))
+        assert main(["smooth-array", "-i", str(inp)]) == 2
+        assert "coords[1] must be a non-empty vector" in capsys.readouterr().err
 
     def test_not_an_npy_exits_2(self, tmp_path):
         inp = tmp_path / "a.npy"

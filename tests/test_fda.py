@@ -57,6 +57,15 @@ class TestCurveSet:
         with pytest.raises(ValueError):
             CurveSet(np.zeros((3, 1)))
 
+    @pytest.mark.parametrize("t, want", [
+        ([0.1, 0.3, 0.3, 0.7], r"t\[2\] is 0.3; coordinates must be strictly increasing"),
+        ([0.1, 0.5, 0.3, 0.7], r"t\[2\] is 0.3; coordinates must be strictly increasing"),
+        ([0.1, 0.3, 0.5, 1.5], r"t\[3\] is 1.5; coordinates must lie within"),
+    ])
+    def test_rejects_repeated_unsorted_or_outside_t(self, t, want):
+        with pytest.raises(ValueError, match=want):
+            CurveSet(np.zeros((3, 4)), np.array(t))
+
     @pytest.mark.parametrize("name, index, bad, want", [
         ("Y", (2, 5), np.nan, r"Y\[2, 5\] is nan"),
         ("Y", (0, 1), np.inf, r"Y\[0, 1\] is inf"),

@@ -5,8 +5,8 @@ import numpy.testing as npt
 import pytest
 
 from sandsmooth.basis import AxisSpec, design_matrix, diff_matrix
-from sandsmooth.glam import ArrayData, MultiFit, fit_array, rh
-from sandsmooth.sandwich2d import GridData, LambdaGrid, select_lambda
+from sandsmooth.glam import ArrayData, MultiFit, fit_array
+from sandsmooth.sandwich2d import GridData, LambdaGrid, _contract, select_lambda
 
 
 def dense_smoother(points, spec, lam):
@@ -44,27 +44,43 @@ class TestArrayData:
         with pytest.raises(ValueError, match=want + "; values must be finite"):
             ArrayData.on_midpoints(values)
 
+    def test_rejects_empty_axis(self):
+        with pytest.raises(ValueError, match=r"coords\[1\] must be a non-empty vector"):
+            ArrayData.on_midpoints(np.zeros((3, 0, 4)))
+
+    @pytest.mark.parametrize("c, want", [
+        ([0.1, 0.5, 0.5], r"coords\[1\]\[2\] is 0.5; coordinates must be strictly increasing"),
+        ([0.1, 0.6, 0.5], r"coords\[1\]\[2\] is 0.5; coordinates must be strictly increasing"),
+        ([-0.1, 0.5, 0.9], r"coords\[1\]\[0\] is -0.1; coordinates must lie within"),
+    ])
+    def test_rejects_bad_coordinates_by_index(self, c, want):
+        with pytest.raises(ValueError, match=want):
+            ArrayData(np.zeros((3, 3)), (midpoints(3), np.array(c)))
+
     def test_rejects_non_finite_coordinate(self):
         coords = (midpoints(3), np.array([0.1, np.nan, 0.9]))
         with pytest.raises(ValueError, match=r"coords\[1\]\[1\] is nan"):
             ArrayData(np.zeros((3, 3)), coords)
 
 
-class TestRh:
-    def test_identity_rotates_axes(self):
+class TestContract:
+    """_contract applies one matrix per axis, the first axis first: the
+    d-dimensional smoother without a Kronecker factor."""
+
+    def test_identity_is_a_no_op(self):
         A = np.random.default_rng(0).normal(size=(3, 4, 5))
-        out = rh(np.eye(3), A)
-        npt.assert_array_equal(out, np.moveaxis(A, 0, -1))
+        out = _contract(A, [np.eye(3), np.eye(4), np.eye(5)])
+        npt.assert_array_equal(out, A)
 
     def test_two_dim_is_sandwich(self):
+        # bit for bit the left-to-right matrix chain
         rng = np.random.default_rng(1)
         Y = rng.normal(size=(4, 5))
         S1 = rng.normal(size=(4, 4))
         S1 = S1 + S1.T
         S2 = rng.normal(size=(5, 5))
         S2 = S2 + S2.T
-        out = rh(S2, rh(S1, Y))
-        npt.assert_allclose(out, S1 @ Y @ S2.T, atol=1e-12)
+        npt.assert_array_equal(_contract(Y, [S1, S2]), S1 @ Y @ S2.T)
 
     def test_three_dim_matches_kronecker(self):
         rng = np.random.default_rng(2)
@@ -72,22 +88,23 @@ class TestRh:
         S1 = rng.normal(size=(3, 3))
         S2 = rng.normal(size=(4, 4))
         S3 = rng.normal(size=(5, 5))
-        out = rh(S3, rh(S2, rh(S1, Y)))
+        out = _contract(Y, [S1, S2, S3])
         vec = Y.ravel(order="F")
         oracle = np.kron(S3, np.kron(S2, S1)) @ vec
         npt.assert_allclose(out.ravel(order="F"), oracle, atol=1e-10)
 
     def test_rectangular_factor(self):
         rng = np.random.default_rng(3)
-        A = rng.normal(size=(6, 3))
-        S = rng.normal(size=(2, 6))
-        out = rh(S, A)
-        assert out.shape == (3, 2)
-        npt.assert_allclose(out, (S @ A).T, atol=1e-12)
+        Y = rng.normal(size=(6, 3, 4))
+        S = [rng.normal(size=(2, 6)), rng.normal(size=(5, 3)), rng.normal(size=(1, 4))]
+        out = _contract(Y, S)
+        assert out.shape == (2, 5, 1)
+        oracle = np.kron(S[2], np.kron(S[1], S[0])) @ Y.ravel(order="F")
+        npt.assert_allclose(out.ravel(order="F"), oracle, atol=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            rh(np.eye(3), np.zeros((4, 4)))
+            _contract(np.zeros((4, 4)), [np.eye(3), np.eye(4)])
 
     def test_axis_order_irrelevant(self):
         # smoothing axes in any order gives the same array once each axis
@@ -96,27 +113,32 @@ class TestRh:
         Y = rng.normal(size=(3, 4, 5))
         mats = [rng.normal(size=(3, 3)), rng.normal(size=(4, 4)),
                 rng.normal(size=(5, 5))]
-        ref = rh(mats[2], rh(mats[1], rh(mats[0], Y)))
-        # rotate the starting axis: apply to axis 1 first by pre-rotating
-        Yr = np.moveaxis(Y, 0, -1)  # axes (1, 2, 0)
-        alt = rh(mats[0], rh(mats[2], rh(mats[1], Yr)))
+        ref = _contract(Y, mats)
+        # start from axis 1: contract the axes (1, 2, 0) of Y in turn
+        alt = _contract(np.moveaxis(Y, 0, -1), [mats[1], mats[2], mats[0]])
         npt.assert_allclose(np.moveaxis(alt, -1, 0), ref, atol=1e-10)
 
 
 class TestFitArray:
     def test_d2_matches_sandwich2d(self):
+        # one engine runs both fits, so they carry the same bits, also on
+        # heavy-tailed values in either memory order
         rng = np.random.default_rng(5)
-        Y = rng.normal(size=(10, 12))
-        specs = (AxisSpec(3, 2, 4), AxisSpec(3, 2, 5))
+        cases = [(rng.normal(size=(10, 12)), (AxisSpec(3, 2, 4), AxisSpec(3, 2, 5)))]
+        heavy = 1e3 * rng.standard_t(1.5, (90, 70))
+        cases += [(np.asarray(heavy, order=order), (AxisSpec(3, 2, 30), AxisSpec(3, 2, 25)))
+                  for order in "CF"]
         grid = LambdaGrid.default()
-        mfit = fit_array(ArrayData.on_midpoints(Y), specs,
-                         (grid.lambda_x, grid.lambda_z))
-        sfit = select_lambda(GridData(Y, midpoints(10), midpoints(12)),
-                             specs, grid)
-        assert mfit.lambdas == sfit.lambdas
-        npt.assert_allclose(mfit.fitted, sfit.fitted, atol=1e-10)
-        npt.assert_allclose(mfit.edf, sfit.edf, rtol=1e-12)
-        npt.assert_allclose(mfit.gcv_table, sfit.gcv_surface, rtol=1e-10)
+        for Y, specs in cases:
+            mfit = fit_array(ArrayData.on_midpoints(Y), specs,
+                             (grid.lambda_x, grid.lambda_z))
+            sfit = select_lambda(GridData(Y, *ArrayData.on_midpoints(Y).coords),
+                                 specs, grid)
+            assert mfit.lambdas == sfit.lambdas
+            assert mfit.fitted.tobytes() == sfit.fitted.tobytes()
+            assert (mfit.edf, mfit.sse, mfit.gcv_value) == (
+                sfit.edf, sfit.sse, sfit.gcv_value)
+            assert mfit.gcv_table.tobytes() == sfit.gcv_surface.tobytes()
 
     def test_d3_sse_matches_dense_kronecker(self):
         rng = np.random.default_rng(6)
@@ -179,6 +201,18 @@ class TestFitArray:
             fit = fit_array(ArrayData.on_midpoints(1e160 * values))
         assert fit.lambdas == base.lambdas
         npt.assert_allclose(fit.fitted, 1e160 * base.fitted, rtol=1e-10)
+
+    def test_values_near_the_float_limit_fit(self):
+        # an unscaled projection of 1e307 * (1 + noise) overflows; the fit
+        # projects the scaled values, as select_lambda does
+        rng = np.random.default_rng(13)
+        values = 1 + 0.1 * rng.normal(size=(20, 20, 20))
+        base = fit_array(ArrayData.on_midpoints(values))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_array(ArrayData.on_midpoints(1e307 * values))
+        assert fit.lambdas == base.lambdas
+        npt.assert_allclose(fit.fitted, 1e307 * base.fitted, rtol=1e-12)
 
     def test_grid_explosion_guard(self):
         data = ArrayData.on_midpoints(np.zeros((6, 6, 6)))

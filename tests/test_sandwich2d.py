@@ -46,12 +46,18 @@ class TestGridData:
             GridData(np.zeros((3, 4)), midpoints(3), midpoints(5))
 
     def test_unsorted_coords(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"x_coords\[1\] is 0.2; coordinates must "
+                                             "be strictly increasing"):
             GridData(np.zeros((3, 3)), np.array([0.5, 0.2, 0.8]), midpoints(3))
 
     def test_out_of_range_coords(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"x_coords\[2\] is 1.2; coordinates must "
+                                             r"lie within \[0, 1\]"):
             GridData(np.zeros((3, 3)), np.array([0.1, 0.5, 1.2]), midpoints(3))
+
+    def test_empty_coords(self):
+        with pytest.raises(ValueError, match=r"z_coords must be a non-empty vector"):
+            GridData(np.zeros((3, 0)), midpoints(3), np.array([]))
 
     @pytest.mark.parametrize("name, index, bad, want", [
         ("Y", (1, 2), np.nan, r"Y\[1, 2\] is nan"),

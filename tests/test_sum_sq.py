@@ -15,12 +15,13 @@ import pytest
 
 from sandsmooth import fda, glam, sandwich2d
 from sandsmooth.basis import AxisSpec
-from sandsmooth.glam import ArrayData, _rh_chain, _scale_axes, fit_array
+from sandsmooth.glam import ArrayData, fit_array
 from sandsmooth.sandwich2d import (
     SUM_LEAF,
     GridData,
     LambdaGrid,
     _gcv_table,
+    _contract,
     _pick,
     _refined_axis,
     _scale_exponent,
@@ -113,19 +114,25 @@ def plain_select_lambda(data, specs, grid, fine_pass=0):
 
 def plain_fit_array(data, specs, grids):
     """fit_array's computation with y'y and the exact SSE as the plain
-    numpy expressions over data-sized temporaries."""
+    numpy expressions over data-sized temporaries.  As in select_lambda,
+    the SSE sums in the values' memory order (C or F)."""
     spectra = [axis_spectrum(c, spec) for c, spec in zip(data.coords, specs)]
     e = _scale_exponent(data.values)
     k = 2.0 ** -e
-    Ytilde = _rh_chain([sp.A.T for sp in spectra], data.values)
+    Ytilde = _contract(data.values, [sp.A.T for sp in spectra])
     yty = float(np.sum((data.values * k) ** 2))
     n = data.n
     gcv, edf = _gcv_table((Ytilde * k) ** 2, yty, [sp.s for sp in spectra], grids, n)
     idx = _pick(gcv, n, grids)
     lambdas = tuple(float(g[i]) for g, i in zip(grids, idx))
-    sts = [shrink_weights(sp.s, lam) for sp, lam in zip(spectra, lambdas)]
-    fitted = _rh_chain([sp.A for sp in spectra], _scale_axes(Ytilde, sts))
-    sse_exact = float(np.sum(((data.values - fitted) * k) ** 2))
+    core = Ytilde.copy()
+    for axis, (sp, lam) in enumerate(zip(spectra, lambdas)):
+        core *= shrink_weights(sp.s, lam).reshape((-1,) + (1,) * (data.ndim - 1 - axis))
+    fitted = _contract(core, [sp.A for sp in spectra])
+    R = data.values * k
+    R -= fitted * k
+    R **= 2
+    sse_exact = float(np.sum(R))
     edf_best = float(edf[idx])
     sse_exact, gcv_exact, gcv = _unscale(
         e, sse_exact, gcv_score(sse_exact, edf_best, n), gcv)
@@ -201,9 +208,10 @@ class TestWorkingMemory:
 
     def test_fit_array_peak(self):
         # at the default 35 knot segments (c = 38): the fitted array, plus
-        # the last contraction's input and its reshaped copy (2 c / n = 0.63
-        # of the values) and the 1 MB leaf buffer, 1.67 x values.nbytes; a
-        # data-sized temporary for y'y or the SSE makes it 2.05 x
+        # the last contraction's input (c / n = 0.32 of the values) and the
+        # 1 MB leaf buffer, 1.4 x values.nbytes; a data-sized temporary for
+        # the SSE makes it 2.1 x, a scaled copy of the values kept through
+        # the fit 2.4 x
         values = np.random.default_rng(0).standard_normal(self.SHAPE)
         tracemalloc.start()
         try:
@@ -211,7 +219,7 @@ class TestWorkingMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.8 * values.nbytes
+        assert peak < 1.5 * values.nbytes
 
     def test_fit_array_frees_without_the_collector(self):
         # no reference cycle may hold the values or the fit after the caller
