@@ -555,7 +555,7 @@ def cmd_smooth_cov(cfg: RunConfig) -> int:
     if cfg.emit_plotdata:
         rows = [
             (t[i], t[j], series, vals[i, j])
-            for series, vals in (("raw", model.raw_cov),
+            for series, vals in (("raw", C),
                                  ("smoothed", model.smoothed_cov))
             for i in range(curves.J)
             for j in range(curves.J)

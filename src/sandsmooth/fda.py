@@ -14,18 +14,22 @@ The smoothed matrix is A K A' with A the J x c orthonormal spectral basis
 and K = diag(st) (A'CA) diag(st), so its rank is at most c.  Its nonzero
 eigenpairs come exactly from the c x c matrix K: eigenvalues of K, with
 eigenvectors A U.  smooth_cov therefore never decomposes a J x J matrix
-and keeps only these at most c pairs.  Its J x J work is the two J x c
-products and one pass each over the input and the smoothed matrix, which
-checks the asymmetry and symmetrizes in mirrored pairs of cache-sized
-tiles, plus the finiteness check and scaling exponent (min and max) and
-||C||^2, which squares and sums one cache-sized block at a time
-(sandwich2d._sum_sq).  The search runs on C * 2^-e without a scaled copy:
-the power of two rides in the J x c factors of the projection.
+and keeps only these at most c pairs, and one eigh of K gives the smoothed
+matrix too: X X' - Z Z' with X = A U_+ sqrt(w_+) and Z = A U_- sqrt(-w_-),
+products that are symmetric by construction.  smooth_cov reads C three
+times: a read-only check, in mirrored pairs of cache-sized tiles, that C
+equals C' exactly (only a C asymmetric within ASYMMETRY_TOL is copied and
+symmetrized), the scan (sandwich2d._scan_values: extremes, finiteness and
+||C||^2 in one cache-sized walk), and the projection's first J x c
+product.  It writes one J x J matrix, the smoothed one.  The fit runs on
+C * 2^-e without a scaled copy: the power of two rides in the J x c
+factors of the projection and of X and Z, so entries near the float
+maximum smooth without overflow.
 
 The raw matrix is smoothed as-is, noise-inflated diagonal included; pass
 exclude_diagonal=True to replace the diagonal with NaN-free interpolation
 of its neighbors before smoothing (a known practical variant, off by
-default).
+default).  That option works on a copy of C, which it scans again.
 
 The simulation generator draws rank-4 processes plus white measurement
 noise.  Case 1 pairs a trigonometric eigenfunction set with eigenvalues
@@ -43,8 +47,8 @@ from .basis import AxisSpec, auto_knot_segments
 from .rng import CounterNormals, replicate_seed
 from .sandwich2d import (
     LambdaGrid,
-    _contract,
     _pick,
+    _scan_values,
     _SpectralFit,
     _unscale,
     require_coordinates,
@@ -68,8 +72,9 @@ __all__ = [
 ]
 
 ASYMMETRY_TOL = 1e-8
-# Side of the square tiles _symmetrize visits in mirrored pairs; a pair of
-# 128 x 128 float64 tiles (256 KB) stays in a core's L2 cache.
+# Side of the square tiles _is_symmetric and _symmetrize visit in mirrored
+# pairs (a pair of 128 x 128 float64 tiles, 256 KB, stays in a core's L2
+# cache), and height of the row strips of _gram's negative part.
 SYM_TILE = 128
 
 
@@ -112,20 +117,20 @@ class CurveSet:
 
 @dataclass(frozen=True)
 class CovModel:
-    """Raw and smoothed covariance with the at most c nonzero eigenpairs.
+    """Smoothed covariance with the at most c nonzero eigenpairs.
 
-    eigenvalues are the c eigenvalues of the rank-c smoothed matrix (c the
-    basis dimension) divided by J, in descending order; eigenfunctions[k]
-    is the k-th estimated eigenfunction sampled at t (unit quadrature norm:
-    (1/J) sum psi^2 = 1).  The J - c eigenvalues left out are zero in
-    exact arithmetic.  When the smoothed matrix is indefinite (which
-    exclude_diagonal can cause), its negative eigenvalues follow the
-    positive ones directly here, not after J - c zeros as in a dense
-    decomposition.
+    smoothed_cov is exactly symmetric.  eigenvalues are the c eigenvalues
+    of the rank-c smoothed matrix (c the basis dimension) divided by J, in
+    descending order; eigenfunctions[k] is the k-th estimated
+    eigenfunction sampled at t (unit quadrature norm: (1/J) sum psi^2 = 1).
+    The J - c eigenvalues left out are zero in exact arithmetic.  When the
+    smoothed matrix is indefinite (which exclude_diagonal can cause), its
+    negative eigenvalues follow the positive ones directly here, not after
+    J - c zeros as in a dense decomposition.  The model keeps no reference
+    to the raw matrix, so the caller decides how long that lives.
     """
 
     t: np.ndarray
-    raw_cov: np.ndarray
     smoothed_cov: np.ndarray
     lam: float
     gcv_value: float
@@ -183,50 +188,81 @@ def default_cov_spec(J: int) -> AxisSpec:
     return AxisSpec(knot_segments=auto_knot_segments(J))
 
 
-def _decompose(matrix: np.ndarray, basis: np.ndarray | None = None
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """Eigensystem of basis @ matrix @ basis' with quadrature scaling and
-    default signs.
-
-    basis must have orthonormal columns; None stands for the identity, so
-    the full eigensystem of `matrix` itself is returned.
-    """
-    w, V = np.linalg.eigh(matrix)
-    w = w[::-1]
-    V = V[:, ::-1]
-    if basis is not None:
-        V = basis @ V
+def _eigensystem(w: np.ndarray, V: np.ndarray, e: int = 0
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """(2^e w / J, sqrt(J) V') in descending order of w, with quadrature
+    scaling and default signs, from eigh's ascending eigenvalues w and
+    J x k orthonormal eigenvectors V."""
     J = V.shape[0]
-    funcs = np.sqrt(J) * V.T
+    funcs = np.sqrt(J) * V[:, ::-1].T
     for row in funcs:
         nonzero = np.nonzero(np.abs(row) > 1e-12 * np.abs(row).max())[0]
         if nonzero.size and row[nonzero[0]] < 0:
             row *= -1.0
-    return w / J, funcs
+    return np.ldexp(w[::-1] / J, e), funcs
+
+
+def _decompose(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Full eigensystem of a symmetric matrix, as _eigensystem scales it."""
+    return _eigensystem(*np.linalg.eigh(matrix))
+
+
+def _gram(V: np.ndarray, w: np.ndarray, e: int) -> np.ndarray:
+    """2^e V diag(w) V', exactly symmetric: X X' - Z Z' with X = V_+
+    sqrt(w_+) and Z = V_- sqrt(-w_-), each scaled by 2^(e/2) so that
+    entries near the float maximum do not overflow on the way.
+
+    numpy computes X X' with syrk and mirrors it; Z Z' is subtracted a
+    strip of SYM_TILE rows at a time, its diagonal blocks by syrk and each
+    off-diagonal block from both sides, so no second J x J matrix is made.
+    """
+    scaled = np.ldexp(V * np.sqrt(np.ldexp(np.abs(w), e % 2)), e // 2)
+    X, Z = scaled[:, w > 0], scaled[:, w < 0]
+    out = X @ X.T
+    if Z.shape[1]:
+        J = out.shape[0]
+        for a in range(0, J, SYM_TILE):
+            rows, rest = slice(a, a + SYM_TILE), slice(a + SYM_TILE, J)
+            out[rows, rows] -= Z[rows] @ Z[rows].T
+            block = Z[rows] @ Z[rest].T
+            out[rows, rest] -= block
+            out[rest, rows] -= block.T
+    return out
+
+
+def _mirrored_tiles(J: int):
+    """(rows, cols) of the SYM_TILE tiles on and above the diagonal of a
+    J x J matrix; C[cols, rows] is each one's mirror."""
+    for a in range(0, J, SYM_TILE):
+        for b in range(a, J, SYM_TILE):
+            yield slice(a, a + SYM_TILE), slice(b, b + SYM_TILE)
+
+
+def _is_symmetric(C: np.ndarray) -> bool:
+    """C == C' exactly, read in mirrored pairs of tiles; no copy of C is
+    made.  NaN is unequal to itself, so a NaN entry reads False."""
+    return all(np.array_equal(C[rows, cols], C[cols, rows].T)
+               for rows, cols in _mirrored_tiles(C.shape[0]))
 
 
 def _symmetrize(C: np.ndarray) -> tuple[float, np.ndarray]:
     """(max|C - C'|, 0.5 * (C + C')) of a square matrix in one pass.
 
     Each mirrored pair of SYM_TILE tiles is read once, so the transpose
-    never strides across the whole matrix.  The elementwise operations are
-    those of the two whole-matrix expressions, and addition commutes, so
-    both results carry the same bits; the maximum propagates NaN as
-    np.max does.
+    never strides across the whole matrix.  The half-sum is formed as
+    0.5 * upper + 0.5 * lower, which carries the bits of 0.5 * (C + C')
+    outside the subnormal range and does not overflow near the float
+    maximum; addition commutes, so the result is exactly symmetric.  The
+    maximum propagates NaN as np.max does.
     """
-    J = C.shape[0]
     out = np.empty_like(C)
     worst = []
-    for a in range(0, J, SYM_TILE):
-        rows = slice(a, a + SYM_TILE)
-        for b in range(a, J, SYM_TILE):
-            cols = slice(b, b + SYM_TILE)
-            upper, lower = C[rows, cols], C[cols, rows].T
-            worst.append(np.max(np.abs(upper - lower)))
-            half = upper + lower
-            half *= 0.5
-            out[rows, cols] = half
-            out[cols, rows] = half.T
+    for rows, cols in _mirrored_tiles(C.shape[0]):
+        upper, lower = C[rows, cols], C[cols, rows].T
+        worst.append(np.max(np.abs(upper - lower)))
+        half = upper * 0.5 + lower * 0.5
+        out[rows, cols] = half
+        out[cols, rows] = half.T
     return float(np.max(worst)), out
 
 
@@ -242,12 +278,17 @@ def smooth_cov(C: np.ndarray, spec: AxisSpec | None = None,
     C = np.asarray(C, dtype=float)
     if C.ndim != 2 or C.shape[0] != C.shape[1]:
         raise ValueError("C must be square")
-    with np.errstate(invalid="ignore"):  # inf - inf reads NaN, rejected below
-        asymmetry, sym = _symmetrize(C)
-    if not asymmetry <= ASYMMETRY_TOL:  # NaN, from a non-finite entry, too
-        require_finite("C", C)
-        raise ValueError(f"input asymmetric beyond {ASYMMETRY_TOL}")
-    raw, C = C, sym
+    # an exactly symmetric C (sample_cov's) is read in place; only one
+    # asymmetric within the tolerance is copied and symmetrized
+    copied = not _is_symmetric(C)
+    if copied:
+        with np.errstate(invalid="ignore", over="ignore"):  # NaN is rejected below
+            asymmetry, sym = _symmetrize(C)
+        if not asymmetry <= ASYMMETRY_TOL:  # NaN, from a non-finite entry, too
+            require_finite("C", C)
+            raise ValueError(f"input asymmetric beyond {ASYMMETRY_TOL}")
+        C = sym
+    scan = _scan_values("C", C)  # names a non-finite entry
     J = C.shape[0]
     if t is None:
         t = midpoints(J)
@@ -257,17 +298,19 @@ def smooth_cov(C: np.ndarray, spec: AxisSpec | None = None,
     if exclude_diagonal:
         # white noise inflates only the exact diagonal; rebuild it from the
         # first off-diagonal, whose entries are noise-free in expectation
+        C = C if copied else C.copy()
         off = np.diag(C, 1)
         d_new = np.empty(J)
         d_new[0], d_new[-1] = off[0], off[-1]
-        d_new[1:-1] = 0.5 * (off[:-1] + off[1:])
+        d_new[1:-1] = off[:-1] * 0.5 + off[1:] * 0.5
         C[np.diag_indices_from(C)] = d_new
+        scan = _scan_values("C", C)
     lams = (LambdaGrid.default().lambda_x if lams is None
             else np.atleast_1d(np.asarray(lams, float)))
     if np.any(lams < 0):
         raise ValueError("lambdas must be nonnegative")
 
-    fit = _SpectralFit(C, (sp, sp))
+    fit = _SpectralFit(C, (sp, sp), scan)
     gcv, edf = fit.score((lams, lams))
     # one lambda on both sides: the diagonal of the bivariate table; a
     # singleton list pins lambda, even where GCV is undefined
@@ -275,14 +318,16 @@ def smooth_cov(C: np.ndarray, spec: AxisSpec | None = None,
     (k,) = _pick(gcv, fit.n, (lams,)) if lams.size > 1 else (0,)
     lam = float(lams[k])
 
+    # the smoothed core on the scale of C * 2^-e; one eigh serves both the
+    # eigenpairs and the smoothed matrix, each scaled back by 2^e
     st = shrink_weights(sp.s, lam)
-    K = np.ldexp(st[:, None] * fit.Ytilde * st[None, :], fit.e)  # unscaled
-    _, smoothed = _symmetrize(_contract(K, (sp.A, sp.A)))
-    values, funcs = _decompose(0.5 * (K + K.T), sp.A)
+    core = st[:, None] * fit.Ytilde * st[None, :]
+    w, U = np.linalg.eigh(0.5 * (core + core.T))
+    V = sp.A @ U
+    values, funcs = _eigensystem(w, V, fit.e)
     return CovModel(
         t=np.asarray(t, float),
-        raw_cov=raw,
-        smoothed_cov=smoothed,
+        smoothed_cov=_gram(V, w, fit.e),
         lam=lam,
         gcv_value=float(_unscale(fit.e, gcv[k])[0]),
         edf=float(edf[k]),

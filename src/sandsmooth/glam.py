@@ -16,18 +16,22 @@ fit carries the bits of select_lambda's.
 The first axis is the fastest-varying one under column-major flattening,
 so for d = 2 the flattened fit matches the column-stacked matrix fit.
 
-Per fit, the passes the size of the data are: the finiteness check and
-the scaling exponent (min and max), the projection's first contraction,
-y'y, the reconstruction's last contraction, and the exact SSE of the
-returned fit.  y'y and the exact SSE read the values (and the fit) one
-cache-sized block at a time (sandwich2d._sum_sq).  The peak working memory
-is the fitted array plus the last contraction's input, (n_1 ... n_{d-1})
-c_d entries: 1.2 x the values at 200^3 with 38 basis functions per axis.
+Per fit, the values are read four times: the scan at construction
+(ArrayData keeps the extremes and sum of squares, which give the scaling
+exponent, the finiteness check and y'y), the projection's first
+contraction, the reconstruction's last contraction, and the exact SSE of
+the returned fit.  The scan and the exact SSE read the values (and the
+fit) one cache-sized block at a time (sandwich2d._sum_sq).  The
+reconstruction (sandwich2d._reconstruct) carries the power of two in its
+per-axis factors, contracts each middle axis in one batched product and
+the last axis in one GEMM.  The peak working memory is the fitted array
+plus the last contraction's input, (n_1 ... n_{d-1}) c_d entries: 1.2 x
+the values at 200^3 with 38 basis functions per axis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,9 +40,10 @@ from .sandwich2d import (
     LambdaGrid,
     _axis_spectra,
     _pick,
+    _Scan,
+    _scan_values,
     _SpectralFit,
     require_coordinates,
-    require_finite,
 )
 
 __all__ = ["ArrayData", "MultiFit", "fit_array", "MAX_GRID_COMBINATIONS"]
@@ -52,10 +57,16 @@ _DEFAULT_GRID_SIZE_HIGH_D = 6
 
 @dataclass(frozen=True)
 class ArrayData:
-    """Dense, finite d-dimensional responses; per-axis coordinates in [0, 1]."""
+    """Dense, finite d-dimensional responses; per-axis coordinates in [0, 1].
+
+    Construction reads the values once (sandwich2d._scan_values) and keeps
+    their extremes and sum of squares for the fit, so the values must not
+    change after construction; the finiteness check already assumes this.
+    """
 
     values: np.ndarray
     coords: tuple[np.ndarray, ...]
+    _scan: _Scan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -67,7 +78,7 @@ class ArrayData:
                 f"{values.ndim}-dimensional values need {values.ndim} "
                 f"coordinate vectors, got {len(coords)}"
             )
-        require_finite("values", values)
+        object.__setattr__(self, "_scan", _scan_values("values", values))
         for axis, c in enumerate(coords):
             require_coordinates(f"coords[{axis}]", c)
             if c.size != values.shape[axis]:
@@ -138,7 +149,7 @@ def fit_array(data: ArrayData, specs=None, grids=None) -> MultiFit:
         if np.any(g <= 0):
             raise ValueError(f"axis {axis}: lambdas must be strictly positive")
 
-    fit = _SpectralFit(data.values, _axis_spectra(data.coords, specs))
+    fit = _SpectralFit(data.values, _axis_spectra(data.coords, specs), data._scan)
     gcv, edf = fit.score(grids)
     idx = _pick(gcv, fit.n, grids)
     lambdas = tuple(float(g[i]) for g, i in zip(grids, idx))

@@ -18,20 +18,23 @@ for the winning pair: Theta = F1 @ (shrink1 * Ytilde * shrink2) @ F2.T with
 F_i the per-axis coefficient maps, which is the penalized normal-equation
 solution without any c1*c2-sized linear system.
 
-Per fit, the passes the size of the data are: the finiteness check and
-the scaling exponent (min and max), the projection A1' Y A2, y'y, the
+Per fit, the data are read four times: the scan at construction (GridData
+keeps its extremes and sum of squares, which give the scaling exponent,
+the finiteness check and y'y), the projection A1' Y A2, the
 reconstruction A1 (.) A2', and the exact SSE of the returned fit.  The fit
 runs on Y * 2^-e, but the power of two rides in the small per-axis factors
-of the projection, so no scaled copy of the data is made.  y'y and the
-exact SSE go through _sum_sq, which squares and sums one cache-sized block
-at a time, so neither allocates a temporary the size of the data.
+of the projection and of the reconstruction, so no scaled copy of the data
+is made and the fit needs no rescaling pass.  The scan and the exact SSE
+walk numpy's pairwise summation tree one cache-sized block at a time
+(_sum_sq), so neither allocates a temporary the size of the data.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
@@ -72,6 +75,11 @@ def require_finite(name: str, values: np.ndarray) -> None:
     """
     if values.size == 0 or (np.isfinite(values.min()) and np.isfinite(values.max())):
         return
+    _name_non_finite(name, values)
+
+
+def _name_non_finite(name: str, values: np.ndarray) -> NoReturn:
+    """Raise ValueError naming the first non-finite entry of values."""
     idx = tuple(int(i) for i in np.argwhere(~np.isfinite(values))[0])
     raise ValueError(f"{name}[{', '.join(map(str, idx))}] is {values[idx]}; "
                      "values must be finite")
@@ -131,18 +139,24 @@ def _fill(out, a, b, k, lo):
         _fill(out[done:], a[r], None if b is None else b[r], k, 0)
 
 
-def _tree_sum(a, b, k, lo, n, buf):
+def _tree_sum(a, b, k, lo, n, buf, leaves=None):
     """Sum of the squared entries lo .. lo + n - 1 of a's C-order walk of
     (a - b) * k, split as numpy's pairwise summation splits them: halves
     cut at a multiple of 8 down to SUM_LEAF entries, each leaf filled into
-    buf and summed by np.sum."""
+    buf and summed by np.sum.  A list passed as leaves receives each
+    leaf's (min, max, smallest square) while the leaf is in cache."""
     if n > SUM_LEAF:
         h = n // 2
         h -= h % 8
-        return _tree_sum(a, b, k, lo, h, buf) + _tree_sum(a, b, k, lo + h, n - h, buf)
+        return (_tree_sum(a, b, k, lo, h, buf, leaves)
+                + _tree_sum(a, b, k, lo + h, n - h, buf, leaves))
     leaf = buf[:n]
     _fill(leaf, a, b, k, lo)
+    if leaves is not None:
+        low, high = leaf.min(), leaf.max()
     np.square(leaf, out=leaf)
+    if leaves is not None:
+        leaves.append((low, high, leaf.min()))
     return np.sum(leaf)
 
 
@@ -167,6 +181,51 @@ def _sum_sq(a, b=None, k=1.0) -> float:
     return float(_tree_sum(a, b, k, 0, a.size, np.empty(min(a.size, SUM_LEAF))))
 
 
+def _exponent(low, high) -> int:
+    """e with max(|low|, |high|) * 2^-e in [0.5, 1), except that e stops at
+    -1022 so that 2^-e is finite."""
+    return max(math.frexp(float(max(high, -low)))[1], -1022)
+
+
+class _Scan(NamedTuple):
+    """What one read of a data array tells a fit: its extremes, its sum of
+    squares (the bits of _sum_sq(values)) and its smallest square."""
+
+    low: float
+    high: float
+    sum_sq: float
+    min_sq: float
+
+    def scaled_sum_sq(self, values, e) -> float:
+        """_sum_sq(values, k=2^-e) bit for bit.  When every square and every
+        scaled square is normal and the sum is finite, scaling by 2^-2e
+        changes no rounding in the tree, so the unscaled sum scales
+        exactly; otherwise the values are read again."""
+        tiny = np.finfo(float).tiny
+        if (math.isfinite(self.sum_sq) and self.min_sq >= tiny
+                and math.ldexp(self.min_sq, -2 * e) >= tiny):
+            return math.ldexp(self.sum_sq, -2 * e)
+        return _sum_sq(values, k=2.0 ** -e)
+
+
+def _scan_values(name: str, values: np.ndarray) -> _Scan:
+    """One read of values along _sum_sq's walk (k = 1): the extremes, the
+    sum of squares and the smallest square.  Raises ValueError naming the
+    first non-finite entry; the mask is built only then."""
+    if values.size == 0:
+        return _Scan(0.0, 0.0, 0.0, 0.0)
+    a = values.transpose(_walk_order(values, None))
+    leaves = []
+    with np.errstate(over="ignore"):  # squares past the float range read inf
+        total = _tree_sum(a, None, 1.0, 0, a.size, np.empty(min(a.size, SUM_LEAF)),
+                          leaves)
+    lows, highs, squares = np.array(leaves).T
+    low, high = lows.min(), highs.max()
+    if not (np.isfinite(low) and np.isfinite(high)):
+        _name_non_finite(name, values)
+    return _Scan(float(low), float(high), float(total), float(squares.min()))
+
+
 def _axis_spectra(coords, specs) -> list[AxisSpectrum]:
     """One AxisSpectrum per axis; axes with equal coordinates and spec share
     the one built for the first of them."""
@@ -180,11 +239,17 @@ def _axis_spectra(coords, specs) -> list[AxisSpectrum]:
 
 @dataclass(frozen=True)
 class GridData:
-    """Finite responses on a rectangular grid, sorted coordinates in [0, 1]."""
+    """Finite responses on a rectangular grid, sorted coordinates in [0, 1].
+
+    Construction reads Y once (_scan_values) and keeps its extremes and sum of
+    squares for the fits, so Y must not change after construction; the
+    finiteness check already assumes this.
+    """
 
     Y: np.ndarray
     x_coords: np.ndarray
     z_coords: np.ndarray
+    _scan: _Scan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         Y = np.asarray(self.Y, dtype=float)
@@ -196,7 +261,7 @@ class GridData:
             raise ValueError(
                 f"Y is {Y.shape} but coordinates imply {(x.size, z.size)}"
             )
-        require_finite("Y", Y)
+        object.__setattr__(self, "_scan", _scan_values("Y", Y))
         require_coordinates("x_coords", x)
         require_coordinates("z_coords", z)
         object.__setattr__(self, "Y", Y)
@@ -259,7 +324,7 @@ def transform_data(data: GridData, sx: AxisSpectrum,
     Returns (Ytilde, y'y).  Computed once per dataset; every candidate
     (lam1, lam2) reuses the pair.
     """
-    return _project(data.Y, (sx, sz)), _sum_sq(data.Y)
+    return _project(data.Y, (sx, sz)), data._scan.sum_sq
 
 
 def sse_terms(Ytilde: np.ndarray, yty: float, s1: np.ndarray, s2: np.ndarray,
@@ -301,7 +366,7 @@ def _scale_exponent(values: np.ndarray) -> int:
     so that 2^-e is finite.  GCV selection is scale-free, so fits run on
     values * 2^-e: no square overflows, and scaling by a power of two is
     exact."""
-    return max(math.frexp(float(max(values.max(), -values.min())))[1], -1022)
+    return _exponent(values.min(), values.max())
 
 
 def _unscale(e, *squares):
@@ -325,6 +390,19 @@ def _contract(W, tables):
     for k, table in enumerate(tables[1:], start=1):
         out = np.moveaxis(np.moveaxis(out, k, -1) @ table.T, -1, k)
     return out
+
+
+def _reconstruct(core, tables):
+    """_contract(core, tables) bit for bit, with fewer and larger products:
+    each middle axis is one batched product over the leading axes, and the
+    last axis is one GEMM over all the others."""
+    out = tables[0] @ core.reshape(core.shape[0], -1)
+    lead = tables[0].shape[0]
+    for k, table in enumerate(tables[1:-1], start=1):
+        out = np.matmul(table, out.reshape(lead, core.shape[k], -1))
+        lead *= table.shape[0]
+    out = out.reshape(-1, core.shape[-1]) @ tables[-1].T
+    return out.reshape(tuple(t.shape[0] for t in tables))
 
 
 def _sse_table(fit_norm, cross, yty):
@@ -392,14 +470,15 @@ def _project(values, spectra, e=0):
 
 class _SpectralFit:
     """The smoother of values on the axes of spectra, run on values * 2^-e
-    (e from _scale_exponent) so that no square overflows; GCV selection is
-    scale-free.  Every candidate score and the fit share one projection."""
+    (e from the extremes in scan, the values' _scan_values) so that no
+    square overflows; GCV selection is scale-free.  Every candidate score
+    and the fit share one projection."""
 
-    def __init__(self, values, spectra):
+    def __init__(self, values, spectra, scan):
         self.spectra, self.n = spectra, values.size
-        self.e = _scale_exponent(values)
+        self.e = _exponent(scan.low, scan.high)
         self.Ytilde = _project(values, spectra, self.e)
-        self.yty = _sum_sq(values, k=2.0 ** -self.e)
+        self.yty = scan.scaled_sum_sq(values, self.e)
 
     def score(self, lams):
         """(GCV, edf) tables over the candidate tuples lams, one list per axis."""
@@ -409,16 +488,18 @@ class _SpectralFit:
     def finish(self, values, lambdas, edf, table):
         """(core, fitted, sse, gcv, table) of the fit at lambdas, of trace
         edf: core is Ytilde shrunk along every axis and fitted is
-        A_1 ... A_d core, scaled back.  The table keeps the fast-form scores
-        that drove selection; sse and gcv are exact for the returned fit
-        (the fast form carries cancellation noise of order eps * y'y), with
-        the SSE summed in the values' own memory order."""
+        A_1 ... A_d core, scaled back by 2^e in the per-axis factors (in
+        parts as in _project).  The table keeps the fast-form scores that
+        drove selection; sse and gcv are exact for the returned fit (the
+        fast form carries cancellation noise of order eps * y'y), with the
+        SSE summed in the values' own memory order."""
         core = self.Ytilde
         for axis, (sp, lam) in enumerate(zip(self.spectra, lambdas)):
             core = core * shrink_weights(sp.s, lam).reshape(
                 (-1,) + (1,) * (core.ndim - 1 - axis))
-        fitted = _contract(core, [sp.A for sp in self.spectra])
-        np.ldexp(fitted, self.e, out=fitted)
+        d = len(self.spectra)
+        fitted = _reconstruct(core, [np.ldexp(sp.A, (self.e + k) // d)
+                                     for k, sp in enumerate(self.spectra)])
         order = np.argsort(np.negative(np.abs(values.strides)), kind="stable")
         sse = _sum_sq(values.transpose(order), fitted.transpose(order), 2.0 ** -self.e)
         sse, gcv, table = _unscale(self.e, sse, gcv_score(sse, edf, self.n), table)
@@ -441,7 +522,7 @@ def select_lambda(data: GridData, specs: tuple[AxisSpec, AxisSpec] | None = None
     if grid is None:
         grid = LambdaGrid.default()
     sx, sz = spectra = _axis_spectra((data.x_coords, data.z_coords), specs)
-    fit = _SpectralFit(data.Y, spectra)
+    fit = _SpectralFit(data.Y, spectra, data._scan)
 
     lams = (grid.lambda_x, grid.lambda_z)
     gcv, edf = fit.score(lams)

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,7 +21,7 @@ from sandsmooth.fda import (
 )
 from sandsmooth.rng import CounterNormals
 from sandsmooth.sandwich2d import GridData, LambdaGrid, select_lambda
-from sandsmooth.spectra import SingularGram, apply_smoother, axis_spectrum
+from sandsmooth.spectra import SingularGram, apply_smoother, axis_spectrum, shrink_weights
 from sandsmooth.surfaces import midpoints
 
 
@@ -150,13 +151,32 @@ class TestSmoothCov:
         C[-1, 0] = np.nan
         assert np.isnan(fda._symmetrize(C)[0])
 
+    def test_half_sums_do_not_overflow(self):
+        C = np.full((3, 3), 1.5 * 2.0 ** 1023)
+        C[0, 1] = 2.0 ** 1023
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, sym = fda._symmetrize(C)
+        assert sym[0, 1] == sym[1, 0] == 1.25 * 2.0 ** 1023
+        assert np.array_equal(np.delete(sym.ravel(), [1, 3]), np.delete(C.ravel(), [1, 3]))
+
+    @pytest.mark.parametrize("J", [1, 127, 128, 129, 300])
+    def test_exact_symmetry_check(self, J):
+        rng = np.random.default_rng(J)
+        M = rng.normal(size=(J, J))
+        C = M + M.T
+        assert fda._is_symmetric(C)
+        C[J // 3, J - 1] = np.nextafter(C[J // 3, J - 1], np.inf)
+        assert fda._is_symmetric(C) == (J // 3 == J - 1)
+        C[J - 1, J - 1] = np.nan
+        assert not fda._is_symmetric(C)
+
     def test_asymmetry_tolerance_is_inclusive(self):
         # one mirrored pair, in tiles on either side of the diagonal
         J = 300
         C = np.eye(J)
         C[5, 290] = fda.ASYMMETRY_TOL
         model = smooth_cov(C, lams=[1.0])
-        assert model.raw_cov is C
         C[5, 290] = np.nextafter(fda.ASYMMETRY_TOL, 1.0)
         with pytest.raises(ValueError, match="asymmetric"):
             smooth_cov(C, lams=[1.0])
@@ -245,6 +265,21 @@ class TestSmoothCov:
         with np.errstate(over="ignore"):
             assert big.gcv_value == np.ldexp(base.gcv_value, 1060)
 
+    @pytest.mark.parametrize("exclude_diagonal", [False, True])
+    def test_entries_near_the_float_maximum(self, exclude_diagonal):
+        # the largest entry is 6.1e307: the unscaled core K, about J times
+        # C, would overflow, and so would C + C' in the half-sums
+        C = sample_cov(simulate_fda(2, 30, 40, 0.5, seed=4))
+        base = smooth_cov(C, exclude_diagonal=exclude_diagonal)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big = smooth_cov(np.ldexp(C, 1020), exclude_diagonal=exclude_diagonal)
+        assert np.all(np.isfinite(big.smoothed_cov))
+        assert (big.lam, big.edf) == (base.lam, base.edf)
+        assert np.array_equal(big.smoothed_cov, np.ldexp(base.smoothed_cov, 1020))
+        assert np.array_equal(big.eigenvalues, np.ldexp(base.eigenvalues, 1020))
+        assert np.array_equal(big.eigenfunctions, base.eigenfunctions)
+
     def test_huge_entries_fit_without_overflow(self):
         C = sample_cov(simulate_fda(1, 30, 40, 0.5, seed=5))
         base = smooth_cov(C)
@@ -325,6 +360,82 @@ class TestEigenpairs:
             ise = np.mean((funcs[0] - ref[0]) ** 2)
             hits += ise < 0.5
         assert hits >= 90
+
+
+def dense_smoothed(C, lam, exclude_diagonal=False):
+    """A K A' from the dense J x J expressions: the symmetrized C, its
+    diagonal rebuilt if asked, projected, shrunk and reconstructed."""
+    C = 0.5 * (C + C.T)
+    J = C.shape[0]
+    if exclude_diagonal:
+        off = np.diag(C, 1)
+        C[np.diag_indices(J)] = np.r_[off[0], 0.5 * (off[:-1] + off[1:]), off[-1]]
+    sp = axis_spectrum(midpoints(J), default_cov_spec(J))
+    st = shrink_weights(sp.s, lam)
+    K = st[:, None] * (sp.A.T @ C @ sp.A) * st[None, :]
+    return sp.A @ K @ sp.A.T
+
+
+def indefinite(J, seed):
+    """A smooth symmetric matrix with large negative eigenvalues."""
+    t = midpoints(J)
+    rng = np.random.default_rng(seed)
+    F = np.stack([np.sin((k + 1) * np.pi * t) for k in range(6)])
+    return (F.T * rng.normal(size=6)) @ F + 0.1 * np.outer(t, t)
+
+
+class TestSymmetricSmoother:
+    """The smoothed matrix X X' - Z Z' from one eigh of the c x c core."""
+
+    @pytest.mark.parametrize("make,exclude_diagonal", [
+        (lambda J: sample_cov(simulate_fda(1, 40, J, 0.5, seed=J)), False),
+        (lambda J: sample_cov(simulate_fda(2, 40, J, 0.5, seed=J)), True),
+        (lambda J: indefinite(J, J), False),
+        (lambda J: indefinite(J, J + 1), True),
+    ])
+    @pytest.mark.parametrize("J", [60, 300])
+    def test_matches_the_dense_smoother(self, make, exclude_diagonal, J):
+        C = make(J)
+        model = smooth_cov(C, exclude_diagonal=exclude_diagonal)
+        M = model.smoothed_cov
+        scale = np.max(np.abs(M))
+        assert np.array_equal(M, M.T)
+        dense = dense_smoothed(C, model.lam, exclude_diagonal)
+        assert np.max(np.abs(M - dense)) <= 1e-13 * scale
+        # the rank-c eigensystem rebuilds it: sum_k J lambda_k v_k v_k'
+        # with v_k = psi_k / sqrt(J)
+        psi = model.eigenfunctions
+        rebuilt = (psi.T * model.eigenvalues) @ psi
+        assert np.max(np.abs(M - rebuilt)) <= 1e-12 * scale
+
+    def test_indefinite_cores_take_the_negative_part(self):
+        # the cases above reach Z Z' on several strips of rows
+        model = smooth_cov(indefinite(300, 301))
+        assert model.eigenvalues.min() < -1e-3 * model.eigenvalues.max()
+
+    @pytest.mark.parametrize("exclude_diagonal", [False, True])
+    def test_tolerance_path_keeps_the_bits(self, monkeypatch, exclude_diagonal):
+        # an exactly symmetric C read in place, or copied by _symmetrize as
+        # an input within the asymmetry tolerance is: the same fit
+        C = sample_cov(simulate_fda(1, 50, 200, 0.5, seed=12))
+        fast = smooth_cov(C, exclude_diagonal=exclude_diagonal)
+        monkeypatch.setattr(fda, "_is_symmetric", lambda C: False)
+        slow = smooth_cov(C, exclude_diagonal=exclude_diagonal)
+        assert (slow.lam, slow.edf, slow.gcv_value) == (fast.lam, fast.edf, fast.gcv_value)
+        assert np.array_equal(slow.smoothed_cov, fast.smoothed_cov)
+        assert np.array_equal(slow.eigenvalues, fast.eigenvalues)
+
+    def test_exactly_symmetric_input_is_not_copied(self):
+        C = sample_cov(simulate_fda(1, 50, 1500, 0.5, seed=13))
+        tracemalloc.start()
+        try:
+            smooth_cov(C)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the J x J output and J x c factors; a symmetrized copy of C or a
+        # J x J temporary makes it 2 x or more
+        assert peak < 1.3 * C.nbytes
 
 
 class TestRankCEigensystem:

@@ -1,8 +1,11 @@
-"""The fused square-and-sum kernel and the fits that use it.
+"""The fused square-and-sum kernel, the construction scan, the
+reconstruction, and the fits that use them.
 
 _sum_sq must return float(np.sum(((a - b) * k) ** 2)) bit for bit for any
-layout of a and b.  Each fit is checked against a reference copy of its
-computation that takes y'y and the exact SSE from the plain numpy
+layout of a and b.  The scan must give the scaling exponent and y'y that
+_scale_exponent and _sum_sq give, and the reconstruction the bits of the
+axis-by-axis contraction.  Each fit is checked against a reference copy of
+its computation that takes y'y and the exact SSE from the plain numpy
 expressions over data-sized temporaries: every reported number and array
 must carry the same bits.
 """
@@ -22,9 +25,12 @@ from sandsmooth.sandwich2d import (
     LambdaGrid,
     _gcv_table,
     _contract,
+    _exponent,
     _pick,
+    _reconstruct,
     _refined_axis,
     _scale_exponent,
+    _scan_values,
     _sum_sq,
     _unscale,
     gcv_score,
@@ -76,6 +82,101 @@ class TestKernel:
 
     def test_empty(self):
         assert _sum_sq(np.zeros((0, 4)), np.zeros((0, 4))) == 0.0
+
+
+def scan_cases():
+    """(name, values, takes the fallback) for the scan oracle."""
+    rng = np.random.default_rng(21)
+    zeros = rng.standard_normal((53, 61, 7))
+    zeros[::3] = 0.0
+    mixed = rng.standard_normal((40, 50))
+    mixed[0, :10] = 1e-170  # squares below the normal range
+    return [
+        ("heavy", heavy(rng, (300, 280)), False),
+        ("heavy-4d", heavy(rng, (17, 19, 23, 29)), False),
+        ("exact zeros", zeros, True),
+        ("a few subnormal squares", mixed, True),
+        ("subnormal squares", 1e-160 * rng.standard_normal((40, 50)), True),
+        ("near the float maximum", 1.7e308 * rng.uniform(-1, 1, (40, 50)), True),
+        ("subnormal values", 1e-310 * rng.standard_normal((40, 50)), True),
+    ]
+
+
+def laid_out(values, layout):
+    if layout == "F":
+        return np.asfortranarray(values)
+    if layout == "permuted":
+        return np.moveaxis(np.ascontiguousarray(np.moveaxis(values, 0, -1)), -1, 0)
+    return values
+
+
+class TestScan:
+    @pytest.mark.parametrize("case", scan_cases(), ids=lambda c: c[0])
+    @pytest.mark.parametrize("layout", ["C", "F", "permuted"])
+    def test_exponent_and_yty_keep_their_bits(self, case, layout, monkeypatch):
+        _, values, fallback = case
+        values = laid_out(values, layout)
+        e = _scale_exponent(values)
+        with np.errstate(over="ignore"):
+            want = _sum_sq(values, k=2.0 ** -e)
+            whole = _sum_sq(values)
+        scan = _scan_values("v", values)
+        assert (scan.low, scan.high) == (values.min(), values.max())
+        assert bits(scan.sum_sq) == bits(whole)
+        assert _exponent(scan.low, scan.high) == e
+        reads = []
+        monkeypatch.setattr(sandwich2d, "_sum_sq",
+                            lambda *a, **k: reads.append(1) or _sum_sq(*a, **k))
+        assert bits(scan.scaled_sum_sq(values, e)) == bits(want)
+        # only values outside the proven range are read a second time
+        assert bool(reads) == fallback
+
+    def test_the_shortcut_alone_would_be_wrong(self):
+        # the fallback is needed: scaling the unscaled sum of these values
+        # overflows or loses bits below the normal range
+        for name, values, _ in scan_cases():
+            if name not in ("subnormal squares", "near the float maximum",
+                            "subnormal values"):
+                continue
+            scan = _scan_values("v", values)
+            e = _exponent(scan.low, scan.high)
+            with np.errstate(over="ignore"):
+                assert np.ldexp(scan.sum_sq, -2 * e) != _sum_sq(values, k=2.0 ** -e)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_names_the_first_non_finite_entry(self, bad):
+        values = np.ones((3, SUM_LEAF // 2 + 5))
+        values[2, 7] = bad
+        with pytest.raises(ValueError, match=rf"^Y\[2, 7\] is {bad}; values must be finite"):
+            _scan_values("Y", values)
+
+
+def moveaxis_contract(W, tables):
+    """The axis-by-axis contraction as the reconstruction ran it before: the
+    first axis as one product, then every further axis moved last, applied,
+    and moved back."""
+    out = (tables[0] @ W.reshape(W.shape[0], -1)).reshape((-1,) + W.shape[1:])
+    for k, table in enumerate(tables[1:], start=1):
+        out = np.moveaxis(np.moveaxis(out, k, -1) @ table.T, -1, k)
+    return out
+
+
+class TestReconstruction:
+    @pytest.mark.parametrize("shape,c", [
+        ((300, 280), 153),
+        ((53, 61, 71), 15),
+        ((17, 19, 23, 29), 9),
+        ((200, 200, 200), 38),
+    ])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_matches_the_moveaxis_contraction(self, shape, c, order):
+        rng = np.random.default_rng(len(shape))
+        core = np.asarray(heavy(rng, (c,) * len(shape)), order=order)
+        tables = [np.ldexp(rng.standard_normal((n, c)), k) for k, n in enumerate(shape)]
+        out = _reconstruct(core, tables)
+        want = moveaxis_contract(core, tables)
+        assert out.shape == shape and out.flags.c_contiguous
+        assert bits(out) == bits(want)
 
 
 def plain_select_lambda(data, specs, grid, fine_pass=0):
