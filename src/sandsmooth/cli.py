@@ -146,37 +146,6 @@ def _default_threads() -> int:
         return 1
 
 
-_BUILTIN = {
-    "input": None,
-    "output": None,
-    "summary": None,
-    "gcv_surface": None,
-    "eigen_output": None,
-    "emit_plotdata": None,
-    "degree": (3,),
-    "penalty_order": (2,),
-    "knots": ("auto",),
-    "lambda_grid": (20, -5.0, 4.0),
-    "fine_pass": 0,
-    "seed": 1,
-    "reps": 100,
-    "threads": None,  # resolved from the environment at build time
-    "bins": "auto",
-    "max_iter": 20,
-    "center": False,
-    "exclude_diagonal": False,
-    "npairs": 4,
-    "kind": "surface",
-    "function": "f2",
-    "sigma": 0.5,
-    "size": None,
-    "case": 1,
-    "orders": (1, 2, 3),
-    "profile": None,
-    "sizes": (20, 40, 80),
-}
-
-
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
     """Validated option set for one command invocation.
@@ -187,33 +156,33 @@ class RunConfig:
     """
 
     command: str
-    input: str | None
-    output: str | None
-    summary: str | None
-    gcv_surface: str | None
-    eigen_output: str | None
-    emit_plotdata: str | None
-    degree: tuple
-    penalty_order: tuple
-    knots: tuple
-    lambda_grid: tuple
-    fine_pass: int
-    seed: int
-    reps: int
-    threads: int
-    bins: object
-    max_iter: int
-    center: bool
-    exclude_diagonal: bool
-    npairs: int
-    kind: str
-    function: str
-    sigma: float
-    size: tuple | None
-    case: int
-    orders: tuple
-    profile: tuple | None
-    sizes: tuple
+    input: str | None = None
+    output: str | None = None
+    summary: str | None = None
+    gcv_surface: str | None = None
+    eigen_output: str | None = None
+    emit_plotdata: str | None = None
+    degree: tuple = (3,)
+    penalty_order: tuple = (2,)
+    knots: tuple = ("auto",)
+    lambda_grid: tuple = (20, -5.0, 4.0)
+    fine_pass: int = 0
+    seed: int = 1
+    reps: int = 100
+    threads: int | None = None  # build_config resolves it from the environment
+    bins: object = "auto"
+    max_iter: int = 20
+    center: bool = False
+    exclude_diagonal: bool = False
+    npairs: int = 4
+    kind: str = "surface"
+    function: str = "f2"
+    sigma: float = 0.5
+    size: tuple | None = None
+    case: int = 1
+    orders: tuple = (1, 2, 3)
+    profile: tuple | None = None
+    sizes: tuple = (20, 40, 80)
 
     def __post_init__(self):
         if any(p < 0 for p in self.degree):
@@ -370,14 +339,15 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     """Merge flags over config-file entries over built-in defaults."""
     config = read_config_file(args.config) if args.config else {}
     merged = {}
-    for dest, builtin in _BUILTIN.items():
+    for field in dataclasses.fields(RunConfig)[1:]:
+        dest = field.name
         cli_value = getattr(args, dest, None)
         if cli_value is not None:
             merged[dest] = cli_value
         elif dest in config:
             merged[dest] = _OPTION_PARSERS[dest](config[dest])
         else:
-            merged[dest] = builtin
+            merged[dest] = field.default
     if merged["threads"] is None:
         merged["threads"] = _default_threads()
     return RunConfig(command=args.command, **merged)
@@ -422,6 +392,11 @@ def _parallel_map(fn, items, threads: int) -> list:
         return list(pool.map(fn, items))
 
 
+def _mesh(*coords) -> list:
+    """The coordinate columns of a grid's cells in C order, one per axis."""
+    return [axis.ravel() for axis in np.meshgrid(*coords, indexing="ij")]
+
+
 def _spec_summary(specs) -> dict:
     return {
         "degree": [s.degree for s in specs],
@@ -441,24 +416,15 @@ def cmd_smooth_grid(cfg: RunConfig) -> int:
     if cfg.output:
         write_grid_csv(cfg.output, x, z, fit.fitted)
     if cfg.gcv_surface:
-        rows = (
-            (l1, l2, fit.gcv_surface[i, j])
-            for i, l1 in enumerate(fit.grid.lambda_x)
-            for j, l2 in enumerate(fit.grid.lambda_z)
-        )
-        write_long_csv(cfg.gcv_surface, ["lambda_x", "lambda_z", "gcv"], rows)
+        write_long_csv(cfg.gcv_surface, ["lambda_x", "lambda_z", "gcv"],
+                       [[*_mesh(fit.grid.lambda_x, fit.grid.lambda_z),
+                         fit.gcv_surface.ravel()]])
     if cfg.emit_plotdata:
-        rows = [
-            (x[i], z[j], series, vals[i, j])
-            for series, vals in (
-                ("observed", Y),
-                ("fitted", fit.fitted),
-                ("residual", Y - fit.fitted),
-            )
-            for i in range(data.shape[0])
-            for j in range(data.shape[1])
-        ]
-        write_long_csv(cfg.emit_plotdata, ["x", "z", "series", "value"], rows)
+        xz = _mesh(x, z)
+        write_long_csv(cfg.emit_plotdata, ["x", "z", "series", "value"],
+                       [[*xz, series, vals.ravel()] for series, vals in (
+                           ("observed", Y), ("fitted", fit.fitted),
+                           ("residual", Y - fit.fitted))])
     if cfg.summary:
         write_json(cfg.summary, {
             "command": "smooth-grid",
@@ -498,19 +464,11 @@ def cmd_smooth_scatter(cfg: RunConfig) -> int:
         write_grid_csv(cfg.output, grid.x_centers, grid.z_centers,
                        sfit.fit.fitted)
     if cfg.emit_plotdata:
-        occupied = ~grid.empty_mask
-        rows = [
-            (grid.x_centers[i], grid.z_centers[j], "bin_mean",
-             grid.means[i, j])
-            for i, j in np.argwhere(occupied)
-        ]
-        rows += [
-            (grid.x_centers[i], grid.z_centers[j], "fitted",
-             sfit.fit.fitted[i, j])
-            for i in range(i1)
-            for j in range(i2)
-        ]
-        write_long_csv(cfg.emit_plotdata, ["x", "z", "series", "value"], rows)
+        occupied = ~grid.empty_mask.ravel()
+        xz = _mesh(grid.x_centers, grid.z_centers)
+        write_long_csv(cfg.emit_plotdata, ["x", "z", "series", "value"], [
+            [*(c[occupied] for c in xz), "bin_mean", grid.means.ravel()[occupied]],
+            [*xz, "fitted", sfit.fit.fitted.ravel()]])
     if cfg.summary:
         write_json(cfg.summary, {
             "command": "smooth-scatter",
@@ -549,18 +507,13 @@ def cmd_smooth_cov(cfg: RunConfig) -> int:
     if cfg.output:
         write_grid_csv(cfg.output, t, t, model.smoothed_cov)
     if cfg.eigen_output:
-        rows = [(values[i], *funcs[i]) for i in range(npairs)]
         header = ["eigenvalue"] + [f"t:{format(c, '.17g')}" for c in t]
-        write_long_csv(cfg.eigen_output, header, rows)
+        write_long_csv(cfg.eigen_output, header, [[values, funcs]])
     if cfg.emit_plotdata:
-        rows = [
-            (t[i], t[j], series, vals[i, j])
-            for series, vals in (("raw", C),
-                                 ("smoothed", model.smoothed_cov))
-            for i in range(curves.J)
-            for j in range(curves.J)
-        ]
-        write_long_csv(cfg.emit_plotdata, ["s", "t", "series", "value"], rows)
+        st = _mesh(t, t)
+        write_long_csv(cfg.emit_plotdata, ["s", "t", "series", "value"],
+                       [[*st, series, vals.ravel()] for series, vals in (
+                           ("raw", C), ("smoothed", model.smoothed_cov))])
     if cfg.summary:
         write_json(cfg.summary, {
             "command": "smooth-cov",
@@ -588,6 +541,11 @@ def cmd_smooth_array(cfg: RunConfig) -> int:
         values = np.load(path)
     except (OSError, ValueError) as exc:
         raise FileFormatError(f"{path}: not a loadable .npy array ({exc})") from None
+    if not isinstance(values, np.ndarray):
+        values.close()
+        raise FileFormatError(f"{path}: an .npz archive; smooth-array reads one .npy array")
+    if values.dtype.kind not in "biuf":
+        raise FileFormatError(f"{path}: dtype {values.dtype} is not bool, integer or float")
     data = ArrayData.on_midpoints(np.asarray(values, dtype=float))
     specs = resolve_specs(cfg, values.shape)
     grids = (_lambda_grid(cfg).lambda_x,) * data.ndim
@@ -598,12 +556,8 @@ def cmd_smooth_array(cfg: RunConfig) -> int:
         np.save(cfg.output, fit.fitted)
     if cfg.emit_plotdata:
         header = [f"axis{k}" for k in range(data.ndim)] + ["fitted"]
-        rows = (
-            tuple(data.coords[k][idx[k]] for k in range(data.ndim))
-            + (fit.fitted[idx],)
-            for idx in np.ndindex(*values.shape)
-        )
-        write_long_csv(cfg.emit_plotdata, header, rows)
+        write_long_csv(cfg.emit_plotdata, header,
+                       [[*_mesh(*data.coords), fit.fitted.ravel()]])
     if cfg.summary:
         write_json(cfg.summary, {
             "command": "smooth-array",
@@ -680,7 +634,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     sd = float(ises.std(ddof=1)) if ises.size > 1 else 0.0
     if cfg.emit_plotdata:
         write_long_csv(cfg.emit_plotdata, ["replicate", "ise"],
-                       ((float(r), v) for r, v in enumerate(ises)))
+                       [[np.arange(ises.size, dtype=float), ises]])
     if cfg.summary:
         write_json(cfg.summary, {
             "command": "simulate",
@@ -730,12 +684,9 @@ def cmd_kernel_check(cfg: RunConfig) -> int:
               f"max-abs gap={gap:.4f}")
     if cfg.emit_plotdata:
         xs = np.linspace(-10.0, 10.0, 501)
-        rows = [
-            (float(m), xv, hv)
-            for m in cfg.orders
-            for xv, hv in zip(xs, kernel_eval(m, xs))
-        ]
-        write_long_csv(cfg.emit_plotdata, ["m", "x", "kernel"], rows)
+        write_long_csv(cfg.emit_plotdata, ["m", "x", "kernel"],
+                       [[np.full(xs.size, float(m)), xs, kernel_eval(m, xs)]
+                        for m in cfg.orders])
     if cfg.summary:
         write_json(cfg.summary, {
             "command": "kernel-check",

@@ -4,15 +4,18 @@ Three CSV layouts cover the data shapes: a grid table whose header row
 tags column coordinates as ``z:<coord>`` and whose first column tags
 row coordinates as ``x:<coord>``; a three-column ``x,z,y`` scatter
 list; and a curves table with one curve per row under a ``t:<coord>``
-header.  Summaries are single JSON objects.  Arrays of dimension three
-or more use the binary ``.npy`` format, which has no natural
-coordinate-tagged text layout.
+header.  Long-format tables for plotting are written as blocks of
+columns under one header; a str part of a block is a constant column,
+such as a series label.  Summaries are single JSON objects.  Arrays of
+dimension three or more use the binary ``.npy`` format, which has no
+natural coordinate-tagged text layout.
 
-Every table number is written as ``'%.17g' % v`` writes it, byte for
-byte, so files round-trip bit-identically through float64.  A numpy
-kernel forms |v| * 10**(16 - X), X = floor(log10|v|), as an unevaluated
-sum with an error below 6e-7: Dekker's exact product with 10**(16 - X)
-rounded to 26 bits, plus the rest, both from exact integers.  It writes
+Every table number, long tables' included, goes through one kernel and
+is written as ``'%.17g' % v`` writes it, byte for byte, so files
+round-trip bit-identically through float64.  The kernel forms
+|v| * 10**(16 - X), X = floor(log10|v|), as an unevaluated sum with an
+error below 6e-7: Dekker's exact product with 10**(16 - X) rounded to
+26 bits, plus the rest, both from exact integers.  It writes
 the 17 digits of each value it proves: the sum lies in [1e16, 1e17 -
 1/2) and its fraction is off one half, both by more than that error.
 Python's own ``'%.17g'`` writes the rest: exact ties, NaN, infinities,
@@ -205,14 +208,20 @@ def _digits(v, src):
 
 
 def _write_table(fh, parts, tag: str = "", tagged: int = 0) -> None:
-    """Write the table whose columns are those of the 2-D parts, in order,
+    """Write the table whose columns are those of the parts, in order,
     each value as '%.17g' formats it and the first `tagged` columns with
-    the two-character tag.  A block holds whole rows or a piece of one
-    row.  Python formats what _digits cannot prove.  Each value's layout
+    the two-character tag.  A 2-D part is a set of columns; a str part is
+    one column holding that text in every row.  A block holds whole rows
+    or a piece of one row.  Python formats what _digits cannot prove; a
+    text takes its slot as a fallback text does.  Each value's layout
     picks the gather row listing its slot's source bytes; one take fills
     the slots, one compress drops zero bytes (empty sign or tag, padding).
     """
-    rows, width = parts[0].shape[0], sum(part.shape[1] for part in parts)
+    rows = next(part.shape[0] for part in parts if not isinstance(part, str))
+    labels = {i: part for i, part in enumerate(parts) if isinstance(part, str)}
+    parts = [np.broadcast_to(0.0, (rows, 1)) if i in labels else part
+             for i, part in enumerate(parts)]
+    width = sum(part.shape[1] for part in parts)
     gather = _tables()[0]
     n = min(BLOCK, rows * width)
     values, src = np.empty(n), np.zeros((n, 32), dtype=np.uint8)
@@ -235,7 +244,14 @@ def _write_table(fh, parts, tag: str = "", tagged: int = 0) -> None:
                 rowsrc = src[: step * (c1 - c0)].reshape(-1, c1 - c0, 32)
                 rowsrc[:, :, _SEP] = np.where(cols == width - 1, 10, 44)
                 rowsrc[:, :, _TAG : _TAG + 2] = np.where((cols < tagged)[:, None], tag, 0)
+                inside = [i for i in labels if c0 <= offsets[i] < c1]
+                at = (np.arange(step)[:, None] * (c1 - c0) + offsets[inside] - c0).ravel()
+                names = np.array([labels[i] for i in inside], dtype="S24").view(np.uint8)
+                names = np.tile(names.reshape(-1, 24), (step, 1))
             layout, proved = _digits(values[:m], src[:m])
+            if inside:  # the labels' texts take their slots
+                k = (r1 - r0) * len(inside)
+                src[at[:k], :24], layout[at[:k]], proved[at[:k]] = names[:k], _FALLBACK, True
             rest = np.flatnonzero(~proved)
             if rest.size:  # NUL-padded texts; the compress drops the padding
                 texts = ["%.17g" % v for v in values[rest].tolist()]
@@ -317,13 +333,38 @@ def read_curves_csv(path):
     return t, _parse_body(path, body, t.size)
 
 
-def write_long_csv(path, header, rows) -> None:
-    """Tidy long-format table; floats at full precision, strings as-is."""
+def _column_set(part):
+    """A long-table part as a label or a 2-D float column set."""
+    if isinstance(part, str):
+        return part
+    part = np.asarray(part, dtype=float)
+    return part[:, None] if part.ndim == 1 else part
+
+
+def write_long_csv(path, header, blocks) -> None:
+    """Tidy long-format table: the header, then each block's rows through
+    the table kernel, so numbers are written as in every other table.  A
+    block lists its columns in order: 1-D arrays, 2-D column sets and
+    labels.  A str part is a label: a column holding that text in every
+    row, such as a series name.  Shapes and labels are checked before the
+    file is opened.
+    """
+    blocks = [[_column_set(part) for part in block] for block in blocks]
+    for block in blocks:
+        rows = [part.shape[0] for part in block if not isinstance(part, str)]
+        width = sum(1 if isinstance(part, str) else part.shape[1] for part in block)
+        if len(set(rows)) != 1:
+            raise ValueError(f"a block's columns have {', '.join(map(str, rows)) or 'no'} rows")
+        if width != len(header):
+            raise ValueError(f"a block has {width} columns, but the header has {len(header)}")
+        for label in (part for part in block if isinstance(part, str)):
+            if not label.isascii() or "\0" in label or len(label) > 24:
+                raise ValueError(f"label {label!r} has {len(label.encode())} bytes; "
+                                 "labels are ASCII without NUL, at most 24 bytes")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            template = ",".join("%s" if isinstance(f, str) else "%.17g" for f in row)
-            fh.write(template % tuple(row) + "\n")
+        for block in blocks:
+            _write_table(fh, block)
 
 
 def _strict_json(obj):

@@ -410,6 +410,40 @@ class TestSmoothArray:
         inp.write_text("plain text")
         assert main(["smooth-array", "-i", str(inp)]) == 2
 
+    @pytest.mark.parametrize("values, named", [
+        (np.full((6, 6), 1 + 2j), "complex128"),
+        (np.array([["a", "b"], ["c", "d"]]), "<U1"),
+        (np.zeros((4, 4), dtype=[("a", float), ("b", int)]), "('a', '<f8')"),
+        (np.array([[1.0, None], [None, 2.0]], dtype=object), "Object arrays"),
+    ])
+    def test_non_real_dtype_exits_2(self, tmp_path, capsys, values, named):
+        inp = tmp_path / "a.npy"
+        np.save(inp, values, allow_pickle=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a dropped imaginary part must not warn and fit
+            assert main(["smooth-array", "-i", str(inp)]) == 2
+        err = capsys.readouterr().err
+        assert str(inp) in err and named in err
+
+    def test_npz_archive_exits_2(self, tmp_path, capsys):
+        inp = tmp_path / "a.npz"
+        np.savez(inp, Y=np.ones((6, 6)))
+        assert main(["smooth-array", "-i", str(inp)]) == 2
+        err = capsys.readouterr().err
+        assert str(inp) in err and ".npz archive" in err
+
+    @pytest.mark.parametrize("dtype", [bool, np.int32, np.uint8, np.float32])
+    def test_real_dtypes_fit_as_float(self, tmp_path, dtype):
+        values = (CounterNormals(2).normals((7, 9)) > 0).astype(dtype)
+        inp, out, want = tmp_path / "a.npy", tmp_path / "f.npy", tmp_path / "w.npy"
+        np.save(inp, values)
+        np.save(tmp_path / "float.npy", values.astype(float))
+        args = ["--lambda-grid", "5,-2,2"]
+        assert main(["smooth-array", "-i", str(inp), "-o", str(out), *args]) == 0
+        assert main(["smooth-array", "-i", str(tmp_path / "float.npy"), "-o", str(want),
+                     *args]) == 0
+        assert out.read_bytes() == want.read_bytes()
+
 
 class TestSimulate:
     def test_noise_free_below_noisy(self, tmp_path):

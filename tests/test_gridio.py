@@ -10,6 +10,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from sandsmooth import gridio
+from sandsmooth.binning import ScatterData, iterative_fit
+from sandsmooth.cli import RunConfig, main, resolve_specs, run_fda_study, run_surface_study
+from sandsmooth.fda import CurveSet, eigenpairs, sample_cov, simulate_fda, smooth_cov
+from sandsmooth.glam import ArrayData, fit_array
 from sandsmooth.gridio import (
     FileFormatError,
     read_curves_csv,
@@ -21,6 +25,9 @@ from sandsmooth.gridio import (
     write_long_csv,
     write_scatter_csv,
 )
+from sandsmooth.kernelcheck import kernel_eval
+from sandsmooth.rng import CounterNormals
+from sandsmooth.sandwich2d import GridData, LambdaGrid, select_lambda
 from sandsmooth.surfaces import midpoints
 
 
@@ -112,6 +119,21 @@ def oracle_write_long_csv(path, header, rows):
             fh.write(
                 ",".join(f if isinstance(f, str) else _oracle_fmt(f) for f in row) + "\n"
             )
+
+
+def block_rows(blocks):
+    """The rows of long-table blocks, as the oracle takes them."""
+    rows = []
+    for block in blocks:
+        n = next(len(part) for part in block if not isinstance(part, str))
+        columns = []
+        for part in block:
+            if isinstance(part, str):
+                columns.append([part] * n)
+            else:
+                columns.extend(np.asarray(part, dtype=float).reshape(n, -1).T.tolist())
+        rows += zip(*columns)
+    return rows
 
 
 EDGE_VALUES = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.2250738585072e-309,
@@ -299,11 +321,12 @@ class TestCodecMatchesOracle:
         assert_bits_equal(read_curves_csv(old), (t, Y))
 
     def test_long(self, tmp_path):
-        rows = [(v, "fitted" if i % 2 else "observed", float(i), -v)
-                for i, v in enumerate(EDGE_VALUES)] + [(3, True, np.float64(0.1), "s")]
+        # one block per row, so the labels alternate as the rows do
+        blocks = [[[v], "fitted" if i % 2 else "observed", [float(i)], [-v]]
+                  for i, v in enumerate(EDGE_VALUES)] + [[[3.0], [1.0], [np.float64(0.1)], "s"]]
         new, old = tmp_path / "new.csv", tmp_path / "old.csv"
-        write_long_csv(new, ["a", "b", "c", "d"], rows)
-        oracle_write_long_csv(old, ["a", "b", "c", "d"], rows)
+        write_long_csv(new, ["a", "b", "c", "d"], blocks)
+        oracle_write_long_csv(old, ["a", "b", "c", "d"], block_rows(blocks))
         assert new.read_bytes() == old.read_bytes()
 
     def test_crlf_and_blank_lines(self, tmp_path):
@@ -340,7 +363,7 @@ class TestLongCsvAndJson:
     def test_long_csv_mixes_strings_and_floats(self, tmp_path):
         p = tmp_path / "l.csv"
         write_long_csv(p, ["x", "series", "value"],
-                       [(0.5, "fitted", 1.25), (0.75, "observed", -2.0)])
+                       [[[0.5], "fitted", [1.25]], [np.array([0.75]), "observed", [-2.0]]])
         lines = p.read_text().splitlines()
         assert lines[0] == "x,series,value"
         assert lines[1] == "0.5,fitted,1.25"
@@ -526,9 +549,6 @@ def test_full_size_blocks_match_oracle(tmp_path):
 
 def test_smooth_cov_output_matches_oracle(tmp_path):
     # J = 300: the 300 x 301 body spans eleven full-size blocks
-    from sandsmooth.cli import main
-    from sandsmooth.fda import simulate_fda
-
     curves = simulate_fda(1, 40, 300, 0.5, seed=31)
     cv, out, old = tmp_path / "cv.csv", tmp_path / "K.csv", tmp_path / "old.csv"
     write_curves_csv(cv, curves.t, curves.Y)
@@ -575,3 +595,196 @@ class TestWriterShapeChecks:
         with pytest.raises(ValueError, match=r"shape \(2, 3\).*2 entries"):
             write_curves_csv(p, [0.25, 0.75], np.ones((2, 3)))
         assert not p.exists()
+
+
+class TestLongTableLabels:
+    """Label columns go through the table kernel with the oracle's bytes."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(gridio, "BLOCK", 16)
+
+    def long_bytes(self, tmp_path, header, blocks):
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        write_long_csv(new, header, blocks)
+        oracle_write_long_csv(old, header, block_rows(blocks))
+        return new.read_bytes(), old.read_bytes()
+
+    @pytest.mark.parametrize("label", ["a", "abcdefghijklmnopqrstuvwx", "bin_mean"])
+    @pytest.mark.parametrize("at", [0, 2, 3], ids=["first", "middle", "last"])
+    def test_label_first_middle_or_last(self, tmp_path, at, label):
+        # rows of 5 columns: a block of 16 values holds 3 rows, so 7 rows
+        # leave a short last block
+        rng = np.random.Generator(np.random.Philox(21))
+        values = edge_grid(rng, (7, 4))
+        parts = [values[:, 0], values[:, 1:3], values[:, 3]]
+        parts.insert(at, label)
+        second = [values[:5, 0], values[:5, 1:3], values[:5, 3]]
+        second.insert(at, "s")
+        new, old = self.long_bytes(tmp_path, list("abcde"), [parts, second])
+        assert new == old
+
+    @pytest.mark.parametrize("at", [1, 15, 16, 20, 39])
+    def test_label_inside_a_row_wider_than_a_block(self, tmp_path, at):
+        rng = np.random.Generator(np.random.Philox(22))
+        values = edge_grid(rng, (3, 39))
+        parts = [values[:, :at], "x" * 24] + ([values[:, at:]] if at < 39 else [])
+        new, old = self.long_bytes(tmp_path, [f"c{k}" for k in range(40)], [parts])
+        assert new == old
+
+    def test_full_size_blocks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(gridio, "BLOCK", 8192)
+        rng = np.random.Generator(np.random.Philox(23))
+        values = awkward_values(rng, (7001, 2))
+        blocks = [[values[:, 0], "fitted", values[:, 1]], [values[:99, 1], "raw", values[:99, 0]]]
+        new, old = self.long_bytes(tmp_path, ["x", "series", "value"], blocks)
+        assert new == old
+
+    @pytest.mark.parametrize("blocks, match", [
+        ([[[0.5], "x" * 25]], "25 bytes"),
+        ([[[0.5], "fitté"]], "ASCII"),
+        ([[[0.5], "a\0b"]], "NUL"),
+        ([[[0.5, 0.25], [1.0]]], "2, 1 rows"),
+        ([[[0.5], "s", [1.0]]], "3 columns, but the header has 2"),
+        ([[[0.5]]], "1 columns, but the header has 2"),
+        ([[[0.5], "ok"], [[0.5], "x" * 25]], "25 bytes"),
+    ])
+    def test_bad_blocks_raise_before_the_file_opens(self, tmp_path, blocks, match):
+        p = tmp_path / "l.csv"
+        with pytest.raises(ValueError, match=match):
+            write_long_csv(p, ["a", "b"], blocks)
+        assert not p.exists()
+
+
+def cli_specs(lengths):
+    """The per-axis specs the CLI resolves by default for these lengths."""
+    return resolve_specs(RunConfig("smooth-grid", threads=1), lengths)
+
+
+class TestCliLongTablesMatchOracle:
+    """Every long-format CLI artifact has the bytes of the oracle fed the
+    rows that the per-row CLI code built."""
+
+    LAMBDAS = LambdaGrid.default(20, -5.0, 4.0)  # the CLI's default candidates
+
+    def assert_long(self, path, header, rows):
+        old = path.with_name("oracle.csv")
+        oracle_write_long_csv(old, header, rows)
+        assert path.read_bytes() == old.read_bytes()
+
+    def test_smooth_grid(self, tmp_path):
+        x, z = midpoints(13), midpoints(17)
+        Y = np.sin(5 * np.add.outer(x, z)) + 0.2 * CounterNormals(4).normals((13, 17))
+        inp, gcvp, plotp = (tmp_path / n for n in ("g.csv", "gcv.csv", "plot.csv"))
+        write_grid_csv(inp, x, z, Y)
+        assert main(["smooth-grid", "-i", str(inp), "--gcv-surface", str(gcvp),
+                     "--emit-plotdata", str(plotp)]) == 0
+        fit = select_lambda(GridData(Y, x, z), specs=cli_specs(Y.shape), grid=self.LAMBDAS)
+        self.assert_long(gcvp, ["lambda_x", "lambda_z", "gcv"], [
+            (l1, l2, fit.gcv_surface[i, j])
+            for i, l1 in enumerate(fit.grid.lambda_x)
+            for j, l2 in enumerate(fit.grid.lambda_z)])
+        self.assert_long(plotp, ["x", "z", "series", "value"], [
+            (x[i], z[j], series, vals[i, j])
+            for series, vals in (("observed", Y), ("fitted", fit.fitted),
+                                 ("residual", Y - fit.fitted))
+            for i in range(13) for j in range(17)])
+
+    def test_smooth_scatter_with_empty_bins(self, tmp_path):
+        rng = np.random.Generator(np.random.Philox(24))
+        px, pz = rng.random(1500), rng.random(1500)
+        keep = (px - 0.5) ** 2 + (pz - 0.5) ** 2 > 0.05
+        px, pz = px[keep], pz[keep]
+        py = np.cos(4 * px) * pz + 0.1 * rng.standard_normal(px.size)
+        inp, plotp = tmp_path / "s.csv", tmp_path / "plot.csv"
+        write_scatter_csv(inp, px, pz, py)
+        assert main(["smooth-scatter", "-i", str(inp), "--bins", "12",
+                     "--emit-plotdata", str(plotp)]) == 0
+        sfit = iterative_fit(ScatterData(px, pz, py), 12, 12,
+                             specs=cli_specs((12, 12)),
+                             grid=self.LAMBDAS, max_iter=20)
+        grid = sfit.binned
+        assert grid.empty_mask.any()
+        self.assert_long(plotp, ["x", "z", "series", "value"], [
+            (grid.x_centers[i], grid.z_centers[j], "bin_mean", grid.means[i, j])
+            for i, j in np.argwhere(~grid.empty_mask)] + [
+            (grid.x_centers[i], grid.z_centers[j], "fitted", sfit.fit.fitted[i, j])
+            for i in range(12) for j in range(12)])
+
+    @pytest.mark.parametrize("flags", [[], ["--center", "--exclude-diagonal"]])
+    def test_smooth_cov(self, tmp_path, flags):
+        curves = simulate_fda(1, 20, 25, 0.5, seed=9)
+        inp, eigp, plotp = (tmp_path / n for n in ("c.csv", "eig.csv", "plot.csv"))
+        write_curves_csv(inp, curves.t, curves.Y)
+        assert main(["smooth-cov", "-i", str(inp), "--eigen-output", str(eigp),
+                     "--emit-plotdata", str(plotp), *flags]) == 0
+        t = curves.t
+        C = sample_cov(CurveSet(curves.Y, t), center=bool(flags))
+        model = smooth_cov(C, spec=cli_specs((25,))[0],
+                           lams=self.LAMBDAS.lambda_x, t=t, exclude_diagonal=bool(flags))
+        npairs = min(4, model.eigenvalues.size)
+        values, funcs = eigenpairs(model, npairs)
+        self.assert_long(eigp, ["eigenvalue"] + [f"t:{format(c, '.17g')}" for c in t],
+                         [(values[i], *funcs[i]) for i in range(npairs)])
+        self.assert_long(plotp, ["s", "t", "series", "value"], [
+            (t[i], t[j], series, vals[i, j])
+            for series, vals in (("raw", C), ("smoothed", model.smoothed_cov))
+            for i in range(25) for j in range(25)])
+
+    @pytest.mark.parametrize("shape", [(9, 11), (6, 7, 8), (5, 6, 6, 7)])
+    def test_smooth_array(self, tmp_path, shape):
+        values = CounterNormals(len(shape)).normals(shape)
+        inp, plotp = tmp_path / "a.npy", tmp_path / "plot.csv"
+        np.save(inp, values)
+        assert main(["smooth-array", "-i", str(inp), "--lambda-grid", "6,-3,3",
+                     "--emit-plotdata", str(plotp)]) == 0
+        data = ArrayData.on_midpoints(values)
+        fit = fit_array(data, specs=cli_specs(shape),
+                        grids=(LambdaGrid.default(6, -3.0, 3.0).lambda_x,) * len(shape))
+        d = len(shape)
+        self.assert_long(plotp, [f"axis{k}" for k in range(d)] + ["fitted"], [
+            tuple(data.coords[k][idx[k]] for k in range(d)) + (fit.fitted[idx],)
+            for idx in np.ndindex(*shape)])
+
+    @pytest.mark.parametrize("kind", ["surface", "fda"])
+    def test_simulate(self, tmp_path, kind):
+        plotp = tmp_path / "plot.csv"
+        assert main(["simulate", "--kind", kind, "--reps", "3", "--size", "12,14",
+                     "--emit-plotdata", str(plotp)]) == 0
+        if kind == "surface":
+            ises = run_surface_study("f2", 0.5, 12, 14, cli_specs((12, 14)),
+                                     self.LAMBDAS, 0, 1, 3)
+        else:
+            ises = run_fda_study(1, 12, 14, 0.5, 1, 3, spec=cli_specs((14,))[0],
+                                 lams=self.LAMBDAS.lambda_x)
+        self.assert_long(plotp, ["replicate", "ise"],
+                         [(float(r), v) for r, v in enumerate(ises)])
+
+    def test_kernel_check(self, tmp_path):
+        plotp = tmp_path / "plot.csv"
+        assert main(["kernel-check", "--emit-plotdata", str(plotp)]) == 0
+        xs = np.linspace(-10.0, 10.0, 501)
+        self.assert_long(plotp, ["m", "x", "kernel"], [
+            (float(m), xv, hv) for m in (1, 2, 3) for xv, hv in zip(xs, kernel_eval(m, xs))])
+
+
+def test_plotdata_memory_is_a_few_grids(tmp_path):
+    # the long table costs its coordinate and residual columns, not a tuple per row
+    x = midpoints(300)
+    Y = np.sin(6 * np.add.outer(x, x)) + 0.3 * CounterNormals(5).normals((300, 300))
+    inp = tmp_path / "g.csv"
+    write_grid_csv(inp, x, x, Y)
+
+    def traced_peak(*flags):
+        tracemalloc.start()
+        try:
+            assert main(["smooth-grid", "-i", str(inp), "-o", str(tmp_path / "o.csv"),
+                         *flags]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    plot = ("--emit-plotdata", str(tmp_path / "plot.csv"))
+    traced_peak(*plot)  # builds the kernel's tables
+    without, with_plot = traced_peak(), traced_peak(*plot)
+    assert with_plot - without <= 4 * Y.nbytes, (without / Y.nbytes, with_plot / Y.nbytes)
