@@ -56,7 +56,6 @@ from sandsmooth.sandwich2d import (
     gcv_score,
     predict,
     select_lambda,
-    solve_coefficients,
 )
 from sandsmooth.spectra import (
     AxisSpectrum,
@@ -94,7 +93,6 @@ __all__ = [
     "gcv_score",
     "predict",
     "select_lambda",
-    "solve_coefficients",
     "BinnedGrid",
     "ScatterData",
     "ScatterFit",

@@ -35,6 +35,7 @@ from .sandwich2d import (
     _sse_table,
     _unscale,
     gcv_score,
+    require_few_combinations,
     require_finite,
     select_lambda,
 )
@@ -292,6 +293,7 @@ def iterative_fit(
                  AxisSpec(knot_segments=auto_knot_segments(i2)))
     if grid is None:
         grid = LambdaGrid.default()
+    require_few_combinations((grid.lambda_x, grid.lambda_z))
 
     occupied = ~binned.empty_mask
     n_eff = int(occupied.sum())

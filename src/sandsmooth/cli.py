@@ -153,6 +153,9 @@ class RunConfig:
     Holds the union of all command options; each handler reads the ones
     it needs.  Knot and bin counts may be the string "auto", resolved
     deterministically from the data dimensions when the data is seen.
+    threads defaults to $SANDSMOOTH_THREADS (1 if unset or not an integer),
+    read when the config is built.  A fine pass is accepted only by the
+    commands whose grid fits run it.
     """
 
     command: str
@@ -169,7 +172,7 @@ class RunConfig:
     fine_pass: int = 0
     seed: int = 1
     reps: int = 100
-    threads: int | None = None  # build_config resolves it from the environment
+    threads: int = dataclasses.field(default_factory=_default_threads)
     bins: object = "auto"
     max_iter: int = 20
     center: bool = False
@@ -218,6 +221,10 @@ class RunConfig:
             raise ValueError("orders must be >= 1")
         if any(n < 2 for n in self.sizes):
             raise ValueError("bench sizes must be >= 2")
+        what = f"simulate --kind {self.kind}" if self.command == "simulate" else self.command
+        if self.fine_pass > 0 and what not in ("smooth-grid", "simulate --kind surface"):
+            raise ValueError("--fine-pass applies only to smooth-grid and "
+                             f"simulate --kind surface, not to {what}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -233,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     _opt(shared, "--lambda-grid", dest="lambda_grid", parse=_parse_lambda_grid,
          metavar="N,LO,HI", help="count,log10_low,log10_high (default 20,-5,4)")
     _opt(shared, "--fine-pass", dest="fine_pass", parse=int, metavar="R",
-         help="refine the winner on an RxR bracket (default 0 = off)")
+         help="refine the winner on an RxR bracket (default 0 = off; "
+         "smooth-grid and simulate --kind surface only)")
     _opt(shared, "--seed", dest="seed", parse=int, metavar="S",
          help="master seed for any randomness (default 1)")
     _opt(shared, "--reps", dest="reps", parse=int, metavar="N",
@@ -336,7 +344,7 @@ def read_config_file(path: str) -> dict:
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    """Merge flags over config-file entries over built-in defaults."""
+    """Merge flags over config-file entries over RunConfig's defaults."""
     config = read_config_file(args.config) if args.config else {}
     merged = {}
     for field in dataclasses.fields(RunConfig)[1:]:
@@ -346,10 +354,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             merged[dest] = cli_value
         elif dest in config:
             merged[dest] = _OPTION_PARSERS[dest](config[dest])
-        else:
-            merged[dest] = field.default
-    if merged["threads"] is None:
-        merged["threads"] = _default_threads()
     return RunConfig(command=args.command, **merged)
 
 
@@ -417,7 +421,7 @@ def cmd_smooth_grid(cfg: RunConfig) -> int:
         write_grid_csv(cfg.output, x, z, fit.fitted)
     if cfg.gcv_surface:
         write_long_csv(cfg.gcv_surface, ["lambda_x", "lambda_z", "gcv"],
-                       [[*_mesh(fit.grid.lambda_x, fit.grid.lambda_z),
+                       [[*_mesh(*fit.grids),
                          fit.gcv_surface.ravel()]])
     if cfg.emit_plotdata:
         xz = _mesh(x, z)

@@ -311,7 +311,7 @@ def smooth_cov(C: np.ndarray, spec: AxisSpec | None = None,
         raise ValueError("lambdas must be nonnegative")
 
     fit = _SpectralFit(C, (sp, sp), scan)
-    gcv, edf = fit.score((lams, lams))
+    gcv, edf, _ = fit.score((lams, lams))
     # one lambda on both sides: the diagonal of the bivariate table; a
     # singleton list pins lambda, even where GCV is undefined
     gcv, edf = np.diagonal(gcv), np.diagonal(edf)

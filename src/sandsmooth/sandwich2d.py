@@ -1,32 +1,38 @@
-"""Bivariate sandwich smoothing on a rectangular grid.
+"""Penalized-spline smoothing of grids and d-dimensional arrays, axis by axis.
 
 The fit applies one univariate penalized-spline smoother along each axis of
-the data matrix: Yhat = S1 @ Y @ S2.  Stacking columns turns this into the
-Kronecker smoother (S2 kron S1) vec(Y), but neither Kronecker factor is ever
-formed.  With each axis reduced to its spectrum (see spectra), the residual
-sum of squares and the smoother trace for any (lam1, lam2) pair come from a
-handful of c1 x c2 array reductions, so a full grid search over hundreds of
-candidate pairs costs little more than a single fit.  The fit (projection,
-search, reconstruction and exact SSE) is written once, for any number of
-axes, in _SpectralFit: the array and covariance fits use it too, and the
-scatter fit uses its search.
+the data; on a grid this is Yhat = S1 @ Y @ S2.  Stacking columns turns it
+into the Kronecker smoother (S_d kron ... kron S_1) vec(Y), but no
+Kronecker factor is ever formed.  With each axis reduced to its spectrum
+(see spectra), the residual sum of squares and the smoother trace for any
+candidate tuple come from a handful of c_1 x ... x c_d array reductions, so
+a full search over hundreds of candidates costs little more than a single
+fit.
 
-Selection uses GCV = (SSE/n) / (1 - edf/n)^2, the standard form, with
-edf = tr(S1) * tr(S2).  The raw (SSE, edf) pair is kept on the result so
-alternative scores can be computed downstream.  Coefficients are solved only
-for the winning pair: Theta = F1 @ (shrink1 * Ytilde * shrink2) @ F2.T with
-F_i the per-axis coefficient maps, which is the penalized normal-equation
-solution without any c1*c2-sized linear system.
+One path serves grids and arrays.  ArrayData holds the values and one
+coordinate vector per axis; GridData is the same class for a matrix, with
+the names Y, x_coords and z_coords.  _fit runs every such fit (defaults and
+checks, the projection of _SpectralFit, the search, an optional fine_pass
+bracket and the reconstruction) and returns one SandwichFit.  select_lambda
+here and glam.fit_array are thin names over it.  The covariance fit uses
+_SpectralFit too, and the scatter fit its search.
 
-Per fit, the data are read four times: the scan at construction (GridData
-keeps its extremes and sum of squares, which give the scaling exponent,
-the finiteness check and y'y), the projection A1' Y A2, the
-reconstruction A1 (.) A2', and the exact SSE of the returned fit.  The fit
-runs on Y * 2^-e, but the power of two rides in the small per-axis factors
-of the projection and of the reconstruction, so no scaled copy of the data
-is made and the fit needs no rescaling pass.  The scan and the exact SSE
-walk numpy's pairwise summation tree one cache-sized block at a time
-(_sum_sq), so neither allocates a temporary the size of the data.
+Selection uses GCV = (SSE/n) / (1 - edf/n)^2, the standard form, with edf
+the product of the per-axis traces.  Exact ties go to the largest lambda
+tuple.  Coefficients are solved only for the winner: Theta is the shrunk
+core contracted with F_i, the per-axis coefficient maps, which is the
+penalized normal-equation solution without any c_1 ... c_d sized linear
+system.
+
+Per fit, the data are read four times: the scan at construction (the data
+class keeps the extremes and sum of squares, which give the scaling
+exponent, the finiteness check and y'y), the projection A_1' ... A_d' Y,
+the reconstruction A_1 ... A_d (.), and the exact SSE of the returned fit.
+The fit runs on Y * 2^-e, but the power of two rides in the small per-axis
+factors of the projection and of the reconstruction, so no scaled copy of
+the data is made and the fit needs no rescaling pass.  The scan and the
+exact SSE walk numpy's pairwise summation tree one cache-sized block at a
+time (_sum_sq), so neither allocates a temporary the size of the data.
 """
 
 from __future__ import annotations
@@ -43,15 +49,14 @@ from .spectra import AxisSpectrum, axis_spectrum, shrink_weights
 
 __all__ = [
     "DegenerateFit",
+    "ArrayData",
     "GridData",
     "LambdaGrid",
     "SandwichFit",
-    "transform_data",
-    "sse_terms",
-    "sse_fast",
+    "MAX_GRID_COMBINATIONS",
+    "default_lambda_grids",
     "gcv_score",
     "select_lambda",
-    "solve_coefficients",
     "predict",
 ]
 
@@ -61,6 +66,11 @@ SSE_CLAMP_REL = 1e-9
 # Largest leaf of _sum_sq's pairwise tree: 2^17 float64 entries (1 MB), so
 # a leaf's buffer stays in cache between its fill, square and sum.
 SUM_LEAF = 1 << 17
+# Most candidate tuples one search may score.
+MAX_GRID_COMBINATIONS = 100_000
+# Default candidates per axis: fewer as d grows, within the guard above.
+_DEFAULT_GRID_SIZES = {2: 20, 3: 10}
+_DEFAULT_GRID_SIZE_HIGH_D = 6
 
 
 class DegenerateFit(ValueError):
@@ -238,60 +248,118 @@ def _axis_spectra(coords, specs) -> list[AxisSpectrum]:
 
 
 @dataclass(frozen=True)
-class GridData:
-    """Finite responses on a rectangular grid, sorted coordinates in [0, 1].
+class ArrayData:
+    """Finite responses on a grid of d >= 2 axes, with one vector of
+    coordinates per axis, strictly increasing within [0, 1].
 
-    Construction reads Y once (_scan_values) and keeps its extremes and sum of
-    squares for the fits, so Y must not change after construction; the
-    finiteness check already assumes this.
+    Construction reads the values once (_scan_values) and keeps their
+    extremes and sum of squares for the fit, so the values must not change
+    after construction; the finiteness check already assumes this.
     """
 
-    Y: np.ndarray
-    x_coords: np.ndarray
-    z_coords: np.ndarray
+    values: np.ndarray
+    coords: tuple[np.ndarray, ...]
     _scan: _Scan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        Y = np.asarray(self.Y, dtype=float)
-        x = np.asarray(self.x_coords, dtype=float)
-        z = np.asarray(self.z_coords, dtype=float)
-        if Y.ndim != 2:
-            raise ValueError(f"Y must be a matrix, got ndim={Y.ndim}")
-        if Y.shape != (x.size, z.size):
+        values = np.asarray(self.values, dtype=float)
+        coords = tuple(np.asarray(c, dtype=float) for c in self.coords)
+        name, coord_names = self._names(values.ndim)
+        if values.ndim < 2:
+            raise ValueError(f"{name} must have at least 2 dimensions")
+        if len(coords) != values.ndim:
             raise ValueError(
-                f"Y is {Y.shape} but coordinates imply {(x.size, z.size)}"
+                f"{values.ndim}-dimensional {name} need {values.ndim} "
+                f"coordinate vectors, got {len(coords)}"
             )
-        object.__setattr__(self, "_scan", _scan_values("Y", Y))
-        require_coordinates("x_coords", x)
-        require_coordinates("z_coords", z)
-        object.__setattr__(self, "Y", Y)
-        object.__setattr__(self, "x_coords", x)
-        object.__setattr__(self, "z_coords", z)
+        object.__setattr__(self, "_scan", _scan_values(name, values))
+        for axis, (c, coord_name) in enumerate(zip(coords, coord_names)):
+            require_coordinates(coord_name, c)
+            if c.size != values.shape[axis]:
+                raise ValueError(f"axis {axis}: {c.size} coordinates for "
+                                 f"{values.shape[axis]} entries")
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "coords", coords)
+
+    @staticmethod
+    def _names(d):
+        """The names that errors give the values and each axis's coordinates."""
+        return "values", [f"coords[{axis}]" for axis in range(d)]
+
+    @classmethod
+    def on_midpoints(cls, values: np.ndarray) -> "ArrayData":
+        values = np.asarray(values, dtype=float)
+        return cls(values, tuple((np.arange(n) + 0.5) / n for n in values.shape))
 
     @property
-    def shape(self) -> tuple[int, int]:
-        return self.Y.shape
+    def shape(self) -> tuple[int, ...]:
+        return self.values.shape
+
+    @property
+    def ndim(self) -> int:
+        return self.values.ndim
 
     @property
     def n(self) -> int:
-        return self.Y.size
+        return self.values.size
+
+
+class GridData(ArrayData):
+    """ArrayData of a matrix Y observed at x_coords down its rows and
+    z_coords across its columns; errors name Y, x_coords and z_coords.
+    Its fields are ArrayData's, so dataclasses.replace does not apply."""
+
+    def __init__(self, Y, x_coords, z_coords):
+        if np.ndim(Y) != 2:
+            raise ValueError(f"Y must be a matrix, got ndim={np.ndim(Y)}")
+        super().__init__(Y, (x_coords, z_coords))
+
+    @staticmethod
+    def _names(d):
+        return "Y", ["x_coords", "z_coords"]
+
+    Y = property(lambda self: self.values)
+    x_coords = property(lambda self: self.coords[0])
+    z_coords = property(lambda self: self.coords[1])
+
+
+def _candidate_lists(grids, names) -> tuple[np.ndarray, ...]:
+    """Each candidate list as a float vector, checked to be non-empty,
+    finite and strictly positive; errors give the lists the names in
+    names."""
+    grids = tuple(np.atleast_1d(np.asarray(g, dtype=float)) for g in grids)
+    for name, g in zip(names, grids):
+        if g.size == 0:
+            raise ValueError(f"{name} is empty")
+        if not np.all(np.isfinite(g) & (g > 0)):
+            bad = g[~(np.isfinite(g) & (g > 0))][0]
+            raise ValueError(f"{name} must be finite and strictly positive, "
+                             f"got {bad}")
+    return grids
+
+
+def require_few_combinations(grids) -> None:
+    """Raise ValueError when the Cartesian product of the candidate lists
+    grids, which a search scores in full, exceeds MAX_GRID_COMBINATIONS."""
+    n_comb = math.prod(np.size(g) for g in grids)
+    if n_comb > MAX_GRID_COMBINATIONS:
+        raise ValueError(
+            f"{n_comb} lambda combinations exceed the guard of "
+            f"{MAX_GRID_COMBINATIONS}; thin the per-axis grids"
+        )
 
 
 @dataclass(frozen=True)
 class LambdaGrid:
-    """Per-axis candidate smoothing parameters, all strictly positive."""
+    """Per-axis candidate smoothing parameters of a grid fit, all strictly
+    positive."""
 
     lambda_x: np.ndarray
     lambda_z: np.ndarray
 
     def __post_init__(self):
-        lx = np.atleast_1d(np.asarray(self.lambda_x, dtype=float))
-        lz = np.atleast_1d(np.asarray(self.lambda_z, dtype=float))
-        for name, arr in (("lambda_x", lx), ("lambda_z", lz)):
-            if arr.size == 0:
-                raise ValueError(f"{name} is empty")
-            if np.any(arr <= 0):
-                raise ValueError(f"{name} must be strictly positive")
+        lx, lz = _candidate_lists((self.lambda_x, self.lambda_z),
+                                  ("lambda_x", "lambda_z"))
         object.__setattr__(self, "lambda_x", lx)
         object.__setattr__(self, "lambda_z", lz)
 
@@ -302,52 +370,34 @@ class LambdaGrid:
         return cls(lams, lams.copy())
 
 
+def default_lambda_grids(d: int) -> tuple[np.ndarray, ...]:
+    """The default candidate list of each of d axes: LambdaGrid.default's
+    range, with fewer candidates per axis as d grows."""
+    count = _DEFAULT_GRID_SIZES.get(d, _DEFAULT_GRID_SIZE_HIGH_D)
+    return tuple(LambdaGrid.default(count).lambda_x for _ in range(d))
+
+
 @dataclass(frozen=True)
 class SandwichFit:
-    """Result of a grid-search sandwich fit."""
+    """Result of a GCV search on d axes: the chosen lambda per axis, the
+    coefficients Theta (c_1 x ... x c_d), the fitted values, the exact
+    GCV, edf and SSE of that fit, and gcv_table, the GCV of every tuple of
+    the candidate lists grids (the coarse search's, when a fine pass ran)."""
 
-    lambdas: tuple[float, float]
+    lambdas: tuple[float, ...]
     Theta: np.ndarray
     fitted: np.ndarray
     gcv_value: float
     edf: float
     sse: float
-    gcv_surface: np.ndarray
-    grid: LambdaGrid
-    specs: tuple[AxisSpec, AxisSpec]
+    gcv_table: np.ndarray
+    grids: tuple[np.ndarray, ...]
+    specs: tuple[AxisSpec, ...]
 
-
-def transform_data(data: GridData, sx: AxisSpectrum,
-                   sz: AxisSpectrum) -> tuple[np.ndarray, float]:
-    """Project Y onto the orthonormal axis bases: Ytilde = A1' Y A2.
-
-    Returns (Ytilde, y'y).  Computed once per dataset; every candidate
-    (lam1, lam2) reuses the pair.
-    """
-    return _project(data.Y, (sx, sz)), data._scan.sum_sq
-
-
-def sse_terms(Ytilde: np.ndarray, yty: float, s1: np.ndarray, s2: np.ndarray,
-              lam1: float, lam2: float) -> tuple[float, float, float]:
-    """The three pieces of ||Yhat - Y||_F^2 = yhat'yhat - 2 yhat'y + y'y.
-
-    With W = Ytilde**2 and per-axis shrink vectors st_i = 1/(1 + lam_i s_i):
-    yhat'yhat = st1^2' W st2^2 and yhat'y = st1' W st2.  Each term is a
-    c1 x c2 reduction; nothing of the data's size is touched.
-    """
-    st1 = shrink_weights(s1, lam1)
-    st2 = shrink_weights(s2, lam2)
-    W = Ytilde * Ytilde
-    fit_norm = float((st1 * st1) @ W @ (st2 * st2))
-    cross = float(st1 @ W @ st2)
-    return fit_norm, cross, yty
-
-
-def sse_fast(Ytilde: np.ndarray, yty: float, s1: np.ndarray, s2: np.ndarray,
-             lam1: float, lam2: float) -> float:
-    """Residual sum of squares at (lam1, lam2), clamped at zero."""
-    fit_norm, cross, _ = sse_terms(Ytilde, yty, s1, s2, lam1, lam2)
-    return float(_sse_table(fit_norm, cross, yty))
+    @property
+    def gcv_surface(self) -> np.ndarray:
+        """gcv_table, under the grid fit's name for it."""
+        return self.gcv_table
 
 
 def gcv_score(sse: float, edf: float, n: int) -> float:
@@ -441,12 +491,12 @@ def _pick(gcv, n, lams):
 
 
 def _gcv_table(W, yty, spectra_s, lams, n):
-    """(GCV, edf) tables over the candidate tuples lams (one list per axis),
-    with W = Ytilde**2 and spectra_s each axis's penalty eigenvalues."""
+    """(GCV, edf, SSE) tables over the candidate tuples lams (one list per
+    axis), with W = Ytilde**2 and spectra_s each axis's penalty eigenvalues."""
     shrink = [_shrink_table(l, s) for l, s in zip(lams, spectra_s)]
     sse = _sse_table(_contract(W, [st * st for st in shrink]),
                      _contract(W, shrink), yty)
-    return _gcv(sse, shrink, n)
+    return (*_gcv(sse, shrink, n), sse)
 
 
 def _refined_axis(lams, idx, count):
@@ -481,15 +531,17 @@ class _SpectralFit:
         self.yty = scan.scaled_sum_sq(values, self.e)
 
     def score(self, lams):
-        """(GCV, edf) tables over the candidate tuples lams, one list per axis."""
+        """(GCV, edf, SSE) tables over the candidate tuples lams, one list
+        per axis."""
         return _gcv_table(self.Ytilde * self.Ytilde, self.yty,
                           [sp.s for sp in self.spectra], lams, self.n)
 
     def finish(self, values, lambdas, edf, table):
-        """(core, fitted, sse, gcv, table) of the fit at lambdas, of trace
-        edf: core is Ytilde shrunk along every axis and fitted is
+        """(Theta, fitted, sse, gcv, table) of the fit at lambdas, of trace
+        edf.  With core = Ytilde shrunk along every axis, fitted is
         A_1 ... A_d core, scaled back by 2^e in the per-axis factors (in
-        parts as in _project).  The table keeps the fast-form scores that
+        parts as in _project), and Theta is core contracted with the
+        coefficient maps.  The table keeps the fast-form scores that
         drove selection; sse and gcv are exact for the returned fit (the
         fast form carries cancellation noise of order eps * y'y), with the
         SSE summed in the values' own memory order."""
@@ -503,63 +555,61 @@ class _SpectralFit:
         order = np.argsort(np.negative(np.abs(values.strides)), kind="stable")
         sse = _sum_sq(values.transpose(order), fitted.transpose(order), 2.0 ** -self.e)
         sse, gcv, table = _unscale(self.e, sse, gcv_score(sse, edf, self.n), table)
-        return core, fitted, float(sse), float(gcv), table
+        Theta = np.ldexp(_contract(core, [sp.coef_map for sp in self.spectra]), self.e)
+        return Theta, fitted, float(sse), float(gcv), table
+
+
+def _fit(data: ArrayData, specs, grids, fine_pass: int = 0) -> SandwichFit:
+    """GCV grid-search fit of data, one AxisSpec and one candidate list per
+    axis, behind select_lambda and glam.fit_array.
+
+    specs None gives each axis a cubic spline with a second-order
+    difference penalty and the automatic knot count for its length; grids
+    None gives default_lambda_grids.  The Cartesian product of the lists
+    is scored, so its size is guarded.  With fine_pass = r > 0 a second
+    search runs over r log-spaced values per axis between the coarse
+    winner's neighbouring candidates; the reported table is always the
+    coarse one.
+    """
+    d = data.ndim
+    if specs is None:
+        specs = tuple(AxisSpec(knot_segments=auto_knot_segments(n)) for n in data.shape)
+    specs = tuple(specs)
+    if len(specs) != d:
+        raise ValueError(f"need {d} axis specs, got {len(specs)}")
+    if grids is None:
+        grids = default_lambda_grids(d)
+    if len(grids) != d:
+        raise ValueError(f"need {d} lambda lists, got {len(grids)}")
+    grids = _candidate_lists(grids, [f"axis {axis}: lambdas" for axis in range(d)])
+    require_few_combinations(grids)
+
+    fit = _SpectralFit(data.values, _axis_spectra(data.coords, specs), data._scan)
+    gcv, edf, _ = fit.score(grids)
+    idx = _pick(gcv, fit.n, grids)
+    lambdas, edf_best = tuple(float(g[i]) for g, i in zip(grids, idx)), edf[idx]
+    if fine_pass > 0:
+        fine = tuple(_refined_axis(g, i, fine_pass) for g, i in zip(grids, idx))
+        fgcv, fedf, _ = fit.score(fine)
+        if fgcv.min() <= gcv[idx]:
+            fidx = _pick(fgcv, fit.n, fine)
+            lambdas = tuple(float(g[i]) for g, i in zip(fine, fidx))
+            edf_best = fedf[fidx]
+
+    Theta, fitted, sse, gcv_value, gcv = fit.finish(data.values, lambdas, edf_best, gcv)
+    return SandwichFit(lambdas=lambdas, Theta=Theta, fitted=fitted,
+                       gcv_value=gcv_value, edf=float(edf_best), sse=sse,
+                       gcv_table=gcv, grids=grids, specs=specs)
 
 
 def select_lambda(data: GridData, specs: tuple[AxisSpec, AxisSpec] | None = None,
                   grid: LambdaGrid | None = None, fine_pass: int = 0) -> SandwichFit:
-    """Grid-search GCV fit of the sandwich smoother.
-
-    When specs is None each axis gets a cubic spline with a second-order
-    difference penalty and the automatic knot count for its length.  With
-    fine_pass = r > 0 a second r x r log-spaced search runs between the
-    coarse winner's neighboring grid values; the reported gcv_surface is
-    always the coarse one.
+    """Grid-search GCV fit of the sandwich smoother: _fit over the
+    candidates of grid (default LambdaGrid.default()), optionally refined
+    by a fine_pass x fine_pass search.  The GCV table is also gcv_surface.
     """
-    if specs is None:
-        specs = (AxisSpec(knot_segments=auto_knot_segments(data.shape[0])),
-                 AxisSpec(knot_segments=auto_knot_segments(data.shape[1])))
-    if grid is None:
-        grid = LambdaGrid.default()
-    sx, sz = spectra = _axis_spectra((data.x_coords, data.z_coords), specs)
-    fit = _SpectralFit(data.Y, spectra, data._scan)
-
-    lams = (grid.lambda_x, grid.lambda_z)
-    gcv, edf = fit.score(lams)
-    i, j = _pick(gcv, fit.n, lams)
-    l1, l2, edf_best = float(lams[0][i]), float(lams[1][j]), edf[i, j]
-    if fine_pass > 0:
-        fine = (_refined_axis(lams[0], i, fine_pass),
-                _refined_axis(lams[1], j, fine_pass))
-        fgcv, fedf = fit.score(fine)
-        if fgcv.min() <= gcv[i, j]:
-            fi, fj = _pick(fgcv, fit.n, fine)
-            l1, l2, edf_best = float(fine[0][fi]), float(fine[1][fj]), fedf[fi, fj]
-
-    core, fitted, sse, gcv_value, gcv = fit.finish(data.Y, (l1, l2), edf_best, gcv)
-    return SandwichFit(
-        lambdas=(l1, l2),
-        Theta=np.ldexp(_contract(core, (sx.coef_map, sz.coef_map)), fit.e),
-        fitted=fitted,
-        gcv_value=gcv_value,
-        edf=float(edf_best),
-        sse=sse,
-        gcv_surface=gcv,
-        grid=grid,
-        specs=specs,
-    )
-
-
-def solve_coefficients(data: GridData, sx: AxisSpectrum, sz: AxisSpectrum,
-                       lam1: float, lam2: float) -> np.ndarray:
-    """Penalized tensor-product coefficients at a fixed (lam1, lam2).
-
-    Theta = F1 @ (st1 * Ytilde * st2) @ F2' with F_i the coefficient maps;
-    two thin matrix products per side, no c1*c2 x c1*c2 system.
-    """
-    Ytilde, _ = transform_data(data, sx, sz)
-    core = shrink_weights(sx.s, lam1)[:, None] * Ytilde * shrink_weights(sz.s, lam2)
-    return _contract(core, (sx.coef_map, sz.coef_map))
+    grids = None if grid is None else (grid.lambda_x, grid.lambda_z)
+    return _fit(data, specs, grids, fine_pass)
 
 
 def predict(Theta: np.ndarray, specs: tuple[AxisSpec, AxisSpec],

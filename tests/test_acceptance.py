@@ -31,10 +31,11 @@ from sandsmooth.kernelcheck import EquivalentKernel, kernel_l2, kernel_moment, p
 from sandsmooth.sandwich2d import (
     GridData,
     LambdaGrid,
+    _contract,
+    _scan_values,
+    _shrink_table,
+    _SpectralFit,
     select_lambda,
-    sse_fast,
-    sse_terms,
-    transform_data,
 )
 from sandsmooth.spectra import apply_smoother, axis_spectrum, trace_smoother
 from sandsmooth.surfaces import f2, midpoints, sample_surface
@@ -69,6 +70,11 @@ def _instance(seed):
     return Y, axes, (lam1, lam2)
 
 
+def _engine(Y, sx, sz):
+    """The fit engine's projection of Y onto the two axis spectra."""
+    return _SpectralFit(Y, (sx, sz), _scan_values("Y", Y))
+
+
 def test_01_kronecker_oracle(capsys):
     t0 = time.perf_counter()
     max_fit = max_sse = max_tr = 0.0
@@ -83,9 +89,8 @@ def test_01_kronecker_oracle(capsys):
         max_fit = max(max_fit, float(np.max(np.abs(
             fitted.flatten(order="F") - dense_vec))))
 
-        data = GridData(Y, midpoints(Y.shape[0]), midpoints(Y.shape[1]))
-        Yt, yty = transform_data(data, sx, sz)
-        sse = sse_fast(Yt, yty, sx.s, sz.s, lam1, lam2)
+        fit = _engine(Y, sx, sz)
+        sse = float(np.ldexp(fit.score(([lam1], [lam2]))[2][0, 0], 2 * fit.e))
         dense_sse = float(np.sum((S1 @ Y @ S2.T - Y) ** 2))
         max_sse = max(max_sse, abs(sse - dense_sse) / dense_sse)
 
@@ -109,9 +114,12 @@ def test_02_sse_decomposition(capsys):
         (sx, B1, D1), (sz, B2, D2) = axes
         S1 = _dense_smoother(B1, D1, lam1)
         S2 = _dense_smoother(B2, D2, lam2)
-        data = GridData(Y, midpoints(Y.shape[0]), midpoints(Y.shape[1]))
-        Yt, yty = transform_data(data, sx, sz)
-        fast = sse_terms(Yt, yty, sx.s, sz.s, lam1, lam2)
+        fit = _engine(Y, sx, sz)
+        W = fit.Ytilde * fit.Ytilde
+        shrink = [_shrink_table([lam1], sx.s), _shrink_table([lam2], sz.s)]
+        fast = [float(np.ldexp(t, 2 * fit.e)) for t in (
+            _contract(W, [t * t for t in shrink])[0, 0], _contract(W, shrink)[0, 0],
+            fit.yty)]
         Yhat = S1 @ Y @ S2.T
         dense = (float(np.sum(Yhat * Yhat)), float(np.sum(Yhat * Y)),
                  float(np.sum(Y * Y)))

@@ -330,6 +330,16 @@ class TestIterativeFit:
         assert big.changes == base.changes  # relative residuals
         assert big.iterations == base.iterations
 
+    @pytest.mark.parametrize("emptied", [0, 5])
+    def test_guard_applies_with_and_without_empty_bins(self, emptied):
+        rng = np.random.default_rng(5)
+        data = full_scatter(10, 10, rng.normal(size=(10, 10)))
+        keep = np.arange(data.n) >= emptied
+        data = ScatterData(data.x[keep], data.z[keep], data.y[keep])
+        big = LambdaGrid.default(320)
+        with pytest.raises(ValueError, match="102400 lambda combinations exceed the guard"):
+            iterative_fit(data, 10, 10, grid=big)
+
     @pytest.mark.parametrize("where", ["one row", "diagonal"])
     def test_undetermined_occupancy_raises(self, where):
         # one occupied row leaves x free, and the diagonal cells leave x - z

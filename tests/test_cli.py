@@ -11,6 +11,7 @@ import pytest
 
 import sandsmooth
 from sandsmooth.cli import (
+    RunConfig,
     bench_knots,
     build_config,
     build_parser,
@@ -208,6 +209,39 @@ class TestConfigFile:
     def test_validation_catches_bad_combo(self, tmp_path, capsys):
         assert main(["simulate", "--reps", "0"]) == 2
         assert "reps" in capsys.readouterr().err
+
+    def test_bare_run_config_reads_the_env_var(self, monkeypatch):
+        monkeypatch.delenv("SANDSMOOTH_THREADS", raising=False)
+        assert RunConfig("smooth-grid").threads == 1
+        monkeypatch.setenv("SANDSMOOTH_THREADS", "3")
+        assert RunConfig("smooth-grid").threads == 3
+        assert RunConfig("smooth-grid", threads=2).threads == 2
+
+
+class TestFinePass:
+    """A fine pass refines the grid fits of smooth-grid and simulate --kind
+    surface; every other command rejects it rather than ignore it."""
+
+    @pytest.mark.parametrize("argv", [
+        ["smooth-scatter"], ["smooth-cov"], ["smooth-array"], ["kernel-check"],
+        ["bench"], ["simulate", "--kind", "fda"],
+    ], ids=" ".join)
+    def test_rejected_where_no_grid_fit_runs(self, argv, tmp_path, capsys):
+        assert main(argv + ["--fine-pass", "3"]) == 2
+        err = capsys.readouterr().err
+        assert "--fine-pass applies only to smooth-grid and simulate --kind surface, " \
+               f"not to {' '.join(argv)}" in err
+        cfgp = tmp_path / "run.cfg"
+        cfgp.write_text("fine-pass = 3\n")
+        assert main(argv + ["--config", str(cfgp)]) == 2
+        assert "--fine-pass" in capsys.readouterr().err
+        assert build_config(build_parser().parse_args(argv + ["--fine-pass", "0"]))
+
+    @pytest.mark.parametrize("argv", [["smooth-grid"], ["simulate"],
+                                      ["simulate", "--kind", "surface"]])
+    def test_accepted_by_grid_fits(self, argv):
+        assert build_config(build_parser().parse_args(argv + ["--fine-pass", "3"])) \
+            .fine_pass == 3
 
 
 class TestSmoothScatter:

@@ -135,6 +135,8 @@ class TestFitArray:
             sfit = select_lambda(GridData(Y, *ArrayData.on_midpoints(Y).coords),
                                  specs, grid)
             assert mfit.lambdas == sfit.lambdas
+            assert mfit.specs == sfit.specs == specs
+            assert mfit.Theta.tobytes() == sfit.Theta.tobytes()
             assert mfit.fitted.tobytes() == sfit.fitted.tobytes()
             assert (mfit.edf, mfit.sse, mfit.gcv_value) == (
                 sfit.edf, sfit.sse, sfit.gcv_value)
@@ -213,6 +215,14 @@ class TestFitArray:
             fit = fit_array(ArrayData.on_midpoints(1e307 * values))
         assert fit.lambdas == base.lambdas
         npt.assert_allclose(fit.fitted, 1e307 * base.fitted, rtol=1e-12)
+
+    @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf, -np.inf])
+    def test_rejects_bad_candidates_by_axis(self, bad):
+        data = ArrayData.on_midpoints(np.ones((5, 6, 7)))
+        good = np.logspace(-2, 2, 3)
+        with pytest.raises(ValueError, match=rf"axis 1: lambdas must be finite "
+                                             rf"and strictly positive, got {bad}"):
+            fit_array(data, grids=(good, np.append(good, bad), good))
 
     def test_grid_explosion_guard(self):
         data = ArrayData.on_midpoints(np.zeros((6, 6, 6)))

@@ -682,8 +682,8 @@ class TestCliLongTablesMatchOracle:
         fit = select_lambda(GridData(Y, x, z), specs=cli_specs(Y.shape), grid=self.LAMBDAS)
         self.assert_long(gcvp, ["lambda_x", "lambda_z", "gcv"], [
             (l1, l2, fit.gcv_surface[i, j])
-            for i, l1 in enumerate(fit.grid.lambda_x)
-            for j, l2 in enumerate(fit.grid.lambda_z)])
+            for i, l1 in enumerate(self.LAMBDAS.lambda_x)
+            for j, l2 in enumerate(self.LAMBDAS.lambda_z)])
         self.assert_long(plotp, ["x", "z", "series", "value"], [
             (x[i], z[j], series, vals[i, j])
             for series, vals in (("observed", Y), ("fitted", fit.fitted),

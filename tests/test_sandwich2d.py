@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sandsmooth.basis import AxisSpec, design_matrix, diff_matrix
+from sandsmooth.glam import ArrayData, fit_array
 from sandsmooth.sandwich2d import (
     DegenerateFit,
     _contract,
@@ -14,16 +16,12 @@ from sandsmooth.sandwich2d import (
     _gcv_table,
     _pick,
     _shrink_table,
-    _sse_table,
+    _SpectralFit,
     GridData,
     LambdaGrid,
     gcv_score,
     predict,
     select_lambda,
-    solve_coefficients,
-    sse_fast,
-    sse_terms,
-    transform_data,
 )
 from sandsmooth.spectra import axis_spectrum
 from sandsmooth.surfaces import f2, midpoints
@@ -38,6 +36,38 @@ def dense_smoother(points, spec, lam):
 def toy_data(n1=10, n2=12, seed=0):
     rng = np.random.default_rng(seed)
     return GridData(rng.normal(size=(n1, n2)), midpoints(n1), midpoints(n2))
+
+
+def projection(data, sx, sz):
+    """The engine's Ytilde = A1' Y A2 and y'y of data, on the data's scale."""
+    fit = _SpectralFit(data.Y, (sx, sz), data._scan)
+    return np.ldexp(fit.Ytilde, fit.e), np.ldexp(fit.yty, 2 * fit.e)
+
+
+def fast_sse(data, sx, sz, lam1, lam2):
+    """The engine's fast-form SSE table over the candidate lists lam1 x lam2."""
+    fit = _SpectralFit(data.Y, (sx, sz), data._scan)
+    lams = (np.atleast_1d(lam1), np.atleast_1d(lam2))
+    return np.ldexp(fit.score(lams)[2], 2 * fit.e)
+
+
+def fast_terms(data, sx, sz, lam1, lam2):
+    """yhat'yhat, yhat'y and y'y at (lam1, lam2), as the engine's SSE table
+    forms them from W = Ytilde**2 and the shrink tables."""
+    fit = _SpectralFit(data.Y, (sx, sz), data._scan)
+    W = fit.Ytilde * fit.Ytilde
+    shrink = [_shrink_table([lam1], sx.s), _shrink_table([lam2], sz.s)]
+    terms = (_contract(W, [t * t for t in shrink])[0, 0], _contract(W, shrink)[0, 0],
+             fit.yty)
+    return [float(np.ldexp(t, 2 * fit.e)) for t in terms]
+
+
+def single_fit(data, specs, lams):
+    """The fit at one candidate per axis: a grid fit for 2 axes, else an
+    array fit."""
+    if isinstance(data, GridData):
+        return select_lambda(data, specs, LambdaGrid(*([l] for l in lams)))
+    return fit_array(data, specs, [[l] for l in lams])
 
 
 class TestGridData:
@@ -77,6 +107,25 @@ class TestGridData:
         assert d.shape == (4, 6)
         assert d.n == 24
 
+    @pytest.mark.parametrize("shape, want", [
+        ((12,), r"Y must be a matrix, got ndim=1"),
+        ((3, 4, 2), r"Y must be a matrix, got ndim=3"),
+    ])
+    def test_rejects_non_matrix(self, shape, want):
+        with pytest.raises(ValueError, match=want):
+            GridData(np.zeros(shape), midpoints(3), midpoints(4))
+
+    def test_is_the_array_data_of_a_matrix(self):
+        d = toy_data(4, 6)
+        assert isinstance(d, ArrayData)
+        assert d.values is d.Y and d.coords == (d.x_coords, d.z_coords)
+
+    def test_dataclasses_replace_does_not_apply(self):
+        # GridData's constructor takes Y, x_coords and z_coords, its fields
+        # are ArrayData's values and coords
+        with pytest.raises(TypeError):
+            dataclasses.replace(toy_data(4, 6), values=np.ones((4, 6)))
+
 
 class TestLambdaGrid:
     def test_default(self):
@@ -90,13 +139,28 @@ class TestLambdaGrid:
         with pytest.raises(ValueError):
             LambdaGrid([1.0, 0.0], [1.0])
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_error_names_the_bad_candidate(self, bad):
+        with pytest.raises(ValueError, match=rf"lambda_x must be finite and "
+                                             rf"strictly positive, got {bad}"):
+            LambdaGrid([1.0, bad], [1.0])
+
+    def test_guard_applies_to_grid_fits(self):
+        data = toy_data(6, 6)
+        assert select_lambda(data, grid=LambdaGrid.default(316)).gcv_surface.shape \
+            == (316, 316)
+        with pytest.raises(ValueError, match="100489 lambda combinations exceed the guard"):
+            select_lambda(data, grid=LambdaGrid.default(317))
+
 
 class TestTransformData:
+    """The engine's projection Ytilde = A1' Y A2 and its y'y."""
+
     def test_zero_matrix(self):
         d = GridData(np.zeros((8, 9)), midpoints(8), midpoints(9))
         sx = axis_spectrum(d.x_coords, AxisSpec(3, 2, 3))
         sz = axis_spectrum(d.z_coords, AxisSpec(3, 2, 4))
-        Yt, yty = transform_data(d, sx, sz)
+        Yt, yty = projection(d, sx, sz)
         assert yty == 0.0
         npt.assert_array_equal(Yt, 0.0)
 
@@ -107,14 +171,14 @@ class TestTransformData:
         rng = np.random.default_rng(3)
         M = rng.normal(size=(sx.n_basis, sz.n_basis))
         d = GridData(sx.A @ M @ sz.A.T, midpoints(15), midpoints(18))
-        Yt, _ = transform_data(d, sx, sz)
+        Yt, _ = projection(d, sx, sz)
         npt.assert_allclose(Yt, M, atol=1e-10)
 
     def test_matches_dense_triple_product(self):
         d = toy_data(20, 30, seed=11)
         sx = axis_spectrum(d.x_coords, AxisSpec(3, 2, 7))
         sz = axis_spectrum(d.z_coords, AxisSpec(3, 2, 9))
-        Yt, yty = transform_data(d, sx, sz)
+        Yt, yty = projection(d, sx, sz)
         expected = np.array([[a @ d.Y @ b for b in sz.A.T] for a in sx.A.T])
         npt.assert_allclose(Yt, expected, atol=1e-12)
         assert yty == pytest.approx(np.linalg.norm(d.Y) ** 2)
@@ -124,17 +188,18 @@ class TestTransformData:
         sx = axis_spectrum(midpoints(11), AxisSpec(3, 2, 4))
         sz = axis_spectrum(d.z_coords, AxisSpec(3, 2, 4))
         with pytest.raises(ValueError):
-            transform_data(d, sx, sz)
+            projection(d, sx, sz)
 
 
 class TestSseFast:
+    """The engine's fast-form SSE table, yhat'yhat - 2 yhat'y + y'y."""
+
     def setup_method(self):
         self.data = toy_data(20, 30, seed=7)
         self.spec_x = AxisSpec(3, 2, 6)
         self.spec_z = AxisSpec(3, 2, 8)
         self.sx = axis_spectrum(self.data.x_coords, self.spec_x)
         self.sz = axis_spectrum(self.data.z_coords, self.spec_z)
-        self.Yt, self.yty = transform_data(self.data, self.sx, self.sz)
 
     def test_interpolating_projection(self):
         # square invertible design: c_i = n_i, lambda = 0 reproduces the data
@@ -145,14 +210,14 @@ class TestSseFast:
             spec_z = AxisSpec(0, 1, n2)
         sx = axis_spectrum(d.x_coords, spec_x)
         sz = axis_spectrum(d.z_coords, spec_z)
-        Yt, yty = transform_data(d, sx, sz)
-        assert sse_fast(Yt, yty, sx.s, sz.s, 0.0, 0.0) <= 1e-8 * yty
+        _, yty = projection(d, sx, sz)
+        assert fast_sse(d, sx, sz, 0.0, 0.0)[0, 0] <= 1e-8 * yty
 
     def test_matches_dense_residual(self):
         S1 = dense_smoother(self.data.x_coords, self.spec_x, 1.0)
         S2 = dense_smoother(self.data.z_coords, self.spec_z, 1.0)
         dense = np.linalg.norm(S1 @ self.data.Y @ S2 - self.data.Y) ** 2
-        fast = sse_fast(self.Yt, self.yty, self.sx.s, self.sz.s, 1.0, 1.0)
+        fast = fast_sse(self.data, self.sx, self.sz, 1.0, 1.0)[0, 0]
         npt.assert_allclose(fast, dense, rtol=1e-8)
 
     def test_huge_lambda_matches_bilinear_regression(self):
@@ -166,7 +231,7 @@ class TestSseFast:
         )
         y = self.data.Y.ravel()
         resid = y - X @ np.linalg.lstsq(X, y, rcond=None)[0]
-        fast = sse_fast(self.Yt, self.yty, self.sx.s, self.sz.s, 1e12, 1e12)
+        fast = fast_sse(self.data, self.sx, self.sz, 1e12, 1e12)[0, 0]
         npt.assert_allclose(fast, resid @ resid, rtol=1e-4)
 
     def test_terms_match_dense_decomposition(self):
@@ -176,15 +241,16 @@ class TestSseFast:
             S2 = dense_smoother(self.data.z_coords, self.spec_z, lam2)
             yhat = (S1 @ self.data.Y @ S2).ravel()
             y = self.data.Y.ravel()
-            hh, hy, yy = sse_terms(self.Yt, self.yty, self.sx.s, self.sz.s, lam1, lam2)
+            hh, hy, yy = fast_terms(self.data, self.sx, self.sz, lam1, lam2)
             npt.assert_allclose(hh, yhat @ yhat, rtol=1e-8)
             npt.assert_allclose(hy, yhat @ y, rtol=1e-8)
             npt.assert_allclose(yy, y @ y, rtol=1e-14)
 
     def test_sse_nonnegative_across_grid(self):
-        for lam1 in np.logspace(-5, 4, 10):
-            for lam2 in np.logspace(-5, 4, 10):
-                assert sse_fast(self.Yt, self.yty, self.sx.s, self.sz.s, lam1, lam2) >= 0.0
+        lams = np.logspace(-5, 4, 10)
+        sse = fast_sse(self.data, self.sx, self.sz, lams, lams)
+        assert sse.shape == (10, 10)
+        assert np.all(sse >= 0.0)
 
 
 class TestGcvScore:
@@ -243,9 +309,7 @@ class TestSelectLambda:
         fit = select_lambda(d, specs, grid)
 
         def ise(l1, l2):
-            sx = axis_spectrum(x, specs[0])
-            sz = axis_spectrum(z, specs[1])
-            Theta = solve_coefficients(d, sx, sz, l1, l2)
+            Theta = single_fit(d, specs, (l1, l2)).Theta
             B1 = design_matrix(x, specs[0])
             B2 = design_matrix(z, specs[1])
             return np.mean((B1 @ Theta @ B2.T - truth) ** 2)
@@ -338,15 +402,18 @@ class TestKroneckerEquivalence:
 
 
 class TestSolveCoefficients:
+    """Theta of a fit at one candidate per axis against the dense penalized
+    normal equations.  A fit's candidates are positive, so lambda = 1e-12
+    stands in for 0 where the data lie in the spline space."""
+
     def test_interpolation_recovers_data(self):
         n1, n2 = 5, 6
         d = toy_data(n1, n2, seed=6)
         with pytest.warns(UserWarning):
-            sx = axis_spectrum(d.x_coords, AxisSpec(0, 1, n1))
-            sz = axis_spectrum(d.z_coords, AxisSpec(0, 1, n2))
-        Theta = solve_coefficients(d, sx, sz, 0.0, 0.0)
-        B1 = design_matrix(d.x_coords, AxisSpec(0, 1, n1))
-        B2 = design_matrix(d.z_coords, AxisSpec(0, 1, n2))
+            specs = (AxisSpec(0, 1, n1), AxisSpec(0, 1, n2))
+        Theta = single_fit(d, specs, (1e-12, 1e-12)).Theta
+        B1 = design_matrix(d.x_coords, specs[0])
+        B2 = design_matrix(d.z_coords, specs[1])
         npt.assert_allclose(B1 @ Theta @ B2.T, d.Y, atol=1e-10)
 
     def test_exact_recovery_of_planted_coefficients(self):
@@ -356,25 +423,36 @@ class TestSolveCoefficients:
         rng = np.random.default_rng(10)
         M = rng.normal(size=(spec_x.n_basis, spec_z.n_basis))
         d = GridData(B1 @ M @ B2.T, x, z)
-        sx, sz = axis_spectrum(x, spec_x), axis_spectrum(z, spec_z)
-        npt.assert_allclose(solve_coefficients(d, sx, sz, 0.0, 0.0), M, atol=1e-8)
+        Theta = single_fit(d, (spec_x, spec_z), (1e-12, 1e-12)).Theta
+        npt.assert_allclose(Theta, M, atol=1e-8)
+
+    @staticmethod
+    def assert_normal_equations(data, specs, lams, Theta):
+        # (L_d kron ... kron L_1) vec(Theta) = (B_d kron ... kron B_1)' vec(Y),
+        # column-stacking vec, L_k = B_k' B_k + lam_k D_k' D_k
+        L = B = np.ones((1, 1))
+        for c, spec, lam in zip(data.coords, specs, lams):
+            Bk = design_matrix(c, spec)
+            Dk = np.diff(np.eye(spec.n_basis), n=spec.penalty_order, axis=0)
+            L = np.kron(Bk.T @ Bk + lam * Dk.T @ Dk, L)
+            B = np.kron(Bk, B)
+        lhs = L @ Theta.ravel(order="F")
+        rhs = B.T @ data.values.ravel(order="F")
+        npt.assert_allclose(lhs, rhs, atol=1e-8)
 
     def test_kronecker_normal_equations(self):
-        # (L2 kron L1) vec(Theta) = (B2 kron B1)' vec(Y), column-stacking vec
         d = toy_data(8, 9, seed=12)
-        spec_x, spec_z = AxisSpec(3, 2, 3), AxisSpec(2, 1, 4)
-        sx = axis_spectrum(d.x_coords, spec_x)
-        sz = axis_spectrum(d.z_coords, spec_z)
-        lam1, lam2 = 0.8, 2.3
-        Theta = solve_coefficients(d, sx, sz, lam1, lam2)
-        B1, B2 = design_matrix(d.x_coords, spec_x), design_matrix(d.z_coords, spec_z)
-        D1 = np.diff(np.eye(spec_x.n_basis), n=2, axis=0)
-        D2 = np.diff(np.eye(spec_z.n_basis), n=1, axis=0)
-        L1 = B1.T @ B1 + lam1 * D1.T @ D1
-        L2 = B2.T @ B2 + lam2 * D2.T @ D2
-        lhs = np.kron(L2, L1) @ Theta.ravel(order="F")
-        rhs = np.kron(B2, B1).T @ d.Y.ravel(order="F")
-        npt.assert_allclose(lhs, rhs, atol=1e-8)
+        specs, lams = (AxisSpec(3, 2, 3), AxisSpec(2, 1, 4)), (0.8, 2.3)
+        self.assert_normal_equations(d, specs, lams, single_fit(d, specs, lams).Theta)
+
+    def test_kronecker_normal_equations_three_axes(self):
+        rng = np.random.default_rng(14)
+        d = ArrayData.on_midpoints(rng.normal(size=(7, 8, 9)))
+        specs = (AxisSpec(3, 2, 3), AxisSpec(2, 1, 4), AxisSpec(1, 2, 3))
+        lams = (0.8, 2.3, 0.05)
+        fit = single_fit(d, specs, lams)
+        assert fit.Theta.shape == tuple(s.n_basis for s in specs)
+        self.assert_normal_equations(d, specs, lams, fit.Theta)
 
     def test_consistent_with_fitted(self):
         d = toy_data(11, 13, seed=13)
@@ -442,10 +520,8 @@ def project(Y, bases):
 
 
 def sse_table(W, yty, s, lams):
-    """The engine's fast-form SSE table, as _gcv_table forms it."""
-    shrink = [_shrink_table(l, sk) for l, sk in zip(lams, s)]
-    return _sse_table(_contract(W, [t * t for t in shrink]), _contract(W, shrink),
-                      yty)
+    """The engine's fast-form SSE table."""
+    return _gcv_table(W, yty, s, lams, W.size)[2]
 
 
 class TestSearchEngine:
@@ -457,8 +533,7 @@ class TestSearchEngine:
     def test_matches_dense_kronecker(self, problem):
         Y, bases, s, lams = problem
         W, yty = project(Y, bases) ** 2, float(np.sum(Y * Y))
-        sse = sse_table(W, yty, s, lams)
-        gcv, edf = _gcv_table(W, yty, s, lams, Y.size)
+        gcv, edf, sse = _gcv_table(W, yty, s, lams, Y.size)
         shrink = [_shrink_table(l, sk) for l, sk in zip(lams, s)]
         assert np.array_equal(gcv, _gcv(sse, shrink, Y.size)[0])
         y = Y.ravel(order="F")
@@ -525,5 +600,5 @@ class TestSearchEngine:
         # y'y below sum(W) is impossible for real data
         with pytest.raises(FloatingPointError, match="among the candidates"):
             _gcv_table(W, 0.5 * W.sum(), s, [[1.0], [1.0]], 100)
-        gcv, _ = _gcv_table(W, W.sum(), s, [[1.0], [1.0]], 100)
+        gcv, _, _ = _gcv_table(W, W.sum(), s, [[1.0], [1.0]], 100)
         assert gcv[0, 0] >= 0.0

@@ -91,6 +91,10 @@ def scan_cases():
     zeros[::3] = 0.0
     mixed = rng.standard_normal((40, 50))
     mixed[0, :10] = 1e-170  # squares below the normal range
+    # squares that underflow to 0 beside normal ones, scaled up: the scaled
+    # squares are not 0, so a shortcut that skipped zero squares would lose them
+    hidden = 1.5e-162 * rng.uniform(0.5, 1, (200, 200))
+    hidden[-1] = 1.5e-154 * rng.uniform(1, 2, 200)
     return [
         ("heavy", heavy(rng, (300, 280)), False),
         ("heavy-4d", heavy(rng, (17, 19, 23, 29)), False),
@@ -99,6 +103,7 @@ def scan_cases():
         ("subnormal squares", 1e-160 * rng.standard_normal((40, 50)), True),
         ("near the float maximum", 1.7e308 * rng.uniform(-1, 1, (40, 50)), True),
         ("subnormal values", 1e-310 * rng.standard_normal((40, 50)), True),
+        ("underflowed squares, scaled up", hidden, True),
     ]
 
 
@@ -136,7 +141,7 @@ class TestScan:
         # overflows or loses bits below the normal range
         for name, values, _ in scan_cases():
             if name not in ("subnormal squares", "near the float maximum",
-                            "subnormal values"):
+                            "subnormal values", "underflowed squares, scaled up"):
                 continue
             scan = _scan_values("v", values)
             e = _exponent(scan.low, scan.high)
@@ -191,13 +196,13 @@ def plain_select_lambda(data, specs, grid, fine_pass=0):
     W = Ytilde * Ytilde
     n = data.n
     lams = (grid.lambda_x, grid.lambda_z)
-    gcv, edf = _gcv_table(W, yty, (sx.s, sz.s), lams, n)
+    gcv, edf, _ = _gcv_table(W, yty, (sx.s, sz.s), lams, n)
     i, j = _pick(gcv, n, lams)
     l1, l2, edf_best = float(lams[0][i]), float(lams[1][j]), edf[i, j]
     if fine_pass > 0:
         fine = (_refined_axis(lams[0], i, fine_pass),
                 _refined_axis(lams[1], j, fine_pass))
-        fgcv, fedf = _gcv_table(W, yty, (sx.s, sz.s), fine, n)
+        fgcv, fedf, _ = _gcv_table(W, yty, (sx.s, sz.s), fine, n)
         if fgcv.min() <= gcv[i, j]:
             fi, fj = _pick(fgcv, n, fine)
             l1, l2, edf_best = float(fine[0][fi]), float(fine[1][fj]), fedf[fi, fj]
@@ -223,7 +228,7 @@ def plain_fit_array(data, specs, grids):
     Ytilde = _contract(data.values, [sp.A.T for sp in spectra])
     yty = float(np.sum((data.values * k) ** 2))
     n = data.n
-    gcv, edf = _gcv_table((Ytilde * k) ** 2, yty, [sp.s for sp in spectra], grids, n)
+    gcv, edf, _ = _gcv_table((Ytilde * k) ** 2, yty, [sp.s for sp in spectra], grids, n)
     idx = _pick(gcv, n, grids)
     lambdas = tuple(float(g[i]) for g, i in zip(grids, idx))
     core = Ytilde.copy()
@@ -250,7 +255,7 @@ def plain_cov_selection(C, lams):
     Ct = sp.A.T @ C @ sp.A
     cc = float(np.sum(C * C))
     n = C.size
-    gcv, edf = _gcv_table(Ct * Ct, cc, (sp.s, sp.s), (lams, lams), n)
+    gcv, edf, _ = _gcv_table(Ct * Ct, cc, (sp.s, sp.s), (lams, lams), n)
     gcv, edf = np.diagonal(gcv), np.diagonal(edf)
     (k,) = _pick(gcv, n, (lams,))
     return float(lams[k]), float(_unscale(e, gcv[k])[0]), float(edf[k])
