@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import AxisSpec, auto_knot_segments
+from .basis import AxisSpec
 from .sandwich2d import (
     DegenerateFit,
     GridData,
@@ -30,12 +30,12 @@ from .sandwich2d import (
     _gcv,
     _pick,
     _project,
+    _resolve,
     _scale_exponent,
     _shrink_table,
     _sse_table,
     _unscale,
     gcv_score,
-    require_few_combinations,
     require_finite,
     select_lambda,
 )
@@ -288,18 +288,14 @@ def iterative_fit(
     if i2 is None:
         i2 = auto_bin_count(data.n)
     binned = bin_scatter(data, i1, i2)
-    if specs is None:
-        specs = (AxisSpec(knot_segments=auto_knot_segments(i1)),
-                 AxisSpec(knot_segments=auto_knot_segments(i2)))
-    if grid is None:
-        grid = LambdaGrid.default()
-    require_few_combinations((grid.lambda_x, grid.lambda_z))
+    specs, (lam1, lam2) = _resolve(
+        (i1, i2), specs, None if grid is None else (grid.lambda_x, grid.lambda_z))
 
     occupied = ~binned.empty_mask
     n_eff = int(occupied.sum())
     if n_eff == binned.means.size:
         gdata = GridData(binned.means, binned.x_centers, binned.z_centers)
-        fit = select_lambda(gdata, specs, grid)
+        fit = select_lambda(gdata, specs, LambdaGrid(lam1, lam2))
         return ScatterFit(fit, binned, 1, True, (), fit.sse, fit.gcv_value, n_eff)
 
     # as in select_lambda, the passes work on Y * 2^-e
@@ -309,7 +305,6 @@ def iterative_fit(
     _require_determined(occupied, sx, sz)
     masked = _masked_gram(means, occupied, sz)
     rhs = sx.A.T @ masked.cross
-    lam1, lam2 = grid.lambda_x, grid.lambda_z
 
     # solved[(i, j)] = (masked GCV, masked SSE, filled grid, residual) at
     # the pair's own fixed point, in solve order

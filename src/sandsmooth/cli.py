@@ -43,7 +43,7 @@ from .gridio import (
 )
 from .kernelcheck import kernel_eval, kernel_l2, kernel_moment, profile_gap
 from .rng import CounterNormals, replicate_seed
-from .sandwich2d import DegenerateFit, GridData, LambdaGrid, select_lambda
+from .sandwich2d import DegenerateFit, GridData, LambdaGrid, _resolve, select_lambda
 from .spectra import SingularGram
 from .surfaces import SURFACES, midpoints, sample_surface
 
@@ -152,7 +152,8 @@ class RunConfig:
 
     Holds the union of all command options; each handler reads the ones
     it needs.  Knot and bin counts may be the string "auto", resolved
-    deterministically from the data dimensions when the data is seen.
+    deterministically from the data dimensions when the data is seen; the
+    spec options and lambda_grid stay None (the fits' defaults) unless given.
     threads defaults to $SANDSMOOTH_THREADS (1 if unset or not an integer),
     read when the config is built.  A fine pass is accepted only by the
     commands whose grid fits run it.
@@ -165,10 +166,10 @@ class RunConfig:
     gcv_surface: str | None = None
     eigen_output: str | None = None
     emit_plotdata: str | None = None
-    degree: tuple = (3,)
-    penalty_order: tuple = (2,)
-    knots: tuple = ("auto",)
-    lambda_grid: tuple = (20, -5.0, 4.0)
+    degree: tuple | None = None
+    penalty_order: tuple | None = None
+    knots: tuple | None = None
+    lambda_grid: tuple | None = None
     fine_pass: int = 0
     seed: int = 1
     reps: int = 100
@@ -188,13 +189,19 @@ class RunConfig:
     sizes: tuple = (20, 40, 80)
 
     def __post_init__(self):
-        if any(p < 0 for p in self.degree):
+        if any(p < 0 for p in self.degree or ()):
             raise ValueError("degree must be >= 0")
-        if any(m < 1 for m in self.penalty_order):
+        if any(m < 1 for m in self.penalty_order or ()):
             raise ValueError("penalty order must be >= 1")
-        for k in self.knots:
+        for k in self.knots or ():
             if k != "auto" and k < 1:
                 raise ValueError("knot counts must be >= 1 or 'auto'")
+        for bound in (self.lambda_grid or ())[1:]:
+            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+                lam = np.power(10.0, bound)
+            if not 0.0 < lam < np.inf:
+                raise ValueError(f"--lambda-grid bound {bound} gives 10^{bound} = "
+                                 f"{lam}, not a positive finite float")
         if self.fine_pass < 0:
             raise ValueError("fine-pass must be >= 0")
         if self.reps < 1:
@@ -238,7 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     _opt(shared, "--knots", dest="knots", parse=_parse_knots,
          metavar="K[,K...]", help="knot segments per axis, or 'auto'")
     _opt(shared, "--lambda-grid", dest="lambda_grid", parse=_parse_lambda_grid,
-         metavar="N,LO,HI", help="count,log10_low,log10_high (default 20,-5,4)")
+         metavar="N,LO,HI", help="count,log10_low,log10_high (default: the "
+         "fit's, up to 20 per axis between 10^-5 and 10^4)")
     _opt(shared, "--fine-pass", dest="fine_pass", parse=int, metavar="R",
          help="refine the winner on an RxR bracket (default 0 = off; "
          "smooth-grid and simulate --kind surface only)")
@@ -365,22 +373,31 @@ def _broadcast(values: tuple, d: int, name: str) -> tuple:
     return values
 
 
-def resolve_specs(cfg: RunConfig, lengths) -> tuple:
-    """Per-axis AxisSpecs with 'auto' knots resolved from axis lengths."""
+def fit_options(cfg: RunConfig, lengths) -> tuple:
+    """(specs, grids) from the spec and --lambda-grid options for axes of
+    these lengths, 'auto' knots resolved; each is None, the fit's own
+    default, when none of its options is given."""
     d = len(lengths)
-    degrees = _broadcast(cfg.degree, d, "degree")
-    orders = _broadcast(cfg.penalty_order, d, "penalty-order")
-    knots = _broadcast(cfg.knots, d, "knots")
-    specs = []
-    for p, m, k, n in zip(degrees, orders, knots, lengths):
-        seg = auto_knot_segments(n) if k == "auto" else k
-        specs.append(AxisSpec(degree=p, penalty_order=m, knot_segments=seg))
-    return tuple(specs)
+    given = [(field, _broadcast(values, d, flag)) for field, flag, values in (
+        ("degree", "degree", cfg.degree),
+        ("penalty_order", "penalty-order", cfg.penalty_order),
+        ("knot_segments", "knots", cfg.knots)) if values is not None]
+    kws = [{field: values[axis] for field, values in given} for axis in range(d)]
+    for kw, n in zip(kws, lengths):
+        if kw.get("knot_segments", "auto") == "auto":
+            kw["knot_segments"] = auto_knot_segments(n)
+    specs = tuple(AxisSpec(**kw) for kw in kws) if given else None
+    grids = cfg.lambda_grid and (LambdaGrid.default(*cfg.lambda_grid).lambda_x,) * d
+    return specs, grids
 
 
-def _lambda_grid(cfg: RunConfig) -> LambdaGrid:
-    count, low, high = cfg.lambda_grid
-    return LambdaGrid.default(count, low, high)
+def _lambda_summary(cfg: RunConfig, grids) -> dict:
+    """The summary's lambda_grid block: the --lambda-grid count and range,
+    else those of grids, the fit's default lists."""
+    count, low, high = cfg.lambda_grid or (
+        grids[0].size, *np.log10(grids[0][[0, -1]]).tolist())
+    return {"count": count, "log10_low": low, "log10_high": high,
+            "fine_pass": cfg.fine_pass}
 
 
 def _require_input(cfg: RunConfig) -> str:
@@ -412,10 +429,9 @@ def _spec_summary(specs) -> dict:
 def cmd_smooth_grid(cfg: RunConfig) -> int:
     x, z, Y = read_grid_csv(_require_input(cfg))
     data = GridData(Y, x, z)
-    specs = resolve_specs(cfg, data.shape)
+    specs, grids = fit_options(cfg, data.shape)
     t0 = time.perf_counter()
-    fit = select_lambda(data, specs=specs, grid=_lambda_grid(cfg),
-                        fine_pass=cfg.fine_pass)
+    fit = select_lambda(data, specs, grids and LambdaGrid(*grids), cfg.fine_pass)
     elapsed = time.perf_counter() - t0
     if cfg.output:
         write_grid_csv(cfg.output, x, z, fit.fitted)
@@ -434,11 +450,8 @@ def cmd_smooth_grid(cfg: RunConfig) -> int:
             "command": "smooth-grid",
             "input": cfg.input,
             "shape": list(data.shape),
-            **_spec_summary(specs),
-            "lambda_grid": {"count": cfg.lambda_grid[0],
-                            "log10_low": cfg.lambda_grid[1],
-                            "log10_high": cfg.lambda_grid[2],
-                            "fine_pass": cfg.fine_pass},
+            **_spec_summary(fit.specs),
+            "lambda_grid": _lambda_summary(cfg, fit.grids),
             "lambda": list(fit.lambdas),
             "edf": fit.edf,
             "gcv": fit.gcv_value,
@@ -458,9 +471,9 @@ def cmd_smooth_scatter(cfg: RunConfig) -> int:
         i1 = i2 = auto_bin_count(data.n)
     else:
         i1, i2 = cfg.bins
-    specs = resolve_specs(cfg, (i1, i2))
+    specs, grids = fit_options(cfg, (i1, i2))
     t0 = time.perf_counter()
-    sfit = iterative_fit(data, i1, i2, specs=specs, grid=_lambda_grid(cfg),
+    sfit = iterative_fit(data, i1, i2, specs, grids and LambdaGrid(*grids),
                          max_iter=cfg.max_iter)
     elapsed = time.perf_counter() - t0
     grid = sfit.binned
@@ -483,7 +496,7 @@ def cmd_smooth_scatter(cfg: RunConfig) -> int:
             "iterations": sfit.iterations,
             "converged": sfit.converged,
             "cycled": sfit.cycled,
-            **_spec_summary(specs),
+            **_spec_summary(sfit.fit.specs),
             "lambda": list(sfit.fit.lambdas),
             "edf": sfit.fit.edf,
             "masked_gcv": sfit.masked_gcv,
@@ -501,9 +514,9 @@ def cmd_smooth_cov(cfg: RunConfig) -> int:
     t, Y = read_curves_csv(_require_input(cfg))
     curves = CurveSet(Y, t)
     C = sample_cov(curves, center=cfg.center)
-    spec = resolve_specs(cfg, (curves.J,))[0]
+    specs, grids = fit_options(cfg, (curves.J,))
     t0 = time.perf_counter()
-    model = smooth_cov(C, spec=spec, lams=_lambda_grid(cfg).lambda_x, t=t,
+    model = smooth_cov(C, specs and specs[0], grids and grids[0], t,
                        exclude_diagonal=cfg.exclude_diagonal)
     elapsed = time.perf_counter() - t0
     npairs = min(cfg.npairs, model.eigenvalues.size)
@@ -551,10 +564,8 @@ def cmd_smooth_array(cfg: RunConfig) -> int:
     if values.dtype.kind not in "biuf":
         raise FileFormatError(f"{path}: dtype {values.dtype} is not bool, integer or float")
     data = ArrayData.on_midpoints(np.asarray(values, dtype=float))
-    specs = resolve_specs(cfg, values.shape)
-    grids = (_lambda_grid(cfg).lambda_x,) * data.ndim
     t0 = time.perf_counter()
-    fit = fit_array(data, specs=specs, grids=grids)
+    fit = fit_array(data, *fit_options(cfg, values.shape))
     elapsed = time.perf_counter() - t0
     if cfg.output:
         np.save(cfg.output, fit.fitted)
@@ -567,7 +578,7 @@ def cmd_smooth_array(cfg: RunConfig) -> int:
             "command": "smooth-array",
             "input": cfg.input,
             "shape": list(values.shape),
-            **_spec_summary(specs),
+            **_spec_summary(fit.specs),
             "lambda": list(fit.lambdas),
             "edf": fit.edf,
             "gcv": fit.gcv_value,
@@ -613,26 +624,22 @@ def run_fda_study(case: int, n: int, J: int, sigma: float, seed: int,
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
-    count, low, high = cfg.lambda_grid
     t0 = time.perf_counter()
     if cfg.kind == "surface":
         n1, n2 = cfg.size if cfg.size else (20, 30)
-        specs = resolve_specs(cfg, (n1, n2))
+        specs, grids = _resolve((n1, n2), *fit_options(cfg, (n1, n2)))
         ises = run_surface_study(cfg.function, cfg.sigma, n1, n2, specs,
-                                 _lambda_grid(cfg), cfg.fine_pass, cfg.seed,
+                                 LambdaGrid(*grids), cfg.fine_pass, cfg.seed,
                                  cfg.reps, cfg.threads)
         label = f"surface {cfg.function} {n1}x{n2}"
-        params = {"function": cfg.function, "size": [n1, n2],
-                  **_spec_summary(specs)}
+        params = {"function": cfg.function, "size": [n1, n2]}
     else:
         n, J = cfg.size if cfg.size else (25, 20)
-        spec = resolve_specs(cfg, (J,))[0]
+        specs, grids = _resolve((J,), *fit_options(cfg, (J,)))
         ises = run_fda_study(cfg.case, n, J, cfg.sigma, cfg.seed, cfg.reps,
-                             spec=spec, lams=_lambda_grid(cfg).lambda_x,
-                             threads=cfg.threads)
+                             spec=specs[0], lams=grids[0], threads=cfg.threads)
         label = f"fda case {cfg.case} (n,J)=({n},{J})"
-        params = {"case": cfg.case, "n_curves": n, "n_points": J,
-                  **_spec_summary([spec])}
+        params = {"case": cfg.case, "n_curves": n, "n_points": J}
     elapsed = time.perf_counter() - t0
     mise = float(ises.mean())
     sd = float(ises.std(ddof=1)) if ises.size > 1 else 0.0
@@ -644,11 +651,11 @@ def cmd_simulate(cfg: RunConfig) -> int:
             "command": "simulate",
             "kind": cfg.kind,
             **params,
+            **_spec_summary(specs),
             "sigma": cfg.sigma,
             "seed": cfg.seed,
             "reps": cfg.reps,
-            "lambda_grid": {"count": count, "log10_low": low,
-                            "log10_high": high, "fine_pass": cfg.fine_pass},
+            "lambda_grid": _lambda_summary(cfg, grids),
             "mise": mise,
             "sd_ise": sd,
             "elapsed_seconds": elapsed,
@@ -682,8 +689,8 @@ def cmd_kernel_check(cfg: RunConfig) -> int:
     gap = None
     if cfg.profile:
         n, k, lam = cfg.profile
-        gap = profile_gap(n, k, lam, degree=cfg.degree[0],
-                          penalty_order=cfg.penalty_order[0])
+        given = {"degree": cfg.degree, "penalty_order": cfg.penalty_order}
+        gap = profile_gap(n, k, lam, **{f: v[0] for f, v in given.items() if v})
         print(f"kernel-check: profile n={n} knots={k} lambda={lam:g} "
               f"max-abs gap={gap:.4f}")
     if cfg.emit_plotdata:
@@ -714,21 +721,21 @@ def bench_knots(n: int) -> int:
 
 def cmd_bench(cfg: RunConfig) -> int:
     results = []
+    grid = cfg.lambda_grid and LambdaGrid.default(*cfg.lambda_grid)
     for n in cfg.sizes:
         K = bench_knots(n)
         x, z, F = sample_surface(SURFACES["f2"].f, n, n)
         Y = F + 0.5 * CounterNormals(cfg.seed).normals((n, n))
-        spec = AxisSpec(degree=3, penalty_order=2, knot_segments=K)
+        spec = AxisSpec(knot_segments=K)
         t0 = time.perf_counter()
-        fit = select_lambda(GridData(Y, x, z), specs=(spec, spec),
-                            grid=_lambda_grid(cfg))
+        fit = select_lambda(GridData(Y, x, z), specs=(spec, spec), grid=grid)
         dt = time.perf_counter() - t0
         if not (math.isfinite(dt) and dt > 0 and math.isfinite(fit.gcv_value)):
             raise FloatingPointError(f"bench at n={n} produced a bad timing")
         results.append({"n_per_axis": n, "knots": K, "seconds": dt,
                         "edf": fit.edf})
         print(f"bench: n={n}^2 knots={K}^2 "
-              f"pairs={cfg.lambda_grid[0] ** 2}: {dt:.3f}s edf={fit.edf:.1f}")
+              f"pairs={fit.gcv_surface.size}: {dt:.3f}s edf={fit.edf:.1f}")
     if cfg.summary:
         write_json(cfg.summary, {"command": "bench", "results": results})
     return EXIT_OK

@@ -4,11 +4,12 @@ Curves observed on a common grid give a J x J sample second-moment matrix;
 smoothing it with the same univariate smoother on both sides keeps it
 symmetric and leaves a single smoothing parameter, selected by GCV along
 the equal-parameter diagonal of the grid fit's GCV table (edf = trace^2,
-ties to the largest lambda).  Eigenpairs of the smoothed matrix estimate
-the functional principal components, with midpoint-quadrature scaling:
-matrix eigenvalue / J estimates the process eigenvalue, sqrt(J) times the
-unit eigenvector estimates the eigenfunction (so it has unit quadrature
-norm).
+ties to the largest lambda), with every fit's defaults and candidate rule
+for one axis (sandwich2d._resolve).  Eigenpairs of the smoothed matrix
+estimate the functional principal components, with midpoint-quadrature
+scaling: matrix eigenvalue / J estimates the process eigenvalue, sqrt(J)
+times the unit eigenvector estimates the eigenfunction (so it has unit
+quadrature norm).
 
 The smoothed matrix is A K A' with A the J x c orthonormal spectral basis
 and K = diag(st) (A'CA) diag(st), so its rank is at most c.  Its nonzero
@@ -43,18 +44,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import AxisSpec, auto_knot_segments
+from .basis import AxisSpec
 from .rng import CounterNormals, replicate_seed
 from .sandwich2d import (
-    LambdaGrid,
-    _pick,
+    _resolve,
     _scan_values,
     _SpectralFit,
     _unscale,
     require_coordinates,
     require_finite,
 )
-from .spectra import axis_spectrum, shrink_weights
+from .spectra import axis_spectrum
 from .surfaces import midpoints
 
 __all__ = [
@@ -68,7 +68,6 @@ __all__ = [
     "eigenpairs",
     "simulate_fda",
     "replicate_ise",
-    "default_cov_spec",
 ]
 
 ASYMMETRY_TOL = 1e-8
@@ -184,10 +183,6 @@ def sample_cov(curves: CurveSet, center: bool = False) -> np.ndarray:
     return (Y.T @ Y) / curves.n
 
 
-def default_cov_spec(J: int) -> AxisSpec:
-    return AxisSpec(knot_segments=auto_knot_segments(J))
-
-
 def _eigensystem(w: np.ndarray, V: np.ndarray, e: int = 0
                  ) -> tuple[np.ndarray, np.ndarray]:
     """(2^e w / J, sqrt(J) V') in descending order of w, with quadrature
@@ -271,9 +266,10 @@ def smooth_cov(C: np.ndarray, spec: AxisSpec | None = None,
                exclude_diagonal: bool = False) -> CovModel:
     """Smooth a symmetric matrix with one smoother on both sides.
 
-    The single lambda is chosen by GCV over `lams` (ties to the largest);
-    lambda = 0 is permitted and means pure projection.  A singleton list
-    pins lambda directly, even where GCV is undefined.
+    The single lambda is chosen by GCV over `lams` (ties to the largest),
+    finite and strictly positive; spec and lams default as for any fit on
+    one axis of length J.  Raises DegenerateFit when no candidate has
+    edf < n.
     """
     C = np.asarray(C, dtype=float)
     if C.ndim != 2 or C.shape[0] != C.shape[1]:
@@ -292,8 +288,8 @@ def smooth_cov(C: np.ndarray, spec: AxisSpec | None = None,
     J = C.shape[0]
     if t is None:
         t = midpoints(J)
-    if spec is None:
-        spec = default_cov_spec(J)
+    (spec,), (lams,) = _resolve((J,), None if spec is None else (spec,),
+                                None if lams is None else (lams,))
     sp = axis_spectrum(t, spec)  # a J too short for the basis raises here
     if exclude_diagonal:
         # white noise inflates only the exact diagonal; rebuild it from the
@@ -305,23 +301,14 @@ def smooth_cov(C: np.ndarray, spec: AxisSpec | None = None,
         d_new[1:-1] = off[:-1] * 0.5 + off[1:] * 0.5
         C[np.diag_indices_from(C)] = d_new
         scan = _scan_values("C", C)
-    lams = (LambdaGrid.default().lambda_x if lams is None
-            else np.atleast_1d(np.asarray(lams, float)))
-    if np.any(lams < 0):
-        raise ValueError("lambdas must be nonnegative")
 
     fit = _SpectralFit(C, (sp, sp), scan)
-    gcv, edf, _ = fit.score((lams, lams))
-    # one lambda on both sides: the diagonal of the bivariate table; a
-    # singleton list pins lambda, even where GCV is undefined
-    gcv, edf = np.diagonal(gcv), np.diagonal(edf)
-    (k,) = _pick(gcv, fit.n, (lams,)) if lams.size > 1 else (0,)
+    (k,), gcv, edf = fit.select((lams, lams), diagonal=True)
     lam = float(lams[k])
 
     # the smoothed core on the scale of C * 2^-e; one eigh serves both the
     # eigenpairs and the smoothed matrix, each scaled back by 2^e
-    st = shrink_weights(sp.s, lam)
-    core = st[:, None] * fit.Ytilde * st[None, :]
+    core = fit.core((lam, lam))
     w, U = np.linalg.eigh(0.5 * (core + core.T))
     V = sp.A @ U
     values, funcs = _eigensystem(w, V, fit.e)

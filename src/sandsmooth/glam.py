@@ -50,9 +50,8 @@ MultiFit = SandwichFit
 def fit_array(data: ArrayData, specs=None, grids=None) -> SandwichFit:
     """GCV-selected smoothing of a d-dimensional array.
 
-    specs: one AxisSpec per axis (default: cubic, second-order penalty,
-    automatic knot count).  grids: one candidate-lambda list per axis
-    (default default_lambda_grids(d)); the Cartesian product is scored, so
-    its size is guarded.
+    specs: one AxisSpec per axis.  grids: one list of candidate lambdas
+    per axis, finite and strictly positive.  Defaults, checks and the guard
+    on the product of the list sizes are every fit's (sandwich2d._resolve).
     """
     return _fit(data, specs, grids)

@@ -14,8 +14,10 @@ coordinate vector per axis; GridData is the same class for a matrix, with
 the names Y, x_coords and z_coords.  _fit runs every such fit (defaults and
 checks, the projection of _SpectralFit, the search, an optional fine_pass
 bracket and the reconstruction) and returns one SandwichFit.  select_lambda
-here and glam.fit_array are thin names over it.  The covariance fit uses
-_SpectralFit too, and the scatter fit its search.
+here and glam.fit_array are thin names over it.  The covariance fit selects
+through _SpectralFit too, on the diagonal of its table, and the scatter fit
+uses its search.  Every fit takes its default specs and candidate lists,
+and the candidate rule, from _resolve.
 
 Selection uses GCV = (SSE/n) / (1 - edf/n)^2, the standard form, with edf
 the product of the per-axis traces.  Exact ties go to the largest lambda
@@ -68,9 +70,6 @@ SSE_CLAMP_REL = 1e-9
 SUM_LEAF = 1 << 17
 # Most candidate tuples one search may score.
 MAX_GRID_COMBINATIONS = 100_000
-# Default candidates per axis: fewer as d grows, within the guard above.
-_DEFAULT_GRID_SIZES = {2: 20, 3: 10}
-_DEFAULT_GRID_SIZE_HIGH_D = 6
 
 
 class DegenerateFit(ValueError):
@@ -338,17 +337,6 @@ def _candidate_lists(grids, names) -> tuple[np.ndarray, ...]:
     return grids
 
 
-def require_few_combinations(grids) -> None:
-    """Raise ValueError when the Cartesian product of the candidate lists
-    grids, which a search scores in full, exceeds MAX_GRID_COMBINATIONS."""
-    n_comb = math.prod(np.size(g) for g in grids)
-    if n_comb > MAX_GRID_COMBINATIONS:
-        raise ValueError(
-            f"{n_comb} lambda combinations exceed the guard of "
-            f"{MAX_GRID_COMBINATIONS}; thin the per-axis grids"
-        )
-
-
 @dataclass(frozen=True)
 class LambdaGrid:
     """Per-axis candidate smoothing parameters of a grid fit, all strictly
@@ -372,9 +360,36 @@ class LambdaGrid:
 
 def default_lambda_grids(d: int) -> tuple[np.ndarray, ...]:
     """The default candidate list of each of d axes: LambdaGrid.default's
-    range, with fewer candidates per axis as d grows."""
-    count = _DEFAULT_GRID_SIZES.get(d, _DEFAULT_GRID_SIZE_HIGH_D)
+    range with the most candidates, at most 20, whose d-fold product stays
+    within MAX_GRID_COMBINATIONS."""
+    count = 20
+    while count ** d > MAX_GRID_COMBINATIONS:
+        count -= 1
     return tuple(LambdaGrid.default(count).lambda_x for _ in range(d))
+
+
+def _resolve(shape, specs, grids):
+    """Checked (specs, grids), one AxisSpec and one candidate list per axis
+    of shape.  specs None gives each axis a cubic spline, a second-order
+    penalty and the automatic knot count for its length; grids None gives
+    default_lambda_grids.  The search scores every tuple, so their number
+    is guarded."""
+    d = len(shape)
+    if specs is None:
+        specs = tuple(AxisSpec(knot_segments=auto_knot_segments(n)) for n in shape)
+    specs = tuple(specs)
+    if len(specs) != d:
+        raise ValueError(f"need {d} axis specs, got {len(specs)}")
+    if grids is None:
+        grids = default_lambda_grids(d)
+    if len(grids) != d:
+        raise ValueError(f"need {d} lambda lists, got {len(grids)}")
+    grids = _candidate_lists(grids, [f"axis {axis}: lambdas" for axis in range(d)])
+    n_comb = math.prod(g.size for g in grids)
+    if n_comb > MAX_GRID_COMBINATIONS:
+        raise ValueError(f"{n_comb} lambda combinations exceed the guard of "
+                         f"{MAX_GRID_COMBINATIONS}; thin the per-axis grids")
+    return specs, grids
 
 
 @dataclass(frozen=True)
@@ -536,19 +551,33 @@ class _SpectralFit:
         return _gcv_table(self.Ytilde * self.Ytilde, self.yty,
                           [sp.s for sp in self.spectra], lams, self.n)
 
-    def finish(self, values, lambdas, edf, table):
-        """(Theta, fitted, sse, gcv, table) of the fit at lambdas, of trace
-        edf.  With core = Ytilde shrunk along every axis, fitted is
-        A_1 ... A_d core, scaled back by 2^e in the per-axis factors (in
-        parts as in _project), and Theta is core contracted with the
-        coefficient maps.  The table keeps the fast-form scores that
-        drove selection; sse and gcv are exact for the returned fit (the
-        fast form carries cancellation noise of order eps * y'y), with the
-        SSE summed in the values' own memory order."""
+    def select(self, lams, diagonal=False):
+        """(index tuple, GCV table, edf table) of the GCV winner among the
+        candidate tuples lams, one list per axis.  With diagonal, one lambda
+        serves both axes of a 2-D fit: the tables are the diagonals."""
+        gcv, edf, _ = self.score(lams)
+        if diagonal:
+            gcv, edf, lams = np.diagonal(gcv), np.diagonal(edf), lams[:1]
+        return _pick(gcv, self.n, lams), gcv, edf
+
+    def core(self, lambdas):
+        """Ytilde shrunk along every axis: the fit at lambdas, projected."""
         core = self.Ytilde
         for axis, (sp, lam) in enumerate(zip(self.spectra, lambdas)):
             core = core * shrink_weights(sp.s, lam).reshape(
                 (-1,) + (1,) * (core.ndim - 1 - axis))
+        return core
+
+    def finish(self, values, lambdas, edf, table):
+        """(Theta, fitted, sse, gcv, table) of the fit at lambdas, of trace
+        edf.  fitted is A_1 ... A_d core, scaled back by 2^e in the
+        per-axis factors (in parts as in _project), and Theta is core
+        contracted with the coefficient maps.  The table keeps the
+        fast-form scores that drove selection; sse and gcv are exact for
+        the returned fit (the fast form carries cancellation noise of
+        order eps * y'y), with the SSE summed in the values' own memory
+        order."""
+        core = self.core(lambdas)
         d = len(self.spectra)
         fitted = _reconstruct(core, [np.ldexp(sp.A, (self.e + k) // d)
                                      for k, sp in enumerate(self.spectra)])
@@ -561,32 +590,14 @@ class _SpectralFit:
 
 def _fit(data: ArrayData, specs, grids, fine_pass: int = 0) -> SandwichFit:
     """GCV grid-search fit of data, one AxisSpec and one candidate list per
-    axis, behind select_lambda and glam.fit_array.
-
-    specs None gives each axis a cubic spline with a second-order
-    difference penalty and the automatic knot count for its length; grids
-    None gives default_lambda_grids.  The Cartesian product of the lists
-    is scored, so its size is guarded.  With fine_pass = r > 0 a second
-    search runs over r log-spaced values per axis between the coarse
-    winner's neighbouring candidates; the reported table is always the
-    coarse one.
+    axis (None for _resolve's defaults), behind select_lambda and
+    glam.fit_array.  With fine_pass = r > 0 a second search runs over r
+    log-spaced values per axis between the coarse winner's neighbouring
+    candidates; the reported table is always the coarse one.
     """
-    d = data.ndim
-    if specs is None:
-        specs = tuple(AxisSpec(knot_segments=auto_knot_segments(n)) for n in data.shape)
-    specs = tuple(specs)
-    if len(specs) != d:
-        raise ValueError(f"need {d} axis specs, got {len(specs)}")
-    if grids is None:
-        grids = default_lambda_grids(d)
-    if len(grids) != d:
-        raise ValueError(f"need {d} lambda lists, got {len(grids)}")
-    grids = _candidate_lists(grids, [f"axis {axis}: lambdas" for axis in range(d)])
-    require_few_combinations(grids)
-
+    specs, grids = _resolve(data.shape, specs, grids)
     fit = _SpectralFit(data.values, _axis_spectra(data.coords, specs), data._scan)
-    gcv, edf, _ = fit.score(grids)
-    idx = _pick(gcv, fit.n, grids)
+    idx, gcv, edf = fit.select(grids)
     lambdas, edf_best = tuple(float(g[i]) for g, i in zip(grids, idx)), edf[idx]
     if fine_pass > 0:
         fine = tuple(_refined_axis(g, i, fine_pass) for g, i in zip(grids, idx))

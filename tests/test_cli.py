@@ -18,6 +18,7 @@ from sandsmooth.cli import (
     main,
 )
 from sandsmooth.fda import simulate_fda
+from sandsmooth.glam import ArrayData, fit_array
 from sandsmooth.gridio import (
     read_grid_csv,
     write_curves_csv,
@@ -218,6 +219,33 @@ class TestConfigFile:
         assert RunConfig("smooth-grid", threads=2).threads == 2
 
 
+class TestLambdaGridBounds:
+    """A --lambda-grid bound whose power of ten is not a positive finite
+    float exits 2 with one line naming the option and the bound, from the
+    flag or from a config file, before numpy can warn."""
+
+    @pytest.mark.parametrize("grid, bound", [
+        ("3,-5,nan", "nan"), ("2,-5,inf", "inf"), ("1,400,400", "400.0"),
+        ("2,-400,1", "-400.0")])
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    def test_one_line_naming_the_bound(self, tmp_path, capsys, grid, bound, route):
+        inp = tmp_path / "in.csv"
+        make_grid_csv(inp)
+        if route == "flag":
+            args = ["--lambda-grid", grid]
+        else:
+            cfgp = tmp_path / "run.cfg"
+            cfgp.write_text(f"lambda-grid = {grid}\n")
+            args = ["--config", str(cfgp)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["smooth-grid", "-i", str(inp), *args]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("sandsmooth: --lambda-grid bound ")
+        assert f"10^{bound} = " in err[0]
+
+
 class TestFinePass:
     """A fine pass refines the grid fits of smooth-grid and simulate --kind
     surface; every other command rejects it rather than ignore it."""
@@ -414,6 +442,17 @@ class TestSmoothArray:
         assert np.all(np.isfinite(fitted))
         npt.assert_allclose(fitted.mean(), arr.mean(), rtol=0.01)
         assert json.loads(sump.read_text())["sse"] == "inf"
+
+    @pytest.mark.parametrize("shape", [(7, 9), (6, 7, 8), (5, 6, 6, 7)])
+    def test_default_options_fit_as_fit_array(self, tmp_path, shape):
+        # 20 candidates per axis would exceed the guard at d = 4; the CLI
+        # takes fit_array's own defaults, which stay within it
+        values = CounterNormals(len(shape)).normals(shape)
+        inp, out, want = tmp_path / "a.npy", tmp_path / "f.npy", tmp_path / "w.npy"
+        np.save(inp, values)
+        assert main(["smooth-array", "-i", str(inp), "-o", str(out)]) == 0
+        np.save(want, fit_array(ArrayData.on_midpoints(values)).fitted)
+        assert out.read_bytes() == want.read_bytes()
 
     def test_single_lambda_is_the_grid_helpers(self, tmp_path):
         rng = np.random.default_rng(12)

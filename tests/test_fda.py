@@ -6,13 +6,12 @@ import numpy.testing as npt
 import pytest
 
 from sandsmooth import fda
-from sandsmooth.basis import AxisSpec
+from sandsmooth.basis import AxisSpec, auto_knot_segments
 from sandsmooth.fda import (
     CovModel,
     CurveSet,
     case_eigenvalues,
     eigenfunction_set,
-    default_cov_spec,
     eigenpairs,
     sample_cov,
     simulate_fda,
@@ -20,7 +19,7 @@ from sandsmooth.fda import (
     true_covariance,
 )
 from sandsmooth.rng import CounterNormals
-from sandsmooth.sandwich2d import GridData, LambdaGrid, select_lambda
+from sandsmooth.sandwich2d import DegenerateFit, GridData, LambdaGrid, select_lambda
 from sandsmooth.spectra import SingularGram, apply_smoother, axis_spectrum, shrink_weights
 from sandsmooth.surfaces import midpoints
 
@@ -108,15 +107,34 @@ class TestSampleCov:
 
 
 class TestSmoothCov:
-    def test_lambda_zero_square_basis_is_identity(self):
+    def test_tiny_lambda_square_basis_is_identity(self):
         J = 12
         rng = np.random.default_rng(1)
         M = rng.normal(size=(J, J))
         C = M @ M.T
-        # c = K + 3 = J makes the collocation square and invertible
-        model = smooth_cov(C, AxisSpec(3, 2, J - 3), lams=[0.0])
+        # c = K + 3 = J makes the collocation square and invertible; lambda
+        # must be positive, and 1e-15 leaves the fit within 1e-8 of C
+        model = smooth_cov(C, AxisSpec(3, 2, J - 3), lams=[1e-15])
         npt.assert_allclose(model.smoothed_cov, C, atol=1e-8)
-        assert model.lam == 0.0
+        assert model.lam == 1e-15
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("alone", [True, False], ids=["alone", "beside_1"])
+    def test_bad_candidate_named(self, bad, alone):
+        C = sample_cov(simulate_fda(1, 20, 15, 0.5, seed=3))
+        lams = [bad] if alone else [bad, 1.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"strictly positive, got {bad}$"):
+                smooth_cov(C, lams=lams)
+
+    def test_lone_candidate_spending_every_df_raises(self):
+        # the square basis interpolates at tiny lambda: edf = J^2 = n, where
+        # GCV is undefined, so a lone candidate is not pinned
+        J = 12
+        C = sample_cov(simulate_fda(1, 20, J, 0.5, seed=3))
+        with pytest.raises(DegenerateFit, match="edf >= n"):
+            smooth_cov(C, AxisSpec(3, 2, J - 3), lams=[1e-30])
 
     def test_rank_one_commutes(self):
         J = 15
@@ -216,7 +234,7 @@ class TestSmoothCov:
         # one lambda on both sides must take the diagonal's own winner
         curves = simulate_fda(1, 60, 80, 0.5, seed=80)
         C = sample_cov(curves, center=True)
-        spec = default_cov_spec(80)
+        spec = AxisSpec(knot_segments=auto_knot_segments(80))
         lams = np.logspace(-5, 4, 20)
         model = smooth_cov(C, spec, lams)
         gfit = select_lambda(GridData(0.5 * (C + C.T), curves.t, curves.t),
@@ -370,7 +388,7 @@ def dense_smoothed(C, lam, exclude_diagonal=False):
     if exclude_diagonal:
         off = np.diag(C, 1)
         C[np.diag_indices(J)] = np.r_[off[0], 0.5 * (off[:-1] + off[1:]), off[-1]]
-    sp = axis_spectrum(midpoints(J), default_cov_spec(J))
+    sp = axis_spectrum(midpoints(J), AxisSpec(knot_segments=auto_knot_segments(J)))
     st = shrink_weights(sp.s, lam)
     K = st[:, None] * (sp.A.T @ C @ sp.A) * st[None, :]
     return sp.A @ K @ sp.A.T

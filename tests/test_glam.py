@@ -5,7 +5,14 @@ import numpy.testing as npt
 import pytest
 
 from sandsmooth.basis import AxisSpec, design_matrix, diff_matrix
-from sandsmooth.glam import ArrayData, MultiFit, fit_array
+from sandsmooth.glam import (
+    MAX_GRID_COMBINATIONS,
+    ArrayData,
+    MultiFit,
+    default_lambda_grids,
+    fit_array,
+)
+from sandsmooth.rng import CounterNormals
 from sandsmooth.sandwich2d import GridData, LambdaGrid, _contract, select_lambda
 
 
@@ -230,6 +237,11 @@ class TestFitArray:
         with pytest.raises(ValueError, match="guard"):
             fit_array(data, grids=(big, big, big))
 
+    def test_seven_axes_fit_with_the_default_grids(self):
+        fit = fit_array(ArrayData.on_midpoints(CounterNormals(7).normals((5,) * 7)))
+        assert fit.gcv_table.shape == (5,) * 7
+        assert np.isfinite(fit.gcv_value)
+
     def test_edf_within_bounds(self):
         rng = np.random.default_rng(7)
         data = ArrayData.on_midpoints(rng.normal(size=(9, 9, 9)))
@@ -239,3 +251,22 @@ class TestFitArray:
         c_prod = 7 ** 3
         assert m_prod <= mfit.edf <= c_prod
         assert mfit.fitted.shape == data.values.shape
+
+
+class TestDefaultGrids:
+    def test_most_candidates_within_the_guard(self):
+        counts = []
+        for d in range(1, 21):
+            grids = default_lambda_grids(d)
+            k = grids[0].size
+            assert len(grids) == d and all(g.size == k for g in grids)
+            assert k ** d <= MAX_GRID_COMBINATIONS
+            assert k == 20 or (k + 1) ** d > MAX_GRID_COMBINATIONS
+            counts.append(k)
+        assert counts[:7] == [20, 20, 20, 17, 10, 6, 5]
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_lambda_grid_default_up_to_three_axes(self, d):
+        want = LambdaGrid.default().lambda_x
+        for g in default_lambda_grids(d):
+            assert g.dtype == want.dtype and g.tobytes() == want.tobytes()

@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from sandsmooth import gridio
 from sandsmooth.binning import ScatterData, iterative_fit
-from sandsmooth.cli import RunConfig, main, resolve_specs, run_fda_study, run_surface_study
+from sandsmooth.cli import main, run_fda_study, run_surface_study
 from sandsmooth.fda import CurveSet, eigenpairs, sample_cov, simulate_fda, smooth_cov
 from sandsmooth.glam import ArrayData, fit_array
 from sandsmooth.gridio import (
@@ -656,16 +656,11 @@ class TestLongTableLabels:
         assert not p.exists()
 
 
-def cli_specs(lengths):
-    """The per-axis specs the CLI resolves by default for these lengths."""
-    return resolve_specs(RunConfig("smooth-grid", threads=1), lengths)
-
-
 class TestCliLongTablesMatchOracle:
     """Every long-format CLI artifact has the bytes of the oracle fed the
-    rows that the per-row CLI code built."""
-
-    LAMBDAS = LambdaGrid.default(20, -5.0, 4.0)  # the CLI's default candidates
+    rows that the per-row CLI code built.  Without spec or --lambda-grid
+    options the CLI fits with the library's defaults, so the oracles pass
+    none either."""
 
     def assert_long(self, path, header, rows):
         old = path.with_name("oracle.csv")
@@ -679,11 +674,11 @@ class TestCliLongTablesMatchOracle:
         write_grid_csv(inp, x, z, Y)
         assert main(["smooth-grid", "-i", str(inp), "--gcv-surface", str(gcvp),
                      "--emit-plotdata", str(plotp)]) == 0
-        fit = select_lambda(GridData(Y, x, z), specs=cli_specs(Y.shape), grid=self.LAMBDAS)
+        fit = select_lambda(GridData(Y, x, z))
         self.assert_long(gcvp, ["lambda_x", "lambda_z", "gcv"], [
             (l1, l2, fit.gcv_surface[i, j])
-            for i, l1 in enumerate(self.LAMBDAS.lambda_x)
-            for j, l2 in enumerate(self.LAMBDAS.lambda_z)])
+            for i, l1 in enumerate(fit.grids[0])
+            for j, l2 in enumerate(fit.grids[1])])
         self.assert_long(plotp, ["x", "z", "series", "value"], [
             (x[i], z[j], series, vals[i, j])
             for series, vals in (("observed", Y), ("fitted", fit.fitted),
@@ -700,9 +695,7 @@ class TestCliLongTablesMatchOracle:
         write_scatter_csv(inp, px, pz, py)
         assert main(["smooth-scatter", "-i", str(inp), "--bins", "12",
                      "--emit-plotdata", str(plotp)]) == 0
-        sfit = iterative_fit(ScatterData(px, pz, py), 12, 12,
-                             specs=cli_specs((12, 12)),
-                             grid=self.LAMBDAS, max_iter=20)
+        sfit = iterative_fit(ScatterData(px, pz, py), 12, 12, max_iter=20)
         grid = sfit.binned
         assert grid.empty_mask.any()
         self.assert_long(plotp, ["x", "z", "series", "value"], [
@@ -720,8 +713,7 @@ class TestCliLongTablesMatchOracle:
                      "--emit-plotdata", str(plotp), *flags]) == 0
         t = curves.t
         C = sample_cov(CurveSet(curves.Y, t), center=bool(flags))
-        model = smooth_cov(C, spec=cli_specs((25,))[0],
-                           lams=self.LAMBDAS.lambda_x, t=t, exclude_diagonal=bool(flags))
+        model = smooth_cov(C, t=t, exclude_diagonal=bool(flags))
         npairs = min(4, model.eigenvalues.size)
         values, funcs = eigenpairs(model, npairs)
         self.assert_long(eigp, ["eigenvalue"] + [f"t:{format(c, '.17g')}" for c in t],
@@ -739,7 +731,7 @@ class TestCliLongTablesMatchOracle:
         assert main(["smooth-array", "-i", str(inp), "--lambda-grid", "6,-3,3",
                      "--emit-plotdata", str(plotp)]) == 0
         data = ArrayData.on_midpoints(values)
-        fit = fit_array(data, specs=cli_specs(shape),
+        fit = fit_array(data,
                         grids=(LambdaGrid.default(6, -3.0, 3.0).lambda_x,) * len(shape))
         d = len(shape)
         self.assert_long(plotp, [f"axis{k}" for k in range(d)] + ["fitted"], [
@@ -752,11 +744,9 @@ class TestCliLongTablesMatchOracle:
         assert main(["simulate", "--kind", kind, "--reps", "3", "--size", "12,14",
                      "--emit-plotdata", str(plotp)]) == 0
         if kind == "surface":
-            ises = run_surface_study("f2", 0.5, 12, 14, cli_specs((12, 14)),
-                                     self.LAMBDAS, 0, 1, 3)
+            ises = run_surface_study("f2", 0.5, 12, 14, None, None, 0, 1, 3)
         else:
-            ises = run_fda_study(1, 12, 14, 0.5, 1, 3, spec=cli_specs((14,))[0],
-                                 lams=self.LAMBDAS.lambda_x)
+            ises = run_fda_study(1, 12, 14, 0.5, 1, 3)
         self.assert_long(plotp, ["replicate", "ise"],
                          [(float(r), v) for r, v in enumerate(ises)])
 

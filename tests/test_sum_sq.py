@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from sandsmooth import fda, glam, sandwich2d
-from sandsmooth.basis import AxisSpec
+from sandsmooth.basis import AxisSpec, auto_knot_segments
 from sandsmooth.glam import ArrayData, fit_array
 from sandsmooth.sandwich2d import (
     SUM_LEAF,
@@ -249,7 +249,7 @@ def plain_cov_selection(C, lams):
     """smooth_cov's lambda search with ||C||^2 as np.sum(C * C)."""
     _, C = fda._symmetrize(np.asarray(C, dtype=float))
     J = C.shape[0]
-    sp = axis_spectrum(midpoints(J), fda.default_cov_spec(J))
+    sp = axis_spectrum(midpoints(J), AxisSpec(knot_segments=auto_knot_segments(J)))
     e = _scale_exponent(C)
     C *= 2.0 ** -e
     Ct = sp.A.T @ C @ sp.A
