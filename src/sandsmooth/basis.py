@@ -68,6 +68,14 @@ def make_knots(spec: AxisSpec) -> np.ndarray:
     return (np.arange(spec.n_basis + p + 1) - p) / K
 
 
+def segment_index(points: np.ndarray, knot_segments: int) -> np.ndarray:
+    """Index of the knot segment holding each point of [0, 1]: segments are
+    half-open, and 1.0 lands in the last one.  A point in segment j has
+    its nonzero basis values in columns j .. j + degree of the design
+    matrix: this is the de Boor support index."""
+    return np.minimum((points * knot_segments).astype(int), knot_segments - 1)
+
+
 def _de_boor(knots: np.ndarray, degree: int, points: np.ndarray) -> np.ndarray:
     """Basis values at each of ``points``: the rows of the design matrix.
 
@@ -80,9 +88,8 @@ def _de_boor(knots: np.ndarray, degree: int, points: np.ndarray) -> np.ndarray:
     p = degree
     c = len(knots) - p - 1
     K = c - p
-    # Index of the knot interval containing each point, clamped so 1.0 lands
-    # in the last interior segment.
-    left = p + np.minimum((points * K).astype(int), K - 1)
+    # Index of the knot interval containing each point.
+    left = p + segment_index(points, K)
 
     # After round k, work[:, :k+1] holds the values of the k-degree splines
     # supported on each point's interval.

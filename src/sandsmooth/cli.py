@@ -24,14 +24,10 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .basis import AxisSpec, auto_knot_segments
-from .binning import ScatterData, auto_bin_count, iterative_fit
-from .fda import CurveSet, eigenpairs, replicate_ise, sample_cov, smooth_cov
-from .glam import ArrayData, fit_array
 from .gridio import (
     FileFormatError,
     read_curves_csv,
@@ -41,11 +37,11 @@ from .gridio import (
     write_json,
     write_long_csv,
 )
-from .kernelcheck import kernel_eval, kernel_l2, kernel_moment, profile_gap
-from .rng import CounterNormals, replicate_seed
 from .sandwich2d import DegenerateFit, GridData, LambdaGrid, _resolve, select_lambda
 from .spectra import SingularGram
-from .surfaces import SURFACES, midpoints, sample_surface
+
+# smooth-grid, the common path, loads only the modules above; the other
+# commands import what they need inside their handlers
 
 __all__ = ["RunConfig", "main"]
 
@@ -58,46 +54,61 @@ THREADS_ENV = "SANDSMOOTH_THREADS"
 _OPTION_PARSERS: dict = {}
 
 
+# Each parser raises ValueError naming the rule a value breaks; build_config
+# adds the option and the value, so a flag and a config line read alike.
+
+def _parse_int(s: str) -> int:
+    try:
+        return int(s)
+    except ValueError:
+        raise ValueError("expected an integer") from None
+
+
+def _parse_float(s: str) -> float:
+    try:
+        return float(s)
+    except ValueError:
+        raise ValueError("expected a number") from None
+
+
 def _parse_axes_int(s: str) -> tuple:
     try:
         return tuple(int(f) for f in s.split(","))
     except ValueError:
-        raise ValueError(f"expected comma-separated integers, got {s!r}") from None
+        raise ValueError("expected comma-separated integers") from None
 
 
 def _parse_knots(s: str) -> tuple:
-    out = []
-    for f in s.split(","):
-        f = f.strip()
-        if f == "auto":
-            out.append("auto")
-        else:
-            try:
-                out.append(int(f))
-            except ValueError:
-                raise ValueError(
-                    f"knots must be integers or 'auto', got {f!r}"
-                ) from None
-    return tuple(out)
+    fields = [f.strip() for f in s.split(",")]
+    try:
+        return tuple(f if f == "auto" else int(f) for f in fields)
+    except ValueError:
+        raise ValueError("each knot count must be an integer or 'auto'") from None
 
 
 def _parse_lambda_grid(s: str) -> tuple:
     parts = s.split(",")
     if len(parts) != 3:
-        raise ValueError(f"lambda-grid needs count,log10_low,log10_high, got {s!r}")
-    count = int(parts[0])
-    low, high = float(parts[1]), float(parts[2])
+        raise ValueError("expected count,log10_low,log10_high")
+    try:
+        count = int(parts[0])
+    except ValueError:
+        raise ValueError("the count must be an integer") from None
+    try:
+        low, high = float(parts[1]), float(parts[2])
+    except ValueError:
+        raise ValueError("log10_low and log10_high must be numbers") from None
     if count < 1:
-        raise ValueError("lambda-grid count must be >= 1")
+        raise ValueError("the count must be >= 1")
     if count > 1 and high <= low:
-        raise ValueError("lambda-grid needs log10_high > log10_low")
+        raise ValueError("log10_high must exceed log10_low")
     return count, low, high
 
 
 def _parse_pair(s: str) -> tuple:
     parts = _parse_axes_int(s)
     if len(parts) != 2:
-        raise ValueError(f"expected two comma-separated integers, got {s!r}")
+        raise ValueError("expected two comma-separated integers")
     return parts
 
 
@@ -105,18 +116,16 @@ def _parse_bins(s: str):
     if s.strip() == "auto":
         return "auto"
     parts = _parse_axes_int(s)
-    if len(parts) == 1:
-        return parts[0], parts[0]
-    if len(parts) != 2:
-        raise ValueError(f"bins must be 'auto', one, or two integers, got {s!r}")
-    return parts
+    if len(parts) > 2:
+        raise ValueError("expected 'auto' or one or two comma-separated integers")
+    return parts if len(parts) == 2 else parts * 2
 
 
 def _parse_profile(s: str) -> tuple:
     parts = s.split(",")
     if len(parts) != 3:
-        raise ValueError(f"profile needs n,knots,lambda, got {s!r}")
-    return int(parts[0]), int(parts[1]), float(parts[2])
+        raise ValueError("expected n,knots,lambda")
+    return _parse_int(parts[0]), _parse_int(parts[1]), _parse_float(parts[2])
 
 
 def _parse_bool(s: str) -> bool:
@@ -125,16 +134,18 @@ def _parse_bool(s: str) -> bool:
         return True
     if low in ("0", "false", "no", "off"):
         return False
-    raise ValueError(f"expected a boolean, got {s!r}")
+    raise ValueError("expected a boolean")
 
 
 def _opt(parser, *flags, dest, parse=str, **kw):
-    parser.add_argument(*flags, dest=dest, type=parse, default=None, **kw)
+    # the raw string is kept; build_config parses it, as it does a config value
+    parser.add_argument(*flags, dest=dest, default=None, **kw)
     _OPTION_PARSERS[dest] = parse
 
 
 def _flag(parser, *flags, dest, **kw):
-    parser.add_argument(*flags, dest=dest, action="store_true", default=None, **kw)
+    parser.add_argument(*flags, dest=dest, action="store_const", const="true",
+                        default=None, **kw)
     _OPTION_PARSERS[dest] = _parse_bool
 
 
@@ -216,8 +227,10 @@ class RunConfig:
             raise ValueError("npairs must be >= 1")
         if self.kind not in ("surface", "fda"):
             raise ValueError(f"kind must be 'surface' or 'fda', got {self.kind!r}")
-        if self.function not in SURFACES:
-            raise ValueError(f"function must be one of {sorted(SURFACES)}")
+        if self.function != type(self).function:  # the default needs no lookup
+            from .surfaces import SURFACES
+            if self.function not in SURFACES:
+                raise ValueError(f"function must be one of {sorted(SURFACES)}")
         if self.sigma < 0:
             raise ValueError("sigma must be >= 0")
         if self.case not in (1, 2):
@@ -247,14 +260,14 @@ def build_parser() -> argparse.ArgumentParser:
     _opt(shared, "--lambda-grid", dest="lambda_grid", parse=_parse_lambda_grid,
          metavar="N,LO,HI", help="count,log10_low,log10_high (default: the "
          "fit's, up to 20 per axis between 10^-5 and 10^4)")
-    _opt(shared, "--fine-pass", dest="fine_pass", parse=int, metavar="R",
+    _opt(shared, "--fine-pass", dest="fine_pass", parse=_parse_int, metavar="R",
          help="refine the winner on an RxR bracket (default 0 = off; "
          "smooth-grid and simulate --kind surface only)")
-    _opt(shared, "--seed", dest="seed", parse=int, metavar="S",
+    _opt(shared, "--seed", dest="seed", parse=_parse_int, metavar="S",
          help="master seed for any randomness (default 1)")
-    _opt(shared, "--reps", dest="reps", parse=int, metavar="N",
+    _opt(shared, "--reps", dest="reps", parse=_parse_int, metavar="N",
          help="replicates for simulation studies (default 100)")
-    _opt(shared, "--threads", dest="threads", parse=int, metavar="T",
+    _opt(shared, "--threads", dest="threads", parse=_parse_int, metavar="T",
          help=f"worker threads for replicates (default ${THREADS_ENV} or 1)")
     _opt(shared, "--emit-plotdata", dest="emit_plotdata", metavar="FILE",
          help="write a tidy long-format CSV for external plotting")
@@ -280,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     _opt(s, "--output", "-o", dest="output", metavar="CSV")
     _opt(s, "--bins", dest="bins", parse=_parse_bins, metavar="I[,I]",
          help="bins per axis, or 'auto'")
-    _opt(s, "--max-iter", dest="max_iter", parse=int, metavar="N",
+    _opt(s, "--max-iter", dest="max_iter", parse=_parse_int, metavar="N",
          help="lambda-search limit (default 20)")
 
     c = sub.add_parser("smooth-cov", parents=[shared],
@@ -289,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     _opt(c, "--output", "-o", dest="output", metavar="CSV")
     _opt(c, "--eigen-output", dest="eigen_output", metavar="CSV",
          help="write leading eigenvalues and eigenfunctions")
-    _opt(c, "--npairs", dest="npairs", parse=int, metavar="K",
+    _opt(c, "--npairs", dest="npairs", parse=_parse_int, metavar="K",
          help="eigenpairs to report (default 4)")
     _flag(c, "--center", dest="center",
           help="subtract the mean curve before forming the covariance")
@@ -307,11 +320,11 @@ def build_parser() -> argparse.ArgumentParser:
          help="'surface' (grid MISE) or 'fda' (covariance ISE)")
     _opt(m, "--function", dest="function", metavar="ID",
          help="test surface id: f1 or f2 (surface kind)")
-    _opt(m, "--sigma", dest="sigma", parse=float, metavar="S",
+    _opt(m, "--sigma", dest="sigma", parse=_parse_float, metavar="S",
          help="noise standard deviation (default 0.5)")
     _opt(m, "--size", dest="size", parse=_parse_pair, metavar="N1,N2",
          help="grid size, or curves,points for fda (defaults 20,30 / 25,20)")
-    _opt(m, "--case", dest="case", parse=int, metavar="C",
+    _opt(m, "--case", dest="case", parse=_parse_int, metavar="C",
          help="fda eigenfunction family: 1 or 2")
 
     k = sub.add_parser("kernel-check", parents=[shared],
@@ -352,16 +365,22 @@ def read_config_file(path: str) -> dict:
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    """Merge flags over config-file entries over RunConfig's defaults."""
+    """Merge flags over config-file entries over RunConfig's defaults.
+    Both are strings, parsed by the option's parser; a malformed one
+    raises ValueError naming the option, the value and the rule."""
     config = read_config_file(args.config) if args.config else {}
     merged = {}
     for field in dataclasses.fields(RunConfig)[1:]:
         dest = field.name
-        cli_value = getattr(args, dest, None)
-        if cli_value is not None:
-            merged[dest] = cli_value
-        elif dest in config:
-            merged[dest] = _OPTION_PARSERS[dest](config[dest])
+        raw = getattr(args, dest, None)
+        if raw is None:
+            raw = config.get(dest)
+        if raw is None:
+            continue
+        try:
+            merged[dest] = _OPTION_PARSERS[dest](raw)
+        except ValueError as exc:
+            raise ValueError(f"--{dest.replace('_', '-')} {raw!r}: {exc}") from None
     return RunConfig(command=args.command, **merged)
 
 
@@ -409,6 +428,8 @@ def _require_input(cfg: RunConfig) -> str:
 def _parallel_map(fn, items, threads: int) -> list:
     if threads <= 1:
         return [fn(it) for it in items]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
 
@@ -465,6 +486,8 @@ def cmd_smooth_grid(cfg: RunConfig) -> int:
 
 
 def cmd_smooth_scatter(cfg: RunConfig) -> int:
+    from .binning import ScatterData, auto_bin_count, iterative_fit
+
     x, z, y = read_scatter_csv(_require_input(cfg))
     data = ScatterData(x, z, y)
     if cfg.bins == "auto":
@@ -511,6 +534,8 @@ def cmd_smooth_scatter(cfg: RunConfig) -> int:
 
 
 def cmd_smooth_cov(cfg: RunConfig) -> int:
+    from .fda import CurveSet, eigenpairs, sample_cov, smooth_cov
+
     t, Y = read_curves_csv(_require_input(cfg))
     curves = CurveSet(Y, t)
     C = sample_cov(curves, center=cfg.center)
@@ -553,6 +578,8 @@ def cmd_smooth_cov(cfg: RunConfig) -> int:
 
 
 def cmd_smooth_array(cfg: RunConfig) -> int:
+    from .glam import ArrayData, fit_array
+
     path = _require_input(cfg)
     try:
         values = np.load(path)
@@ -599,6 +626,9 @@ def run_surface_study(function: str, sigma: float, n1: int, n2: int,
     Replicate r adds sigma * normals from a stream keyed by seed + r,
     fits with GCV, and scores (1/n) sum (fitted - truth)^2 on the grid.
     """
+    from .rng import CounterNormals, replicate_seed
+    from .surfaces import SURFACES, sample_surface
+
     x, z, F = sample_surface(SURFACES[function].f, n1, n2)
 
     def one(r: int) -> float:
@@ -614,6 +644,7 @@ def run_fda_study(case: int, n: int, J: int, sigma: float, seed: int,
                   reps: int, spec=None, lams=None,
                   threads: int = 1) -> np.ndarray:
     """Per-replicate ISE of the smoothed covariance against truth."""
+    from .fda import replicate_ise
 
     def one(r: int) -> float:
         # one-replicate call at seed + r draws exactly replicate r
@@ -666,6 +697,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 def cmd_kernel_check(cfg: RunConfig) -> int:
+    from .kernelcheck import kernel_eval, kernel_l2, kernel_moment, profile_gap
+
     all_pass = True
     moments: dict = {}
     l2: dict = {}
@@ -720,6 +753,9 @@ def bench_knots(n: int) -> int:
 
 
 def cmd_bench(cfg: RunConfig) -> int:
+    from .rng import CounterNormals
+    from .surfaces import SURFACES, sample_surface
+
     results = []
     grid = cfg.lambda_grid and LambdaGrid.default(*cfg.lambda_grid)
     for n in cfg.sizes:

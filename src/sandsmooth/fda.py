@@ -2,14 +2,14 @@
 
 Curves observed on a common grid give a J x J sample second-moment matrix;
 smoothing it with the same univariate smoother on both sides keeps it
-symmetric and leaves a single smoothing parameter, selected by GCV along
-the equal-parameter diagonal of the grid fit's GCV table (edf = trace^2,
-ties to the largest lambda), with every fit's defaults and candidate rule
-for one axis (sandwich2d._resolve).  Eigenpairs of the smoothed matrix
-estimate the functional principal components, with midpoint-quadrature
-scaling: matrix eigenvalue / J estimates the process eigenvalue, sqrt(J)
-times the unit eigenvector estimates the eigenfunction (so it has unit
-quadrature norm).
+symmetric and leaves a single smoothing parameter, selected by GCV over
+the L shared candidates alone, the equal-parameter diagonal of the grid
+fit's GCV table (edf = trace^2, ties to the largest lambda), with every
+fit's defaults and candidate rule for one axis (sandwich2d._resolve).
+Eigenpairs of the smoothed matrix estimate the functional principal
+components, with midpoint-quadrature scaling: matrix eigenvalue / J
+estimates the process eigenvalue, sqrt(J) times the unit eigenvector
+estimates the eigenfunction (so it has unit quadrature norm).
 
 The smoothed matrix is A K A' with A the J x c orthonormal spectral basis
 and K = diag(st) (A'CA) diag(st), so its rank is at most c.  Its nonzero
@@ -17,15 +17,17 @@ eigenpairs come exactly from the c x c matrix K: eigenvalues of K, with
 eigenvectors A U.  smooth_cov therefore never decomposes a J x J matrix
 and keeps only these at most c pairs, and one eigh of K gives the smoothed
 matrix too: X X' - Z Z' with X = A U_+ sqrt(w_+) and Z = A U_- sqrt(-w_-),
-products that are symmetric by construction.  smooth_cov reads C three
-times: a read-only check, in mirrored pairs of cache-sized tiles, that C
-equals C' exactly (only a C asymmetric within ASYMMETRY_TOL is copied and
-symmetrized), the scan (sandwich2d._scan_values: extremes, finiteness and
-||C||^2 in one cache-sized walk), and the projection's first J x c
-product.  It writes one J x J matrix, the smoothed one.  The fit runs on
-C * 2^-e without a scaled copy: the power of two rides in the J x c
-factors of the projection and of X and Z, so entries near the float
-maximum smooth without overflow.
+built in strips of rows, a GEMM off the diagonal written to both mirrored
+places and syrk on it, so it is symmetric by construction.  smooth_cov
+reads C three times: a read-only check, in mirrored pairs of cache-sized
+tiles, that C equals C' exactly (only a C asymmetric within ASYMMETRY_TOL
+is copied and symmetrized), the scan (sandwich2d._scan_values: extremes,
+finiteness and ||C||^2 in one cache-sized walk), and the projection's
+first product, through the band of the design matrix
+(sandwich2d._project).  It writes one J x J matrix, the smoothed one.
+The fit runs on C * 2^-e without a scaled copy: the power of two rides
+in the row blocks of the projection and in X and Z, so entries near the
+float maximum smooth without overflow.
 
 The raw matrix is smoothed as-is, noise-inflated diagonal included; pass
 exclude_diagonal=True to replace the diagonal with NaN-free interpolation
@@ -73,7 +75,7 @@ __all__ = [
 ASYMMETRY_TOL = 1e-8
 # Side of the square tiles _is_symmetric and _symmetrize visit in mirrored
 # pairs (a pair of 128 x 128 float64 tiles, 256 KB, stays in a core's L2
-# cache), and height of the row strips of _gram's negative part.
+# cache), and height of the row strips _gram builds.
 SYM_TILE = 128
 
 
@@ -203,25 +205,26 @@ def _decompose(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _gram(V: np.ndarray, w: np.ndarray, e: int) -> np.ndarray:
-    """2^e V diag(w) V', exactly symmetric: X X' - Z Z' with X = V_+
-    sqrt(w_+) and Z = V_- sqrt(-w_-), each scaled by 2^(e/2) so that
-    entries near the float maximum do not overflow on the way.
-
-    numpy computes X X' with syrk and mirrors it; Z Z' is subtracted a
-    strip of SYM_TILE rows at a time, its diagonal blocks by syrk and each
-    off-diagonal block from both sides, so no second J x J matrix is made.
+    """2^e V diag(w) V', exactly symmetric, one strip of SYM_TILE rows at
+    a time.  With P = V sqrt|w| and Q = P sign(w), each scaled by 2^(e/2)
+    so that entries near the float maximum do not overflow on the way, a
+    strip's block right of the diagonal is one GEMM P Q', written in place
+    and copied to its mirror; its diagonal block is X X' - Z Z' by syrk, X
+    and Z the columns of P with positive and negative w.  A whole X X' by
+    numpy would mirror its triangle entry by entry.
     """
-    scaled = np.ldexp(V * np.sqrt(np.ldexp(np.abs(w), e % 2)), e // 2)
-    X, Z = scaled[:, w > 0], scaled[:, w < 0]
-    out = X @ X.T
-    if Z.shape[1]:
-        J = out.shape[0]
-        for a in range(0, J, SYM_TILE):
-            rows, rest = slice(a, a + SYM_TILE), slice(a + SYM_TILE, J)
+    P = np.ldexp(V * np.sqrt(np.ldexp(np.abs(w), e % 2)), e // 2)
+    Q = P * np.sign(w)
+    X, Z = P[:, w > 0], P[:, w < 0]
+    J = V.shape[0]
+    out = np.empty((J, J))
+    for a in range(0, J, SYM_TILE):
+        rows, rest = slice(a, a + SYM_TILE), slice(a + SYM_TILE, J)
+        out[rows, rows] = X[rows] @ X[rows].T
+        if Z.shape[1]:
             out[rows, rows] -= Z[rows] @ Z[rows].T
-            block = Z[rows] @ Z[rest].T
-            out[rows, rest] -= block
-            out[rest, rows] -= block.T
+        np.matmul(P[rows], Q[rest].T, out=out[rows, rest])
+        out[rest, rows] = out[rows, rest].T
     return out
 
 
@@ -303,7 +306,7 @@ def smooth_cov(C: np.ndarray, spec: AxisSpec | None = None,
         scan = _scan_values("C", C)
 
     fit = _SpectralFit(C, (sp, sp), scan)
-    (k,), gcv, edf = fit.select((lams, lams), diagonal=True)
+    (k,), gcv, edf = fit.select((lams,), shared=True)
     lam = float(lams[k])
 
     # the smoothed core on the scale of C * 2^-e; one eigh serves both the

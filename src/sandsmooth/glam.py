@@ -3,8 +3,7 @@
 The d-dimensional smoother is (S_d kron ... kron S_1) applied to the
 flattened array.  Materializing that operator is hopeless even at modest
 sizes, but applying it is cheap: contract each axis with its thin smoother
-factor, one axis at a time (sandwich2d._contract, GLAM's rotated
-H-transform).
+factor, one axis at a time (GLAM's rotated H-transform).
 
 Grids and arrays share one path, in sandwich2d: the data class ArrayData,
 the fit _fit and the result SandwichFit (MultiFit here).  fit_array is the
@@ -20,15 +19,18 @@ so for d = 2 the flattened fit matches the column-stacked matrix fit.
 
 Per fit, the values are read four times: the scan at construction
 (ArrayData keeps the extremes and sum of squares, which give the scaling
-exponent, the finiteness check and y'y), the projection's first
-contraction, the reconstruction's last contraction, and the exact SSE of
+exponent, the finiteness check and y'y), the projection's first-axis
+product, the reconstruction's first-axis product, and the exact SSE of
 the returned fit.  The scan and the exact SSE read the values (and the
-fit) one cache-sized block at a time (sandwich2d._sum_sq).  The
-reconstruction (sandwich2d._reconstruct) carries the power of two in its
-per-axis factors, contracts each middle axis in one batched product and
-the last axis in one GEMM.  The peak working memory is the fitted array
-plus the last contraction's input, (n_1 ... n_{d-1}) c_d entries: 1.2 x
-the values at 200^3 with 38 basis functions per axis.
+fit) one cache-sized block at a time (sandwich2d._sum_sq).  Both
+products contract with the band of each axis's design matrix, in row
+blocks, not with the dense n_k x c_k factors, and carry the power of two
+in those blocks (sandwich2d._project and _expand).  The reconstruction
+expands the last axis first, each middle axis in one batched product per
+block, and the first axis last, each block writing whole rows of the
+result.  The peak working memory is the fitted array plus the first
+axis's input, c_1 n_2 ... n_d entries: 1.2 x the values at 200^3 with 38
+basis functions per axis.
 """
 
 from __future__ import annotations

@@ -15,9 +15,10 @@ the names Y, x_coords and z_coords.  _fit runs every such fit (defaults and
 checks, the projection of _SpectralFit, the search, an optional fine_pass
 bracket and the reconstruction) and returns one SandwichFit.  select_lambda
 here and glam.fit_array are thin names over it.  The covariance fit selects
-through _SpectralFit too, on the diagonal of its table, and the scatter fit
-uses its search.  Every fit takes its default specs and candidate lists,
-and the candidate rule, from _resolve.
+through _SpectralFit too, scoring only the candidates that share one lambda
+on both axes, and the scatter fit uses its projection and search.  Every
+fit takes its default specs and candidate lists, and the candidate rule,
+from _resolve.
 
 Selection uses GCV = (SSE/n) / (1 - edf/n)^2, the standard form, with edf
 the product of the per-axis traces.  Exact ties go to the largest lambda
@@ -28,13 +29,22 @@ system.
 
 Per fit, the data are read four times: the scan at construction (the data
 class keeps the extremes and sum of squares, which give the scaling
-exponent, the finiteness check and y'y), the projection A_1' ... A_d' Y,
-the reconstruction A_1 ... A_d (.), and the exact SSE of the returned fit.
-The fit runs on Y * 2^-e, but the power of two rides in the small per-axis
-factors of the projection and of the reconstruction, so no scaled copy of
-the data is made and the fit needs no rescaling pass.  The scan and the
-exact SSE walk numpy's pairwise summation tree one cache-sized block at a
-time (_sum_sq), so neither allocates a temporary the size of the data.
+exponent, the finiteness check and y'y), the projection, the
+reconstruction, and the exact SSE of the returned fit.  Both data-sized
+products go through the band of each axis's design matrix B_k, kept in
+row blocks (spectra.AxisSpectrum.blocks): a row of B_k has at most p + 1
+nonzeros, so a product costs O(p + BLOCK_SEGMENTS) per entry, where the
+dense n_k x c_k factor A_k = B_k F_k would cost O(c_k).  The projection
+applies B_1' ... B_d' one axis at a time, first axis first, then the
+c_k x c_k maps F_k' on the small result (_project).  The reconstruction
+applies the F_k to the shrunk core, which is also Theta, then expands it
+with the B_k, last axis first, so the first axis writes whole contiguous
+rows of the fitted array (_expand).  The fit runs on Y * 2^-e, but the
+power of two rides in the row blocks of both products, so no scaled copy
+of the data is made and the fit needs no rescaling pass.  The scan and
+the exact SSE walk numpy's pairwise summation tree one cache-sized block
+at a time (_sum_sq), so neither allocates a temporary the size of the
+data.
 """
 
 from __future__ import annotations
@@ -46,7 +56,7 @@ from typing import NamedTuple, NoReturn
 
 import numpy as np
 
-from .basis import AxisSpec, auto_knot_segments, eval_basis, make_knots
+from .basis import AxisSpec, auto_knot_segments, eval_basis, make_knots, segment_index
 from .spectra import AxisSpectrum, axis_spectrum, shrink_weights
 
 __all__ = [
@@ -457,19 +467,6 @@ def _contract(W, tables):
     return out
 
 
-def _reconstruct(core, tables):
-    """_contract(core, tables) bit for bit, with fewer and larger products:
-    each middle axis is one batched product over the leading axes, and the
-    last axis is one GEMM over all the others."""
-    out = tables[0] @ core.reshape(core.shape[0], -1)
-    lead = tables[0].shape[0]
-    for k, table in enumerate(tables[1:-1], start=1):
-        out = np.matmul(table, out.reshape(lead, core.shape[k], -1))
-        lead *= table.shape[0]
-    out = out.reshape(-1, core.shape[-1]) @ tables[-1].T
-    return out.reshape(tuple(t.shape[0] for t in tables))
-
-
 def _sse_table(fit_norm, cross, yty):
     """SSE = yhat'yhat - 2 yhat'y + y'y at every candidate (or at one), with
     the fast form's cancellation noise clamped at zero; anything more raises."""
@@ -483,10 +480,15 @@ def _sse_table(fit_norm, cross, yty):
 
 
 def _gcv(sse, shrink, n):
-    """(GCV, edf) at every candidate tuple: edf is the product of the shrink
-    tables' traces, GCV = (SSE/n) / (1 - edf/n)^2, and +inf where edf >= n,
-    so a table with some usable candidates still selects."""
-    edf = reduce(np.multiply.outer, [st.sum(axis=1) for st in shrink])
+    """(GCV, edf) at every candidate tuple, edf the product of the shrink
+    tables' traces (_gcv_at)."""
+    return _gcv_at(sse, reduce(np.multiply.outer, [st.sum(axis=1) for st in shrink]), n)
+
+
+def _gcv_at(sse, edf, n):
+    """(GCV, edf) at candidates of SSE sse and trace edf: GCV = (SSE/n) /
+    (1 - edf/n)^2, and +inf where edf >= n, so a table with some usable
+    candidates still selects."""
     gcv = np.full(sse.shape, np.inf)
     usable = edf < n
     gcv[usable] = (sse[usable] / n) / (1.0 - edf[usable] / n) ** 2
@@ -514,6 +516,19 @@ def _gcv_table(W, yty, spectra_s, lams, n):
     return (*_gcv(sse, shrink, n), sse)
 
 
+def _gcv_shared(W, yty, s, lams, n):
+    """(GCV, edf, SSE) of a 2-D fit whose two axes share the penalty
+    eigenvalues s and one lambda, at each candidate of lams: the diagonal
+    of _gcv_table's tables, scored without the rest.  With st the shrink
+    table, the fit at lams[i] has norm sum(st2[i] W st2[i]) (st2 = st^2)
+    and cross term sum(st[i] W st[i])."""
+    st = _shrink_table(lams, s)
+    sq = st * st
+    sse = _sse_table(np.sum((sq @ W) * sq, axis=1), np.sum((st @ W) * st, axis=1), yty)
+    trace = st.sum(axis=1)
+    return (*_gcv_at(sse, trace * trace, n), sse)
+
+
 def _refined_axis(lams, idx, count):
     """Log-spaced refinement bracket around lams[idx] (clipped at the ends)."""
     order = np.argsort(lams)
@@ -523,14 +538,71 @@ def _refined_axis(lams, idx, count):
     return np.geomspace(lo, hi, count)
 
 
-def _project(values, spectra, e=0):
-    """A_1' ... A_d' applied to values * 2^-e, one axis at a time.  The
-    power of two rides in the small per-axis factors, in parts that differ
-    by at most one, so that no factor or partial product leaves the normal
-    range (scaling stays exact) and no scaled copy of the data is made."""
+def _scaled_blocks(spectra, e):
+    """Each axis's row blocks with B scaled by 2^((e + k) // d) on axis k
+    of d: the power of two 2^e in parts that differ by at most one, so
+    that no factor or partial product leaves the normal range and scaling
+    stays exact."""
     d = len(spectra)
-    return _contract(values, [np.ldexp(sp.A.T, -((e + k) // d))
-                              for k, sp in enumerate(spectra)])
+    return [sp.blocks if (e + k) // d == 0 else
+            [b._replace(B=np.ldexp(b.B, (e + k) // d)) for b in sp.blocks]
+            for k, sp in enumerate(spectra)]
+
+
+def _axis_view(a, axis):
+    """a as (lead, a.shape[axis], trail), the axes before and after axis
+    merged; a copy only where the layout of a forbids a view."""
+    return a.reshape(math.prod(a.shape[:axis]), a.shape[axis], -1)
+
+
+def _project_axis(a, axis, blocks, c):
+    """B' applied along axis of a, B of c columns in row blocks: each block
+    adds B' times the rows it covers into its column window.  A part of a
+    that no view can hold is copied, one block at a time."""
+    lead, trail = math.prod(a.shape[:axis]), math.prod(a.shape[axis + 1:])
+    out = np.zeros((lead, c, trail))
+    for rows, cols, B in blocks:
+        part = a[(slice(None),) * axis + (rows,)].reshape(lead, -1, trail)
+        if trail == 1:  # one GEMM over the leading axes, not one per entry
+            out[:, cols, 0] += part[:, :, 0] @ B
+        else:
+            out[:, cols] += np.matmul(B.T, part)
+    return out.reshape(a.shape[:axis] + (c,) + a.shape[axis + 1:])
+
+
+def _expand_axis(a, axis, blocks, n):
+    """B applied along axis of a, B of n rows in row blocks: each block
+    writes the rows it covers, from its column window."""
+    out = np.empty(a.shape[:axis] + (n,) + a.shape[axis + 1:])
+    src, dest = _axis_view(a, axis), _axis_view(out, axis)
+    for rows, cols, B in blocks:
+        if src.shape[2] == 1:  # one GEMM over the leading axes, as above
+            np.matmul(src[:, cols, 0], B.T, out=dest[:, rows, 0])
+        else:
+            np.matmul(B, src[:, cols], out=dest[:, rows])
+    return out
+
+
+def _project(values, spectra, e=0):
+    """A_1' ... A_d' applied to values * 2^-e: B_k' one axis at a time,
+    first axis first (_project_axis), then the c_k x c_k maps F_k' on the
+    c_1 x ... x c_d result (_contract).  The power of two rides in the
+    blocks (_scaled_blocks), so no scaled copy of the data is made."""
+    out = values
+    for axis, blocks in enumerate(_scaled_blocks(spectra, -e)):
+        out = _project_axis(out, axis, blocks, spectra[axis].n_basis)
+    return _contract(out, [sp.coef_map.T for sp in spectra])
+
+
+def _expand(coefs, spectra, e=0):
+    """B_1 ... B_d applied to coefs * 2^e (c_1 x ... x c_d), one axis at a
+    time, last axis first (_expand_axis).  The first axis comes last, so
+    each of its blocks writes whole contiguous rows of the C-ordered
+    result.  The power of two rides in the blocks."""
+    out, scaled = coefs, _scaled_blocks(spectra, e)
+    for axis in reversed(range(len(spectra))):
+        out = _expand_axis(out, axis, scaled[axis], spectra[axis].n_points)
+    return out
 
 
 class _SpectralFit:
@@ -551,13 +623,16 @@ class _SpectralFit:
         return _gcv_table(self.Ytilde * self.Ytilde, self.yty,
                           [sp.s for sp in self.spectra], lams, self.n)
 
-    def select(self, lams, diagonal=False):
+    def select(self, lams, shared=False):
         """(index tuple, GCV table, edf table) of the GCV winner among the
-        candidate tuples lams, one list per axis.  With diagonal, one lambda
-        serves both axes of a 2-D fit: the tables are the diagonals."""
-        gcv, edf, _ = self.score(lams)
-        if diagonal:
-            gcv, edf, lams = np.diagonal(gcv), np.diagonal(edf), lams[:1]
+        candidate tuples lams, one list per axis.  With shared, lams holds
+        one list whose every lambda serves both axes of a 2-D fit on one
+        spectrum, and only those candidates are scored (_gcv_shared)."""
+        if shared:
+            gcv, edf, _ = _gcv_shared(self.Ytilde * self.Ytilde, self.yty,
+                                      self.spectra[0].s, lams[0], self.n)
+        else:
+            gcv, edf, _ = self.score(lams)
         return _pick(gcv, self.n, lams), gcv, edf
 
     def core(self, lambdas):
@@ -570,22 +645,19 @@ class _SpectralFit:
 
     def finish(self, values, lambdas, edf, table):
         """(Theta, fitted, sse, gcv, table) of the fit at lambdas, of trace
-        edf.  fitted is A_1 ... A_d core, scaled back by 2^e in the
-        per-axis factors (in parts as in _project), and Theta is core
-        contracted with the coefficient maps.  The table keeps the
-        fast-form scores that drove selection; sse and gcv are exact for
-        the returned fit (the fast form carries cancellation noise of
+        edf.  The core contracted with the coefficient maps is Theta on
+        the scale of values * 2^-e, and fitted is B_1 ... B_d applied to
+        it, scaled back by 2^e in the blocks (_expand).  The table keeps
+        the fast-form scores that drove selection; sse and gcv are exact
+        for the returned fit (the fast form carries cancellation noise of
         order eps * y'y), with the SSE summed in the values' own memory
         order."""
-        core = self.core(lambdas)
-        d = len(self.spectra)
-        fitted = _reconstruct(core, [np.ldexp(sp.A, (self.e + k) // d)
-                                     for k, sp in enumerate(self.spectra)])
+        coefs = _contract(self.core(lambdas), [sp.coef_map for sp in self.spectra])
+        fitted = _expand(coefs, self.spectra, self.e)
         order = np.argsort(np.negative(np.abs(values.strides)), kind="stable")
         sse = _sum_sq(values.transpose(order), fitted.transpose(order), 2.0 ** -self.e)
         sse, gcv, table = _unscale(self.e, sse, gcv_score(sse, edf, self.n), table)
-        Theta = np.ldexp(_contract(core, [sp.coef_map for sp in self.spectra]), self.e)
-        return Theta, fitted, float(sse), float(gcv), table
+        return np.ldexp(coefs, self.e), fitted, float(sse), float(gcv), table
 
 
 def _fit(data: ArrayData, specs, grids, fine_pass: int = 0) -> SandwichFit:
@@ -633,8 +705,8 @@ def predict(Theta: np.ndarray, specs: tuple[AxisSpec, AxisSpec],
     spec_x, spec_z = specs
     bx = eval_basis(make_knots(spec_x), spec_x.degree, x)
     bz = eval_basis(make_knots(spec_z), spec_z.degree, z)
-    seg_x = min(int(x * spec_x.knot_segments), spec_x.knot_segments - 1)
-    seg_z = min(int(z * spec_z.knot_segments), spec_z.knot_segments - 1)
+    seg_x = int(segment_index(np.asarray(x, dtype=float), spec_x.knot_segments))
+    seg_z = int(segment_index(np.asarray(z, dtype=float), spec_z.knot_segments))
     wx = slice(seg_x, seg_x + spec_x.degree + 1)
     wz = slice(seg_z, seg_z + spec_z.degree + 1)
     return float(bx[wx] @ Theta[wx, wz] @ bz[wz])

@@ -2,27 +2,63 @@
 
 One symmetric eigendecomposition per axis rewrites the smoother matrix
 S(lam) = B (B'B + lam D'D)^{-1} B' as A diag(1/(1 + lam s)) A' with
-orthonormal A, after which applying the smoother, its trace, and the
+orthonormal A = B F, after which applying the smoother, its trace, and the
 effective degrees of freedom cost O(c) for any smoothing parameter.
+
+A row of the design matrix B has at most degree + 1 nonzeros, in the
+columns of its point's knot segment and the degree after it.  The
+spectrum keeps B cut into row blocks of BLOCK_SEGMENTS segments, each with
+the column window its rows touch, so that products of B with data cost
+O(degree + BLOCK_SEGMENTS) per entry where the dense n x c factor A costs
+O(c).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from sandsmooth.basis import AxisSpec, design_matrix, diff_matrix
+from sandsmooth.basis import AxisSpec, design_matrix, diff_matrix, segment_index
 
 # Relative eigenvalue cutoffs: Gram matrices below GRAM_RTOL are treated as
 # singular; penalty eigenvalues below NULL_RTOL are clamped to exactly zero
 # so the penalty null space is preserved bit-for-bit at huge lambda.
 GRAM_RTOL = 1e-10
 NULL_RTOL = 1e-12
+# Knot segments per row block of a design matrix: the rows whose points lie
+# in BLOCK_SEGMENTS consecutive segments touch BLOCK_SEGMENTS + degree columns.
+BLOCK_SEGMENTS = 8
 
 
 class SingularGram(np.linalg.LinAlgError):
     """Raised when B'B is numerically singular (basis functions without data)."""
+
+
+class RowBlock(NamedTuple):
+    """Consecutive rows of a design matrix and the column window that holds
+    all their nonzeros; B is the matrix's [rows, cols] part."""
+
+    rows: slice
+    cols: slice
+    B: np.ndarray
+
+
+def _row_blocks(B, segments, degree) -> tuple[RowBlock, ...]:
+    """B cut into runs of consecutive rows whose segments fall in one group
+    of BLOCK_SEGMENTS, each with the window from its smallest segment to
+    its largest plus degree.  Sorted points give one run per group, and
+    any order is covered.  Without segments, B is one block."""
+    n, c = B.shape
+    if segments is None:
+        return (RowBlock(slice(0, n), slice(0, c), B),)
+    starts = np.flatnonzero(np.diff(segments // BLOCK_SEGMENTS, prepend=-1))
+    lows = np.minimum.reduceat(segments, starts).tolist()
+    highs = (np.maximum.reduceat(segments, starts) + degree + 1).tolist()
+    starts = starts.tolist()
+    return tuple(RowBlock(slice(a, b), slice(lo, hi), B[a:b, lo:hi].copy())
+                 for a, b, lo, hi in zip(starts, starts[1:] + [n], lows, highs))
 
 
 @dataclass(frozen=True)
@@ -38,8 +74,11 @@ class AxisSpectrum:
         Nonnegative penalty eigenvalues, ascending, with exactly
         ``penalty_order`` zeros (the difference-penalty null space).
     coef_map : ndarray, shape (c, c)
-        (B'B)^{-1/2} U; maps spectral coordinates back to B-spline
+        F = (B'B)^{-1/2} U; maps spectral coordinates back to B-spline
         coefficients, so Theta solves never form (B'B + lam D'D)^{-1}.
+    blocks : tuple of RowBlock
+        The design matrix B = A F^{-1} in row blocks with their column
+        windows; every row lies in exactly one block.
     spec : AxisSpec
         The axis configuration the factors were built from.
     """
@@ -47,6 +86,7 @@ class AxisSpectrum:
     A: np.ndarray
     s: np.ndarray
     coef_map: np.ndarray
+    blocks: tuple[RowBlock, ...]
     spec: AxisSpec = field(default=None)
 
     @property
@@ -87,12 +127,16 @@ def _short_axis_message(n: int, c: int, spec: AxisSpec | None) -> str:
     return msg + f"; use at most {most} knot segment{'s' if most > 1 else ''}"
 
 
-def build_spectrum(B: np.ndarray, D: np.ndarray, spec: AxisSpec | None = None) -> AxisSpectrum:
+def build_spectrum(B: np.ndarray, D: np.ndarray, spec: AxisSpec | None = None,
+                   segments: np.ndarray | None = None) -> AxisSpectrum:
     """Factor one axis smoother from its design and difference matrices.
 
     Diagonalizes (B'B)^{-1/2} D'D (B'B)^{-1/2}; eigenvalues within
     ``NULL_RTOL`` of zero (relative to the largest) are clamped to exactly
     zero, which pins the penalty null-space dimension to the difference order.
+    segments, each row's knot segment (basis.segment_index; it needs spec),
+    places the row's nonzeros in columns segment .. segment + degree and
+    cuts B into row blocks; without it B is kept as one block.
 
     Raises
     ------
@@ -109,14 +153,17 @@ def build_spectrum(B: np.ndarray, D: np.ndarray, spec: AxisSpec | None = None) -
     s, U = np.linalg.eigh(M)
     s = np.where(s < NULL_RTOL * abs(s[-1]), 0.0, s)
     coef_map = Ghalf_inv @ U
-    return AxisSpectrum(A=B @ coef_map, s=s, coef_map=coef_map, spec=spec)
+    blocks = _row_blocks(B, segments, None if spec is None else spec.degree)
+    return AxisSpectrum(A=B @ coef_map, s=s, coef_map=coef_map, blocks=blocks,
+                        spec=spec)
 
 
 def axis_spectrum(points: np.ndarray, spec: AxisSpec) -> AxisSpectrum:
     """Build the spectrum for one axis directly from coordinates and spec."""
     B = design_matrix(points, spec)
     D = diff_matrix(spec.n_basis, spec.penalty_order)
-    return build_spectrum(B, D, spec)
+    segments = segment_index(np.asarray(points, dtype=float), spec.knot_segments)
+    return build_spectrum(B, D, spec, segments)
 
 
 def shrink_weights(s: np.ndarray, lam: float) -> np.ndarray:

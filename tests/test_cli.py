@@ -246,6 +246,69 @@ class TestLambdaGridBounds:
         assert f"10^{bound} = " in err[0]
 
 
+MALFORMED = [
+    ("smooth-grid", "--degree", "3,x", "expected comma-separated integers"),
+    ("smooth-grid", "--penalty-order", "two", "expected comma-separated integers"),
+    ("smooth-grid", "--knots", "x", "each knot count must be an integer or 'auto'"),
+    ("smooth-grid", "--lambda-grid", "3,5,4", "log10_high must exceed log10_low"),
+    ("smooth-grid", "--lambda-grid", "3,-5", "expected count,log10_low,log10_high"),
+    ("smooth-grid", "--lambda-grid", "0,-5,4", "the count must be >= 1"),
+    ("smooth-grid", "--lambda-grid", "x,-5,4", "the count must be an integer"),
+    ("smooth-grid", "--lambda-grid", "3,low,4",
+     "log10_low and log10_high must be numbers"),
+    ("smooth-grid", "--fine-pass", "x", "expected an integer"),
+    ("simulate", "--seed", "1.5", "expected an integer"),
+    ("simulate", "--reps", "many", "expected an integer"),
+    ("simulate", "--threads", "x", "expected an integer"),
+    ("simulate", "--sigma", "big", "expected a number"),
+    ("simulate", "--size", "20", "expected two comma-separated integers"),
+    ("simulate", "--case", "one", "expected an integer"),
+    ("smooth-scatter", "--bins", "0,0,0",
+     "expected 'auto' or one or two comma-separated integers"),
+    ("smooth-scatter", "--max-iter", "x", "expected an integer"),
+    ("smooth-cov", "--npairs", "x", "expected an integer"),
+    ("kernel-check", "--orders", "1,,2", "expected comma-separated integers"),
+    ("kernel-check", "--profile", "200,40", "expected n,knots,lambda"),
+    ("bench", "--sizes", "20;40", "expected comma-separated integers"),
+]
+
+
+class TestMalformedFlags:
+    """A malformed value exits 2 with one line naming the option, the value
+    and the rule it breaks, the same from a flag as from a config file."""
+
+    @pytest.mark.parametrize("command, flag, value, rule", MALFORMED,
+                             ids=[f"{f} {v}" for _, f, v, _ in MALFORMED])
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    def test_one_line_naming_the_rule(self, tmp_path, capsys, command, flag, value,
+                                      rule, route):
+        if route == "flag":
+            args = [flag, value]
+        else:
+            cfgp = tmp_path / "run.cfg"
+            cfgp.write_text(f"{flag[2:]} = {value}\n")
+            args = ["--config", str(cfgp)]
+        assert main([command, *args]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"sandsmooth: {flag} {value!r}: {rule}"]
+
+
+def test_smooth_grid_loads_only_the_grid_modules(tmp_path):
+    # a fresh interpreter, so modules imported by other tests do not count
+    make_grid_csv(tmp_path / "in.csv")
+    src = str(Path(sandsmooth.__file__).resolve().parents[1])
+    code = ("import sys\n"
+            "from sandsmooth.cli import main\n"
+            "assert main(['smooth-grid', '-i', 'in.csv', '-o', 'out.csv']) == 0\n"
+            "print(*sorted(m for m in sys.modules if m.startswith('sandsmooth.')))")
+    out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                         env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.splitlines()[-1].split() == [
+        "sandsmooth.basis", "sandsmooth.cli", "sandsmooth.gridio",
+        "sandsmooth.sandwich2d", "sandsmooth.spectra"]
+
+
 class TestFinePass:
     """A fine pass refines the grid fits of smooth-grid and simulate --kind
     surface; every other command rejects it rather than ignore it."""

@@ -5,7 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from sandsmooth import fda
+from sandsmooth import fda, sandwich2d
 from sandsmooth.basis import AxisSpec, auto_knot_segments
 from sandsmooth.fda import (
     CovModel,
@@ -244,6 +244,25 @@ class TestSmoothCov:
         k = np.argmin(diag)
         assert model.lam == lams[k] != gfit.lambdas[0]
         npt.assert_allclose(model.gcv_value, diag[k], rtol=1e-12)
+
+    @pytest.mark.parametrize("case, J, seed", [(1, 30, 1), (2, 200, 2), (1, 1000, 3)])
+    def test_scores_only_the_diagonal(self, monkeypatch, case, J, seed):
+        # the L shared candidates alone: no L x L table is built, and the
+        # pick is the table diagonal's.  Both forms carry cancellation noise
+        # of order eps * y'y, so the GCV is compared on that scale: the
+        # GCV that an SSE of y'y would give at the winner's edf
+        C = sample_cov(simulate_fda(case, 50, J, 0.5, seed=seed))
+        lams = np.logspace(-5, 4, 40)
+        sp = axis_spectrum(midpoints(J), AxisSpec(knot_segments=auto_knot_segments(J)))
+        fit = sandwich2d._SpectralFit(C, (sp, sp), sandwich2d._scan_values("C", C))
+        gcv, edf, _ = fit.score((lams, lams))
+        gcv, edf = np.diagonal(gcv), np.diagonal(edf)
+        (k,) = sandwich2d._pick(gcv, fit.n, (lams,))
+        monkeypatch.setattr(sandwich2d, "_gcv_table", None)
+        model = smooth_cov(C, lams=lams)
+        assert model.lam == lams[k] and model.edf == edf[k]
+        scale = np.ldexp(fit.yty, 2 * fit.e) / fit.n / (1 - edf[k] / fit.n) ** 2
+        assert abs(model.gcv_value - np.ldexp(gcv[k], 2 * fit.e)) <= 1e-14 * scale
 
     def test_exact_ties_go_to_the_largest_lambda(self):
         # a constant matrix lies in the penalty null space on both sides, so

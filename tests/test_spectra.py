@@ -3,7 +3,9 @@ import numpy.testing as npt
 import pytest
 
 from sandsmooth.basis import AxisSpec, design_matrix, diff_matrix
+from sandsmooth.sandwich2d import _expand, _project
 from sandsmooth.spectra import (
+    BLOCK_SEGMENTS,
     SingularGram,
     apply_smoother,
     axis_spectrum,
@@ -97,6 +99,41 @@ class TestBuildSpectrum:
         spec = AxisSpec(3, 2, 10)
         with pytest.raises(SingularGram, match=r"\d"):
             axis_spectrum(np.linspace(0.0, 0.45, 15), spec)
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("order", ["sorted", "shuffled", "uneven"])
+    def test_blocks_hold_every_row_once_and_all_its_nonzeros(self, order):
+        points = midpoints(200)
+        if order == "shuffled":
+            points = np.random.default_rng(0).permutation(points)
+        elif order == "uneven":
+            points = points ** 3
+        spec = AxisSpec(knot_segments=30)
+        sp = axis_spectrum(points, spec)
+        B = design_matrix(points, spec)
+        hits = np.zeros(points.size, int)
+        for rows, cols, block in sp.blocks:
+            hits[rows] += 1
+            assert np.array_equal(block, B[rows, cols])
+            outside = B[rows].copy()
+            outside[:, cols] = 0.0
+            assert not outside.any()
+            assert cols.stop - cols.start <= BLOCK_SEGMENTS + spec.degree
+        assert (hits == 1).all()
+        if order == "sorted":  # 30 segments in groups of 8
+            assert len(sp.blocks) == 4
+        # the banded products serve points in any order
+        y = np.random.default_rng(1).standard_normal(200)
+        npt.assert_allclose(_project(y, [sp]), sp.A.T @ y, rtol=0, atol=1e-12)
+        coefs = np.random.default_rng(2).standard_normal(sp.n_basis)
+        npt.assert_allclose(_expand(coefs, [sp]), B @ coefs, rtol=0, atol=1e-12)
+
+    def test_without_segments_the_design_is_one_block(self):
+        B = design_matrix(midpoints(20), AxisSpec(3, 2, 5))
+        (block,) = build_spectrum(B, diff_matrix(8, 2)).blocks
+        assert (block.rows, block.cols) == (slice(0, 20), slice(0, 8))
+        assert np.array_equal(block.B, B)
 
 
 class TestApplySmoother:

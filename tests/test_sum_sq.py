@@ -1,13 +1,14 @@
-"""The fused square-and-sum kernel, the construction scan, the
-reconstruction, and the fits that use them.
+"""The fused square-and-sum kernel, the construction scan, the banded
+projection and reconstruction, and the fits that use them.
 
 _sum_sq must return float(np.sum(((a - b) * k) ** 2)) bit for bit for any
 layout of a and b.  The scan must give the scaling exponent and y'y that
-_scale_exponent and _sum_sq give, and the reconstruction the bits of the
-axis-by-axis contraction.  Each fit is checked against a reference copy of
-its computation that takes y'y and the exact SSE from the plain numpy
-expressions over data-sized temporaries: every reported number and array
-must carry the same bits.
+_scale_exponent and _sum_sq give.  The banded products must match the
+dense factors to 1e-12 and scale by powers of two exactly.  Each fit is
+checked against a reference copy of its computation that runs the banded
+products on a plainly scaled copy of the data and takes y'y and the exact
+SSE from the plain numpy expressions over data-sized temporaries: every
+reported number and array must carry the same bits.
 """
 
 import gc
@@ -17,17 +18,19 @@ import numpy as np
 import pytest
 
 from sandsmooth import fda, glam, sandwich2d
-from sandsmooth.basis import AxisSpec, auto_knot_segments
+from sandsmooth.basis import AxisSpec, auto_knot_segments, design_matrix
 from sandsmooth.glam import ArrayData, fit_array
 from sandsmooth.sandwich2d import (
     SUM_LEAF,
     GridData,
     LambdaGrid,
-    _gcv_table,
     _contract,
+    _expand,
     _exponent,
+    _gcv_shared,
+    _gcv_table,
     _pick,
-    _reconstruct,
+    _project,
     _refined_axis,
     _scale_exponent,
     _scan_values,
@@ -157,13 +160,18 @@ class TestScan:
 
 
 def moveaxis_contract(W, tables):
-    """The axis-by-axis contraction as the reconstruction ran it before: the
-    first axis as one product, then every further axis moved last, applied,
-    and moved back."""
+    """The axis-by-axis contraction with dense factors: the first axis as
+    one product, then every further axis moved last, applied, and moved
+    back."""
     out = (tables[0] @ W.reshape(W.shape[0], -1)).reshape((-1,) + W.shape[1:])
     for k, table in enumerate(tables[1:], start=1):
         out = np.moveaxis(np.moveaxis(out, k, -1) @ table.T, -1, k)
     return out
+
+
+def close(got, want, rtol=1e-12):
+    """got equals want to rtol relative to the largest entry of want."""
+    return np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
 
 
 class TestReconstruction:
@@ -175,23 +183,94 @@ class TestReconstruction:
     ])
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_matches_the_moveaxis_contraction(self, shape, c, order):
+        # the banded reconstruction against the dense design matrices
         rng = np.random.default_rng(len(shape))
-        core = np.asarray(heavy(rng, (c,) * len(shape)), order=order)
-        tables = [np.ldexp(rng.standard_normal((n, c)), k) for k, n in enumerate(shape)]
-        out = _reconstruct(core, tables)
-        want = moveaxis_contract(core, tables)
+        coefs = np.asarray(heavy(rng, (c,) * len(shape)), order=order)
+        spec = AxisSpec(knot_segments=c - 3)
+        spectra = [axis_spectrum(midpoints(n), spec) for n in shape]
+        out = _expand(coefs, spectra)
+        designs = [design_matrix(midpoints(n), spec) for n in shape]
+        want = moveaxis_contract(coefs, designs)
         assert out.shape == shape and out.flags.c_contiguous
-        assert bits(out) == bits(want)
+        assert close(out, want)
+
+
+def oracle_axis(kind, n):
+    """(points, spec) of one axis of the banded-product oracle."""
+    if kind == "one point per segment":  # degree 0: n = c = K, B = I
+        return midpoints(n), AxisSpec(degree=0, knot_segments=n)
+    if kind == "n = c":  # a square cubic design, with points at 0 and 1
+        return np.linspace(0.0, 1.0, n), AxisSpec(knot_segments=n - 3)
+    if kind == "uneven":  # crowded near 0: blocks of unequal size
+        return ((np.arange(n) + 0.5) / n) ** 1.6, AxisSpec(knot_segments=n // 3)
+    return midpoints(n), AxisSpec(knot_segments=max(n // 3, 1))
+
+
+def oracle_layout(values, layout):
+    if layout == "F":
+        return np.asfortranarray(values)
+    if layout == "strided":  # every other entry, backwards, on each axis
+        big = np.zeros(tuple(2 * n for n in values.shape))
+        view = big[(slice(None, None, -2),) * values.ndim]
+        view[...] = values
+        return view
+    return values
+
+
+ORACLE_SHAPES = {1: (120,), 2: (90, 60), 3: (45, 30, 20), 4: (40, 9, 8, 7)}
+# a square design is ill-conditioned beyond about 12 points, and so are
+# its dense factors
+SQUARE_SHAPES = {1: (12,), 2: (12, 10), 3: (11, 9, 8), 4: (10, 9, 8, 7)}
+
+
+class TestBandedProducts:
+    """_project and _expand against the dense factors A = B F."""
+
+    @pytest.fixture(params=[1, 2, 3, 4], ids=lambda d: f"d{d}")
+    def d(self, request):
+        return request.param
+
+    @pytest.fixture(params=["several per segment", "one point per segment",
+                            "n = c", "uneven"])
+    def spectra(self, request, d):
+        shapes = SQUARE_SHAPES if request.param == "n = c" else ORACLE_SHAPES
+        axes = [oracle_axis(request.param, n) for n in shapes[d]]
+        spectra = [axis_spectrum(points, spec) for points, spec in axes]
+        if request.param == "uneven":
+            sizes = {b.rows.stop - b.rows.start for b in spectra[0].blocks}
+            assert len(sizes) > 1
+        return spectra
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_projection(self, d, spectra, layout):
+        rng = np.random.default_rng(d)
+        values = oracle_layout(heavy(rng, tuple(sp.n_points for sp in spectra)), layout)
+        got = _project(values, spectra)
+        assert close(got, _contract(values, [sp.A.T for sp in spectra]))
+        # the power of two rides in the blocks: scaling stays exact
+        assert bits(_project(values, spectra, 700)) == bits(np.ldexp(got, -700))
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_reconstruction(self, d, spectra, layout):
+        rng = np.random.default_rng(d)
+        core = oracle_layout(heavy(rng, tuple(sp.n_basis for sp in spectra)), layout)
+        coefs = _contract(core, [sp.coef_map for sp in spectra])
+        got = _expand(coefs, spectra)
+        assert got.shape == tuple(sp.n_points for sp in spectra)
+        assert got.flags.c_contiguous
+        assert close(got, _contract(core, [sp.A for sp in spectra]))
+        assert bits(_expand(coefs, spectra, -700)) == bits(np.ldexp(got, -700))
 
 
 def plain_select_lambda(data, specs, grid, fine_pass=0):
     """select_lambda's computation with y'y and the exact SSE as the plain
-    numpy expressions: np.sum(Y * Y) and an in-place subtract and square."""
+    numpy expressions over a scaled copy of Y: np.sum(Y * Y) and an
+    in-place subtract and square."""
     sx = axis_spectrum(data.x_coords, specs[0])
     sz = axis_spectrum(data.z_coords, specs[1])
     e = _scale_exponent(data.Y)
     Ys = np.ldexp(data.Y, -e)
-    Ytilde = sx.A.T @ Ys @ sz.A
+    Ytilde = _project(Ys, (sx, sz))
     yty = float(np.sum(Ys * Ys))
     W = Ytilde * Ytilde
     n = data.n
@@ -209,7 +288,7 @@ def plain_select_lambda(data, specs, grid, fine_pass=0):
     st1 = shrink_weights(sx.s, l1)
     st2 = shrink_weights(sz.s, l2)
     core = st1[:, None] * Ytilde * st2[None, :]
-    fitted = sx.A @ core @ sz.A.T
+    fitted = _expand(sx.coef_map @ core @ sz.coef_map.T, (sx, sz))
     Ys -= fitted
     Ys **= 2
     sse_exact = float(np.sum(Ys))
@@ -220,12 +299,13 @@ def plain_select_lambda(data, specs, grid, fine_pass=0):
 
 def plain_fit_array(data, specs, grids):
     """fit_array's computation with y'y and the exact SSE as the plain
-    numpy expressions over data-sized temporaries.  As in select_lambda,
-    the SSE sums in the values' memory order (C or F)."""
+    numpy expressions over data-sized temporaries, on the unscaled values
+    (scaling by k = 2^-e is exact).  As in select_lambda, the SSE sums in
+    the values' memory order (C or F)."""
     spectra = [axis_spectrum(c, spec) for c, spec in zip(data.coords, specs)]
     e = _scale_exponent(data.values)
     k = 2.0 ** -e
-    Ytilde = _contract(data.values, [sp.A.T for sp in spectra])
+    Ytilde = _project(data.values, spectra)
     yty = float(np.sum((data.values * k) ** 2))
     n = data.n
     gcv, edf, _ = _gcv_table((Ytilde * k) ** 2, yty, [sp.s for sp in spectra], grids, n)
@@ -234,7 +314,7 @@ def plain_fit_array(data, specs, grids):
     core = Ytilde.copy()
     for axis, (sp, lam) in enumerate(zip(spectra, lambdas)):
         core *= shrink_weights(sp.s, lam).reshape((-1,) + (1,) * (data.ndim - 1 - axis))
-    fitted = _contract(core, [sp.A for sp in spectra])
+    fitted = _expand(_contract(core, [sp.coef_map for sp in spectra]), spectra)
     R = data.values * k
     R -= fitted * k
     R **= 2
@@ -246,17 +326,17 @@ def plain_fit_array(data, specs, grids):
 
 
 def plain_cov_selection(C, lams):
-    """smooth_cov's lambda search with ||C||^2 as np.sum(C * C)."""
+    """smooth_cov's lambda search with ||C||^2 as np.sum(C * C) over a
+    scaled copy of C."""
     _, C = fda._symmetrize(np.asarray(C, dtype=float))
     J = C.shape[0]
     sp = axis_spectrum(midpoints(J), AxisSpec(knot_segments=auto_knot_segments(J)))
     e = _scale_exponent(C)
     C *= 2.0 ** -e
-    Ct = sp.A.T @ C @ sp.A
+    Ct = _project(C, (sp, sp))
     cc = float(np.sum(C * C))
     n = C.size
-    gcv, edf, _ = _gcv_table(Ct * Ct, cc, (sp.s, sp.s), (lams, lams), n)
-    gcv, edf = np.diagonal(gcv), np.diagonal(edf)
+    gcv, edf, _ = _gcv_shared(Ct * Ct, cc, sp.s, lams, n)
     (k,) = _pick(gcv, n, (lams,))
     return float(lams[k]), float(_unscale(e, gcv[k])[0]), float(edf[k])
 
@@ -314,10 +394,10 @@ class TestWorkingMemory:
 
     def test_fit_array_peak(self):
         # at the default 35 knot segments (c = 38): the fitted array, plus
-        # the last contraction's input (c / n = 0.32 of the values) and the
-        # 1 MB leaf buffer, 1.4 x values.nbytes; a data-sized temporary for
-        # the SSE makes it 2.1 x, a scaled copy of the values kept through
-        # the fit 2.4 x
+        # the input of the reconstruction's first-axis step (c / n = 0.32
+        # of the values) and the 1 MB leaf buffer, 1.4 x values.nbytes; a
+        # data-sized temporary for the SSE makes it 2.1 x, a scaled copy of
+        # the values kept through the fit 2.4 x
         values = np.random.default_rng(0).standard_normal(self.SHAPE)
         tracemalloc.start()
         try:
