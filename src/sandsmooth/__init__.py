@@ -8,45 +8,124 @@ to scattered data via binning, and to covariance-function estimation for
 functional data.
 """
 
-import importlib
+from sandsmooth.basis import (
+    AxisSpec,
+    auto_knot_segments,
+    design_matrix,
+    diff_matrix,
+    eval_basis,
+    make_knots,
+)
+from sandsmooth.binning import (
+    BinnedGrid,
+    ScatterData,
+    ScatterFit,
+    auto_bin_count,
+    bin_scatter,
+    iterative_fit,
+)
+from sandsmooth.fda import (
+    CovModel,
+    CurveSet,
+    eigenpairs,
+    replicate_ise,
+    sample_cov,
+    simulate_fda,
+    smooth_cov,
+)
+from sandsmooth.glam import ArrayData, MultiFit, fit_array
+from sandsmooth.kernelcheck import (
+    AsymptoticReport,
+    EquivalentKernel,
+    asymptotic_report,
+    equivalent_bandwidths,
+    kernel_eval,
+    kernel_l2,
+    kernel_moment,
+    kernel_roots,
+    profile_gap,
+    rate_exponent,
+    smoother_rows,
+)
+from sandsmooth.rng import CounterNormals, replicate_seed
+from sandsmooth.sandwich2d import (
+    DegenerateFit,
+    GridData,
+    LambdaGrid,
+    SandwichFit,
+    gcv_score,
+    predict,
+    select_lambda,
+)
+from sandsmooth.spectra import (
+    AxisSpectrum,
+    SingularGram,
+    apply_smoother,
+    axis_spectrum,
+    build_spectrum,
+    half_inverse,
+    shrink_weights,
+    trace_smoother,
+)
+from sandsmooth.surfaces import SURFACES, f1, f2, midpoints, sample_surface
 
 __version__ = "0.1.0"
 
-# Public name -> defining module.  A name is imported on first access
-# (PEP 562), so `import sandsmooth.cli` loads only what its command needs.
-_EXPORTS = {
-    "sandsmooth.basis": ["AxisSpec", "auto_knot_segments", "design_matrix",
-                         "diff_matrix", "eval_basis", "make_knots"],
-    "sandsmooth.spectra": ["AxisSpectrum", "SingularGram", "apply_smoother",
-                           "axis_spectrum", "build_spectrum", "half_inverse",
-                           "shrink_weights", "trace_smoother"],
-    "sandsmooth.sandwich2d": ["DegenerateFit", "GridData", "LambdaGrid",
-                              "SandwichFit", "gcv_score", "predict", "select_lambda"],
-    "sandsmooth.binning": ["BinnedGrid", "ScatterData", "ScatterFit",
-                           "auto_bin_count", "bin_scatter", "iterative_fit"],
-    "sandsmooth.glam": ["ArrayData", "MultiFit", "fit_array"],
-    "sandsmooth.fda": ["CovModel", "CurveSet", "eigenpairs", "replicate_ise",
-                       "sample_cov", "simulate_fda", "smooth_cov"],
-    "sandsmooth.kernelcheck": ["AsymptoticReport", "EquivalentKernel",
-                               "asymptotic_report", "equivalent_bandwidths",
-                               "kernel_eval", "kernel_l2", "kernel_moment",
-                               "kernel_roots", "profile_gap", "rate_exponent",
-                               "smoother_rows"],
-    "sandsmooth.rng": ["CounterNormals", "replicate_seed"],
-    "sandsmooth.surfaces": ["SURFACES", "f1", "f2", "midpoints", "sample_surface"],
-}
-_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
-
-__all__ = [*_MODULE_OF, "__version__"]
-
-
-def __getattr__(name):
-    if name not in _MODULE_OF:
-        raise AttributeError(f"module 'sandsmooth' has no attribute {name!r}")
-    value = getattr(importlib.import_module(_MODULE_OF[name]), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted({*globals(), *__all__})
+__all__ = [
+    "AxisSpec",
+    "auto_knot_segments",
+    "design_matrix",
+    "diff_matrix",
+    "eval_basis",
+    "make_knots",
+    "AxisSpectrum",
+    "SingularGram",
+    "apply_smoother",
+    "axis_spectrum",
+    "build_spectrum",
+    "half_inverse",
+    "shrink_weights",
+    "trace_smoother",
+    "DegenerateFit",
+    "GridData",
+    "LambdaGrid",
+    "SandwichFit",
+    "gcv_score",
+    "predict",
+    "select_lambda",
+    "BinnedGrid",
+    "ScatterData",
+    "ScatterFit",
+    "auto_bin_count",
+    "bin_scatter",
+    "iterative_fit",
+    "ArrayData",
+    "MultiFit",
+    "fit_array",
+    "CovModel",
+    "CurveSet",
+    "eigenpairs",
+    "replicate_ise",
+    "sample_cov",
+    "simulate_fda",
+    "smooth_cov",
+    "AsymptoticReport",
+    "EquivalentKernel",
+    "asymptotic_report",
+    "equivalent_bandwidths",
+    "kernel_eval",
+    "kernel_l2",
+    "kernel_moment",
+    "kernel_roots",
+    "profile_gap",
+    "rate_exponent",
+    "smoother_rows",
+    "CounterNormals",
+    "replicate_seed",
+    "SURFACES",
+    "f1",
+    "f2",
+    "midpoints",
+    "sample_surface",
+    "__version__",
+]

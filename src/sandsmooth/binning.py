@@ -27,6 +27,8 @@ from .sandwich2d import (
     SandwichFit,
     _axis_spectra,
     _contract,
+    _expand,
+    _expand_axis,
     _gcv,
     _pick,
     _project,
@@ -199,11 +201,13 @@ def _masked_sse_table(Y, masked, sx, sz, lam1, lam2):
     P_i = A1 (st1_i * A1' Y A2), so the SSE over occupied cells is
     st2_j' M_i st2_j - 2 st2_j . sum_a (P_i[a] * cross[a]) + yty with
     M_i = sum_a (P_i[a] P_i[a]') * gram[a]: the weighted inner products of
-    Currie, Durban & Eilers (2006) with 0/1 weights.  The work is
+    Currie, Durban & Eilers (2006) with 0/1 weights; A1 = B1 F1 is
+    applied as F1, then B1 through its row blocks.  The work is
     O(L1 n1 c2^2); no smoother is applied per pair."""
     st1 = _shrink_table(lam1, sx.s)  # L1 x c1
     st2 = _shrink_table(lam2, sz.s)  # L2 x c2
-    P = sx.A @ (st1[:, :, None] * _project(Y, (sx, sz)))  # L1 x n1 x c2
+    core = np.matmul(sx.coef_map, st1[:, :, None] * _project(Y, (sx, sz)))
+    P = _expand_axis(core, 1, sx.blocks, sx.n_points)  # L1 x n1 x c2
     M = np.einsum("iak,ial,akl->ikl", P, P, masked.gram)
     fit_norm = np.einsum("jk,ikj->ij", st2, M @ st2.T)
     cross = np.einsum("iak,ak->ik", P, masked.cross) @ st2.T
@@ -318,7 +322,7 @@ def iterative_fit(
         st1 = shrink_weights(sx.s, lam1[pair[0]])
         st2 = shrink_weights(sz.s, lam2[pair[1]])
         theta, resid = _weighted_solve(theta, rhs, masked, sx.A, np.outer(st1, st2))
-        fitted = _contract(theta, (sx.A, sz.A))
+        fitted = _expand(_contract(theta, (sx.coef_map, sz.coef_map)), (sx, sz))
         sse = float(np.sum((fitted - means)[occupied] ** 2))
         Y = np.where(occupied, means, fitted)
         solved[pair] = (gcv_score(sse, st1.sum() * st2.sum(), n_eff), sse, Y, resid)

@@ -24,10 +24,14 @@ import math
 import os
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .basis import AxisSpec, auto_knot_segments
+from .binning import ScatterData, auto_bin_count, iterative_fit
+from .fda import CurveSet, eigenpairs, replicate_ise, sample_cov, smooth_cov
+from .glam import ArrayData, fit_array
 from .gridio import (
     FileFormatError,
     read_curves_csv,
@@ -37,11 +41,11 @@ from .gridio import (
     write_json,
     write_long_csv,
 )
+from .kernelcheck import kernel_eval, kernel_l2, kernel_moment, profile_gap
+from .rng import CounterNormals, replicate_seed
 from .sandwich2d import DegenerateFit, GridData, LambdaGrid, _resolve, select_lambda
 from .spectra import SingularGram
-
-# smooth-grid, the common path, loads only the modules above; the other
-# commands import what they need inside their handlers
+from .surfaces import SURFACES, midpoints, sample_surface
 
 __all__ = ["RunConfig", "main"]
 
@@ -227,10 +231,8 @@ class RunConfig:
             raise ValueError("npairs must be >= 1")
         if self.kind not in ("surface", "fda"):
             raise ValueError(f"kind must be 'surface' or 'fda', got {self.kind!r}")
-        if self.function != type(self).function:  # the default needs no lookup
-            from .surfaces import SURFACES
-            if self.function not in SURFACES:
-                raise ValueError(f"function must be one of {sorted(SURFACES)}")
+        if self.function not in SURFACES:
+            raise ValueError(f"function must be one of {sorted(SURFACES)}")
         if self.sigma < 0:
             raise ValueError("sigma must be >= 0")
         if self.case not in (1, 2):
@@ -428,8 +430,6 @@ def _require_input(cfg: RunConfig) -> str:
 def _parallel_map(fn, items, threads: int) -> list:
     if threads <= 1:
         return [fn(it) for it in items]
-    from concurrent.futures import ThreadPoolExecutor
-
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
 
@@ -486,8 +486,6 @@ def cmd_smooth_grid(cfg: RunConfig) -> int:
 
 
 def cmd_smooth_scatter(cfg: RunConfig) -> int:
-    from .binning import ScatterData, auto_bin_count, iterative_fit
-
     x, z, y = read_scatter_csv(_require_input(cfg))
     data = ScatterData(x, z, y)
     if cfg.bins == "auto":
@@ -534,8 +532,6 @@ def cmd_smooth_scatter(cfg: RunConfig) -> int:
 
 
 def cmd_smooth_cov(cfg: RunConfig) -> int:
-    from .fda import CurveSet, eigenpairs, sample_cov, smooth_cov
-
     t, Y = read_curves_csv(_require_input(cfg))
     curves = CurveSet(Y, t)
     C = sample_cov(curves, center=cfg.center)
@@ -578,8 +574,6 @@ def cmd_smooth_cov(cfg: RunConfig) -> int:
 
 
 def cmd_smooth_array(cfg: RunConfig) -> int:
-    from .glam import ArrayData, fit_array
-
     path = _require_input(cfg)
     try:
         values = np.load(path)
@@ -626,9 +620,6 @@ def run_surface_study(function: str, sigma: float, n1: int, n2: int,
     Replicate r adds sigma * normals from a stream keyed by seed + r,
     fits with GCV, and scores (1/n) sum (fitted - truth)^2 on the grid.
     """
-    from .rng import CounterNormals, replicate_seed
-    from .surfaces import SURFACES, sample_surface
-
     x, z, F = sample_surface(SURFACES[function].f, n1, n2)
 
     def one(r: int) -> float:
@@ -644,7 +635,6 @@ def run_fda_study(case: int, n: int, J: int, sigma: float, seed: int,
                   reps: int, spec=None, lams=None,
                   threads: int = 1) -> np.ndarray:
     """Per-replicate ISE of the smoothed covariance against truth."""
-    from .fda import replicate_ise
 
     def one(r: int) -> float:
         # one-replicate call at seed + r draws exactly replicate r
@@ -697,8 +687,6 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 def cmd_kernel_check(cfg: RunConfig) -> int:
-    from .kernelcheck import kernel_eval, kernel_l2, kernel_moment, profile_gap
-
     all_pass = True
     moments: dict = {}
     l2: dict = {}
@@ -753,9 +741,6 @@ def bench_knots(n: int) -> int:
 
 
 def cmd_bench(cfg: RunConfig) -> int:
-    from .rng import CounterNormals
-    from .surfaces import SURFACES, sample_surface
-
     results = []
     grid = cfg.lambda_grid and LambdaGrid.default(*cfg.lambda_grid)
     for n in cfg.sizes:

@@ -293,22 +293,6 @@ class TestMalformedFlags:
             f"sandsmooth: {flag} {value!r}: {rule}"]
 
 
-def test_smooth_grid_loads_only_the_grid_modules(tmp_path):
-    # a fresh interpreter, so modules imported by other tests do not count
-    make_grid_csv(tmp_path / "in.csv")
-    src = str(Path(sandsmooth.__file__).resolve().parents[1])
-    code = ("import sys\n"
-            "from sandsmooth.cli import main\n"
-            "assert main(['smooth-grid', '-i', 'in.csv', '-o', 'out.csv']) == 0\n"
-            "print(*sorted(m for m in sys.modules if m.startswith('sandsmooth.')))")
-    out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
-                         env={**os.environ, "PYTHONPATH": src}, capture_output=True,
-                         text=True, timeout=60, check=True)
-    assert out.stdout.splitlines()[-1].split() == [
-        "sandsmooth.basis", "sandsmooth.cli", "sandsmooth.gridio",
-        "sandsmooth.sandwich2d", "sandsmooth.spectra"]
-
-
 class TestFinePass:
     """A fine pass refines the grid fits of smooth-grid and simulate --kind
     surface; every other command rejects it rather than ignore it."""

@@ -27,7 +27,6 @@ from sandsmooth.sandwich2d import (
     _contract,
     _expand,
     _exponent,
-    _gcv_shared,
     _gcv_table,
     _pick,
     _project,
@@ -327,7 +326,7 @@ def plain_fit_array(data, specs, grids):
 
 def plain_cov_selection(C, lams):
     """smooth_cov's lambda search with ||C||^2 as np.sum(C * C) over a
-    scaled copy of C."""
+    scaled copy of C, read off the diagonal of the full L x L GCV table."""
     _, C = fda._symmetrize(np.asarray(C, dtype=float))
     J = C.shape[0]
     sp = axis_spectrum(midpoints(J), AxisSpec(knot_segments=auto_knot_segments(J)))
@@ -336,7 +335,8 @@ def plain_cov_selection(C, lams):
     Ct = _project(C, (sp, sp))
     cc = float(np.sum(C * C))
     n = C.size
-    gcv, edf, _ = _gcv_shared(Ct * Ct, cc, sp.s, lams, n)
+    gcv, edf, _ = _gcv_table(Ct * Ct, cc, (sp.s, sp.s), (lams, lams), n)
+    gcv, edf = np.diagonal(gcv), np.diagonal(edf)
     (k,) = _pick(gcv, n, (lams,))
     return float(lams[k]), float(_unscale(e, gcv[k])[0]), float(edf[k])
 
@@ -386,7 +386,12 @@ class TestFitsKeepTheirBits:
         C = np.asarray(Z.T @ Z / 40, order=order)
         lams = LambdaGrid.default().lambda_x
         model = fda.smooth_cov(C)
-        assert (model.lam, model.gcv_value, model.edf) == plain_cov_selection(C, lams)
+        lam, gcv_value, edf = plain_cov_selection(C, lams)
+        assert (model.lam, model.edf) == (lam, edf)
+        # smooth_cov scores the L shared candidates alone, in another
+        # summation order than the table: the GCV agrees to the SSE's
+        # cancellation noise, eps * y'y / SSE (2.8e-13 relative here)
+        assert abs(model.gcv_value - gcv_value) <= 1e-12 * gcv_value
 
 
 class TestWorkingMemory:
