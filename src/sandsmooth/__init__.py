@@ -60,7 +60,6 @@ from sandsmooth.sandwich2d import (
 from sandsmooth.spectra import (
     AxisSpectrum,
     SingularGram,
-    apply_smoother,
     axis_spectrum,
     build_spectrum,
     half_inverse,
@@ -80,7 +79,6 @@ __all__ = [
     "make_knots",
     "AxisSpectrum",
     "SingularGram",
-    "apply_smoother",
     "axis_spectrum",
     "build_spectrum",
     "half_inverse",

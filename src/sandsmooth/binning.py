@@ -6,8 +6,8 @@ the bin centers.  At a fixed (lambda1, lambda2), the fixed point of "fit,
 overwrite the empty cells with the fitted values, refit" is the penalized
 fit with 0/1 cell weights O, (B'OB + P_lambda) theta = B'Oy (Currie,
 Durban & Eilers, JRSS-B 2006); it is solved directly.  Lambda selection
-scores only occupied cells: per-row masked Grams A2' diag(O[a, :]) A2,
-built once, score every candidate pair in closed form and also apply the
+scores only occupied cells: per-row masked Grams, summed once from the row
+blocks of B2, score every candidate pair in closed form and also apply the
 weighted term of the solve.  The trace keeps the full-grid product form;
 the GCV and tie rule are the grid fit's.
 """
@@ -32,6 +32,7 @@ from .sandwich2d import (
     _gcv,
     _pick,
     _project,
+    _project_axis,
     _resolve,
     _scale_exponent,
     _shrink_table,
@@ -156,12 +157,22 @@ def bin_scatter(data: ScatterData, i1: int, i2: int) -> BinnedGrid:
     )
 
 
+def _expand_rows(T, sp):
+    """B F T along the second-to-last axis: F, then B through its row blocks."""
+    return _expand_axis(sp.coef_map @ T, T.ndim - 2, sp.blocks, sp.n_points)
+
+
+def _project_rows(X, sp):
+    """F' B' X along the first axis: B' through its row blocks, then F'."""
+    return sp.coef_map.T @ _project_axis(X, 0, sp.blocks, sp.n_basis)
+
+
 @dataclass(frozen=True)
 class _MaskedGram:
-    """Fixed pieces of the masked SSE, with O the occupied mask, A2 the
-    second axis's basis and Y a grid holding the binned means:
-    gram[a] = A2' diag(O[a, :]) A2, one c2 x c2 Gram per grid row;
-    cross = (O * Y) A2; yty = the sum of Y^2 over occupied cells."""
+    """Fixed pieces of the masked SSE, with O the occupied mask, B2 F2 the
+    second axis's orthonormal basis and Y a grid holding the binned means:
+    gram[a] = F2' B2' diag(O[a, :]) B2 F2, one c2 x c2 Gram per grid row;
+    cross = (O * Y) B2 F2; yty = the sum of Y^2 over occupied cells."""
 
     occupied: np.ndarray
     gram: np.ndarray
@@ -170,11 +181,21 @@ class _MaskedGram:
 
 
 def _masked_gram(Y, occupied, sz) -> _MaskedGram:
-    """The _MaskedGram of working grid Y under the occupied mask."""
-    Yo = np.where(occupied, Y, 0.0)
-    rows = occupied[:, :, None] * sz.A  # n1 x n2 x c2
-    return _MaskedGram(occupied, rows.transpose(0, 2, 1) @ sz.A, Yo @ sz.A,
+    """The _MaskedGram of working grid Y under the occupied mask.  Each row
+    block of B2 adds B' diag(O[a, rows]) B to row a's Gram, all rows in one
+    product of O with the block's B[k, p] B[k, q]; then G -> F2' G F2."""
+    Yo, O, F = np.where(occupied, Y, 0.0), occupied.astype(float), sz.coef_map
+    gram = np.zeros((O.shape[0],) + F.shape)
+    for rows, cols, B in sz.blocks:
+        gram[:, cols, cols] += np.tensordot(O[:, rows], np.einsum("kp,kq->kpq", B, B), 1)
+    np.matmul(F.T, gram @ F, out=gram)
+    return _MaskedGram(occupied, gram, _project_axis(Yo, 1, sz.blocks, len(F)) @ F,
                        float(np.sum(Yo * Yo)))
+
+
+def _null_columns(sp):
+    """B F's columns of zero penalty eigenvalue: the null space at the points."""
+    return _expand_axis(sp.coef_map[:, sp.s == 0], 0, sp.blocks, sp.n_points)
 
 
 def _require_determined(occupied, sx, sz) -> None:
@@ -182,7 +203,7 @@ def _require_determined(occupied, sx, sz) -> None:
     null space, the tensor polynomials the penalty leaves free (1, x, z, xz
     for second differences): else the weighted fit is singular and any
     extrapolation of that part would be arbitrary."""
-    null = np.einsum("ip,jq->ijpq", sx.A[:, sx.s == 0], sz.A[:, sz.s == 0])
+    null = np.einsum("ip,jq->ijpq", _null_columns(sx), _null_columns(sz))
     on_occupied = null[occupied].reshape(int(occupied.sum()), -1)
     w = np.linalg.eigvalsh(on_occupied.T @ on_occupied)
     if w[0] <= GRAM_RTOL * w[-1]:
@@ -197,17 +218,15 @@ def _require_determined(occupied, sx, sz) -> None:
 def _masked_sse_table(Y, masked, sx, sz, lam1, lam2):
     """Masked SSE at every (lam1[i], lam2[j]) pair, shape (len(lam1), len(lam2)).
 
-    Row a of the fit at (lam1[i], lam2[j]) is A2 (st2_j * P_i[a]) with
-    P_i = A1 (st1_i * A1' Y A2), so the SSE over occupied cells is
-    st2_j' M_i st2_j - 2 st2_j . sum_a (P_i[a] * cross[a]) + yty with
-    M_i = sum_a (P_i[a] P_i[a]') * gram[a]: the weighted inner products of
-    Currie, Durban & Eilers (2006) with 0/1 weights; A1 = B1 F1 is
-    applied as F1, then B1 through its row blocks.  The work is
-    O(L1 n1 c2^2); no smoother is applied per pair."""
+    With A_k = B_k F_k, row a of the fit at (lam1[i], lam2[j]) is
+    A2 (st2_j * P_i[a]) with P_i = A1 (st1_i * A1' Y A2), so the SSE over
+    occupied cells is st2_j' M_i st2_j - 2 st2_j . sum_a (P_i[a] * cross[a])
+    + yty with M_i = sum_a (P_i[a] P_i[a]') * gram[a]: the weighted inner
+    products of Currie, Durban & Eilers (2006) with 0/1 weights.  The work
+    is O(L1 n1 c2^2); no smoother is applied per pair."""
     st1 = _shrink_table(lam1, sx.s)  # L1 x c1
     st2 = _shrink_table(lam2, sz.s)  # L2 x c2
-    core = np.matmul(sx.coef_map, st1[:, :, None] * _project(Y, (sx, sz)))
-    P = _expand_axis(core, 1, sx.blocks, sx.n_points)  # L1 x n1 x c2
+    P = _expand_rows(st1[:, :, None] * _project(Y, (sx, sz)), sx)  # L1 x n1 x c2
     M = np.einsum("iak,ial,akl->ikl", P, P, masked.gram)
     fit_norm = np.einsum("jk,ikj->ij", st2, M @ st2.T)
     cross = np.einsum("iak,ak->ik", P, masked.cross) @ st2.T
@@ -223,18 +242,23 @@ def _masked_search(Y, masked, sx, sz, lam1, lam2, n_eff):
     return _pick(gcv, n_eff, (lam1, lam2))
 
 
-def _weighted_solve(theta, rhs, masked, A1, shrink):
-    """Solve A1' (O * (A1 Theta A2')) A2 + (1/shrink - 1) * Theta = rhs,
-    the 0/1-weighted fit in spectral coordinates (shrink = st1 (x) st2),
-    by conjugate gradients from theta, preconditioned with shrink.  The
-    weighted term goes row by row through the masked Grams.  Returns
+def _weighted_term(T, masked, sx):
+    """A1' (O * (A1 T A2')) A2 with A_k = B_k F_k, row a of A1 T weighted
+    by its masked Gram; A1 and A1' go through the row blocks of B1."""
+    return _project_rows((masked.gram @ _expand_rows(T, sx)[:, :, None])[:, :, 0], sx)
+
+
+def _weighted_solve(theta, rhs, masked, sx, shrink):
+    """Solve _weighted_term(Theta) + (1/shrink - 1) * Theta = rhs, the
+    0/1-weighted fit in spectral coordinates (shrink = st1 (x) st2), by
+    conjugate gradients from theta, preconditioned with shrink.  Returns
     (Theta, |shrink * r| / |shrink * rhs|); shrink * r is the fixed-point
     gap S Y - fit of the filled grid Y, in spectral coordinates."""
     with np.errstate(divide="ignore"):  # shrink underflows to 0 at huge lambda
         penalty = np.minimum(1.0 / shrink, np.finfo(float).max) - 1.0
 
     def apply(T):
-        return A1.T @ (masked.gram @ (A1 @ T)[:, :, None])[:, :, 0] + penalty * T
+        return _weighted_term(T, masked, sx) + penalty * T
 
     norm = np.linalg.norm(shrink * rhs) or 1.0
     r = rhs - apply(theta)
@@ -308,7 +332,7 @@ def iterative_fit(
     sx, sz = _axis_spectra((binned.x_centers, binned.z_centers), specs)
     _require_determined(occupied, sx, sz)
     masked = _masked_gram(means, occupied, sz)
-    rhs = sx.A.T @ masked.cross
+    rhs = _project_rows(masked.cross, sx)
 
     # solved[(i, j)] = (masked GCV, masked SSE, filled grid, residual) at
     # the pair's own fixed point, in solve order
@@ -321,7 +345,7 @@ def iterative_fit(
             break
         st1 = shrink_weights(sx.s, lam1[pair[0]])
         st2 = shrink_weights(sz.s, lam2[pair[1]])
-        theta, resid = _weighted_solve(theta, rhs, masked, sx.A, np.outer(st1, st2))
+        theta, resid = _weighted_solve(theta, rhs, masked, sx, np.outer(st1, st2))
         fitted = _expand(_contract(theta, (sx.coef_map, sz.coef_map)), (sx, sz))
         sse = float(np.sum((fitted - means)[occupied] ** 2))
         Y = np.where(occupied, means, fitted)

@@ -11,23 +11,21 @@ components, with midpoint-quadrature scaling: matrix eigenvalue / J
 estimates the process eigenvalue, sqrt(J) times the unit eigenvector
 estimates the eigenfunction (so it has unit quadrature norm).
 
-The smoothed matrix is A K A' with A the J x c orthonormal spectral basis
-and K = diag(st) (A'CA) diag(st), so its rank is at most c.  Its nonzero
-eigenpairs come exactly from the c x c matrix K: eigenvalues of K, with
-eigenvectors A U.  smooth_cov therefore never decomposes a J x J matrix
-and keeps only these at most c pairs, and one eigh of K gives the smoothed
-matrix too: X X' - Z Z' with X = A U_+ sqrt(w_+) and Z = A U_- sqrt(-w_-),
-built in strips of rows, a GEMM off the diagonal written to both mirrored
-places and syrk on it, so it is symmetric by construction.  smooth_cov
+With B the J x c design matrix and F its coefficient map, the smoothed
+matrix is B F K F' B' with K = diag(st) (F'B'CBF) diag(st), of rank at
+most c.  Its nonzero eigenpairs are those of the c x c matrix K, with
+eigenvectors V = B (F U), B applied through its row blocks; so
+smooth_cov never decomposes a J x J matrix, and one eigh of K also gives
+the smoothed matrix X X' - Z Z' (X = V_+ sqrt(w_+), Z = V_- sqrt(-w_-)),
+built in strips of rows (_gram), symmetric by construction.  smooth_cov
 reads C three times: a read-only check, in mirrored pairs of cache-sized
 tiles, that C equals C' exactly (only a C asymmetric within ASYMMETRY_TOL
-is copied and symmetrized), the scan (sandwich2d._scan_values: extremes,
-finiteness and ||C||^2 in one cache-sized walk), and the projection's
-first product, through the band of the design matrix
-(sandwich2d._project).  It writes one J x J matrix, the smoothed one.
-The fit runs on C * 2^-e without a scaled copy: the power of two rides
-in the row blocks of the projection and in X and Z, so entries near the
-float maximum smooth without overflow.
+is copied and symmetrized), the scan (sandwich2d._scan_values), and the
+projection's first product, through the row blocks (sandwich2d._project).
+It writes one J x J matrix, the smoothed one.  The fit runs on C * 2^-e
+without a scaled copy: the power of two rides in the row blocks of the
+projection and in X and Z, so entries near the float maximum smooth
+without overflow.
 
 The raw matrix is smoothed as-is, noise-inflated diagonal included; pass
 exclude_diagonal=True to replace the diagonal with NaN-free interpolation
@@ -49,6 +47,7 @@ import numpy as np
 from .basis import AxisSpec
 from .rng import CounterNormals, replicate_seed
 from .sandwich2d import (
+    _expand_axis,
     _resolve,
     _scan_values,
     _SpectralFit,
@@ -313,7 +312,7 @@ def smooth_cov(C: np.ndarray, spec: AxisSpec | None = None,
     # eigenpairs and the smoothed matrix, each scaled back by 2^e
     core = fit.core((lam, lam))
     w, U = np.linalg.eigh(0.5 * (core + core.T))
-    V = sp.A @ U
+    V = _expand_axis(sp.coef_map @ U, 0, sp.blocks, J)
     values, funcs = _eigensystem(w, V, fit.e)
     return CovModel(
         t=np.asarray(t, float),
@@ -332,21 +331,24 @@ def eigenpairs(model, k: int, reference: np.ndarray | None = None
     """Top-k eigenvalues and eigenfunctions of a smoothed covariance.
 
     Accepts a CovModel, which holds at most c pairs, or a bare symmetric
-    matrix, which is decomposed in full.  When reference
-    functions are supplied (k rows sampled at the same grid), each
-    eigenfunction is flipped so its inner product with its reference is
-    nonnegative; otherwise the first nonzero coordinate is made positive.
+    matrix, which is decomposed in full; 1 <= k <= the pairs it holds.
+    When reference functions are supplied (k or more rows at the same J
+    points; the first k are used), each eigenfunction is flipped so its
+    inner product with its reference is nonnegative; otherwise the first
+    nonzero coordinate is made positive.
     """
     if isinstance(model, CovModel):
         values, funcs = model.eigenvalues, model.eigenfunctions
     else:
         values, funcs = _decompose(np.asarray(model, dtype=float))
-    if k > values.size:
-        raise ValueError(f"asked for {k} pairs, only {values.size} exist")
-    values = values[:k].copy()
-    funcs = funcs[:k].copy()
+    if not 1 <= k <= values.size:
+        raise ValueError(f"asked for k = {k} pairs; 1 to {values.size} exist")
+    values, funcs = values[:k].copy(), funcs[:k].copy()
     if reference is not None:
         reference = np.asarray(reference, dtype=float)
+        if reference.shape[1:] != funcs.shape[1:] or len(reference) < k:
+            raise ValueError(f"reference has shape {reference.shape}; need {k} rows "
+                             f"of {funcs.shape[1]} values")
         for i in range(k):
             if funcs[i] @ reference[i] < 0:
                 funcs[i] *= -1.0

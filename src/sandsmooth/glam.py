@@ -17,20 +17,13 @@ per-axis traces.
 The first axis is the fastest-varying one under column-major flattening,
 so for d = 2 the flattened fit matches the column-stacked matrix fit.
 
-Per fit, the values are read four times: the scan at construction
-(ArrayData keeps the extremes and sum of squares, which give the scaling
-exponent, the finiteness check and y'y), the projection's first-axis
-product, the reconstruction's first-axis product, and the exact SSE of
-the returned fit.  The scan and the exact SSE read the values (and the
-fit) one cache-sized block at a time (sandwich2d._sum_sq).  Both
-products contract with the band of each axis's design matrix, in row
-blocks, not with the dense n_k x c_k factors, and carry the power of two
-in those blocks (sandwich2d._project and _expand).  The reconstruction
-expands the last axis first, each middle axis in one batched product per
-block, and the first axis last, each block writing whole rows of the
-result.  The peak working memory is the fitted array plus the first
-axis's input, c_1 n_2 ... n_d entries: 1.2 x the values at 200^3 with 38
-basis functions per axis.
+Per fit, the values are read four times, as in every sandwich2d fit: the
+scan at construction, the first-axis products of the projection and the
+reconstruction, both through the row blocks of the design matrices, and
+the exact SSE.  The reconstruction expands the last axis first, each
+middle axis in one batched product per block.  The peak working memory
+is the fitted array plus the first axis's input, c_1 n_2 ... n_d
+entries: 1.2 x the values at 200^3 with 38 basis functions per axis.
 """
 
 from __future__ import annotations

@@ -31,20 +31,14 @@ Per fit, the data are read four times: the scan at construction (the data
 class keeps the extremes and sum of squares, which give the scaling
 exponent, the finiteness check and y'y), the projection, the
 reconstruction, and the exact SSE of the returned fit.  Both data-sized
-products go through the band of each axis's design matrix B_k, kept in
-row blocks (spectra.AxisSpectrum.blocks): a row of B_k has at most p + 1
-nonzeros, so a product costs O(p + BLOCK_SEGMENTS) per entry, where the
-dense n_k x c_k factor A_k = B_k F_k would cost O(c_k).  The projection
-applies B_1' ... B_d' one axis at a time, first axis first, then the
-c_k x c_k maps F_k' on the small result (_project).  The reconstruction
-applies the F_k to the shrunk core, which is also Theta, then expands it
-with the B_k, last axis first, so the first axis writes whole contiguous
-rows of the fitted array (_expand).  The fit runs on Y * 2^-e, but the
-power of two rides in the row blocks of both products, so no scaled copy
-of the data is made and the fit needs no rescaling pass.  The scan and
-the exact SSE walk numpy's pairwise summation tree one cache-sized block
-at a time (_sum_sq), so neither allocates a temporary the size of the
-data.
+products go through each axis's design matrix B_k, kept only as row
+blocks (spectra.AxisSpectrum.blocks): _project applies B_1' ... B_d',
+first axis first, then the c_k x c_k maps F_k'; the F_k turn the shrunk
+core into Theta, and _expand applies the B_k to it, last axis first, so
+the first axis writes whole rows.  The power of two of Y * 2^-e rides in
+the row blocks, and the scan and the exact SSE walk numpy's pairwise
+summation tree one cache-sized block at a time (_sum_sq), so no copy or
+temporary the size of the data is made.
 """
 
 from __future__ import annotations
@@ -584,7 +578,7 @@ def _expand_axis(a, axis, blocks, n):
 
 
 def _project(values, spectra, e=0):
-    """A_1' ... A_d' applied to values * 2^-e: B_k' one axis at a time,
+    """(B_k F_k)' along each axis k of values * 2^-e: B_k' one axis at a time,
     first axis first (_project_axis), then the c_k x c_k maps F_k' on the
     c_1 x ... x c_d result (_contract).  The power of two rides in the
     blocks (_scaled_blocks), so no scaled copy of the data is made."""

@@ -1,16 +1,15 @@
 """Per-axis spectral preprocessing of the penalized-spline smoother.
 
 One symmetric eigendecomposition per axis rewrites the smoother matrix
-S(lam) = B (B'B + lam D'D)^{-1} B' as A diag(1/(1 + lam s)) A' with
-orthonormal A = B F, after which applying the smoother, its trace, and the
-effective degrees of freedom cost O(c) for any smoothing parameter.
+S(lam) = B (B'B + lam D'D)^{-1} B' as B F diag(1/(1 + lam s)) F' B', with
+B F orthonormal, after which the smoother's trace and effective degrees
+of freedom cost O(c) for any smoothing parameter.
 
 A row of the design matrix B has at most degree + 1 nonzeros, in the
 columns of its point's knot segment and the degree after it.  The
-spectrum keeps B cut into row blocks of BLOCK_SEGMENTS segments, each with
-the column window its rows touch, so that products of B with data cost
-O(degree + BLOCK_SEGMENTS) per entry where the dense n x c factor A costs
-O(c).
+spectrum keeps B only in row blocks, each with the column window its rows
+touch, so that products of B with data cost O(degree + segments per block)
+per entry; the dense n x c product B F is never formed.
 """
 
 from __future__ import annotations
@@ -27,9 +26,10 @@ from sandsmooth.basis import AxisSpec, design_matrix, diff_matrix, segment_index
 # so the penalty null space is preserved bit-for-bit at huge lambda.
 GRAM_RTOL = 1e-10
 NULL_RTOL = 1e-12
-# Knot segments per row block of a design matrix: the rows whose points lie
-# in BLOCK_SEGMENTS consecutive segments touch BLOCK_SEGMENTS + degree columns.
+# Knot segments per row block: BLOCK_SEGMENTS, or on an axis with few points
+# per segment enough for BLOCK_ROWS rows on average (n and K fix the layout).
 BLOCK_SEGMENTS = 8
+BLOCK_ROWS = 32
 
 
 class SingularGram(np.linalg.LinAlgError):
@@ -47,13 +47,14 @@ class RowBlock(NamedTuple):
 
 def _row_blocks(B, segments, degree) -> tuple[RowBlock, ...]:
     """B cut into runs of consecutive rows whose segments fall in one group
-    of BLOCK_SEGMENTS, each with the window from its smallest segment to
-    its largest plus degree.  Sorted points give one run per group, and
+    of segments, each with the window from its smallest segment to its
+    largest plus degree.  Sorted points give one run per group, and
     any order is covered.  Without segments, B is one block."""
     n, c = B.shape
     if segments is None:
         return (RowBlock(slice(0, n), slice(0, c), B),)
-    starts = np.flatnonzero(np.diff(segments // BLOCK_SEGMENTS, prepend=-1))
+    group = max(BLOCK_SEGMENTS, -(-BLOCK_ROWS * (c - degree) // n))
+    starts = np.flatnonzero(np.diff(segments // group, prepend=-1))
     lows = np.minimum.reduceat(segments, starts).tolist()
     highs = (np.maximum.reduceat(segments, starts) + degree + 1).tolist()
     starts = starts.tolist()
@@ -67,23 +68,20 @@ class AxisSpectrum:
 
     Attributes
     ----------
-    A : ndarray, shape (n, c)
-        Design matrix times (B'B)^{-1/2} U; columns are orthonormal and
-        A A' is the unpenalized projection B (B'B)^{-1} B'.
     s : ndarray, shape (c,)
         Nonnegative penalty eigenvalues, ascending, with exactly
         ``penalty_order`` zeros (the difference-penalty null space).
     coef_map : ndarray, shape (c, c)
         F = (B'B)^{-1/2} U; maps spectral coordinates back to B-spline
         coefficients, so Theta solves never form (B'B + lam D'D)^{-1}.
+        B F has orthonormal columns that span the range of B.
     blocks : tuple of RowBlock
-        The design matrix B = A F^{-1} in row blocks with their column
-        windows; every row lies in exactly one block.
+        The design matrix B, kept only as row blocks with their column
+        windows; every row lies in one block, the last ending at row n.
     spec : AxisSpec
         The axis configuration the factors were built from.
     """
 
-    A: np.ndarray
     s: np.ndarray
     coef_map: np.ndarray
     blocks: tuple[RowBlock, ...]
@@ -91,11 +89,11 @@ class AxisSpectrum:
 
     @property
     def n_points(self) -> int:
-        return self.A.shape[0]
+        return self.blocks[-1].rows.stop
 
     @property
     def n_basis(self) -> int:
-        return self.A.shape[1]
+        return self.coef_map.shape[0]
 
 
 def half_inverse(M: np.ndarray) -> np.ndarray:
@@ -154,8 +152,7 @@ def build_spectrum(B: np.ndarray, D: np.ndarray, spec: AxisSpec | None = None,
     s = np.where(s < NULL_RTOL * abs(s[-1]), 0.0, s)
     coef_map = Ghalf_inv @ U
     blocks = _row_blocks(B, segments, None if spec is None else spec.degree)
-    return AxisSpectrum(A=B @ coef_map, s=s, coef_map=coef_map, blocks=blocks,
-                        spec=spec)
+    return AxisSpectrum(s=s, coef_map=coef_map, blocks=blocks, spec=spec)
 
 
 def axis_spectrum(points: np.ndarray, spec: AxisSpec) -> AxisSpectrum:
@@ -171,14 +168,6 @@ def shrink_weights(s: np.ndarray, lam: float) -> np.ndarray:
     if lam < 0:
         raise ValueError(f"smoothing parameter must be >= 0, got {lam}")
     return 1.0 / (1.0 + lam * s)
-
-
-def apply_smoother(spectrum: AxisSpectrum, lam: float, V: np.ndarray) -> np.ndarray:
-    """Apply S(lam) to the columns of V without forming the n x n smoother."""
-    st = shrink_weights(spectrum.s, lam)
-    coefs = spectrum.A.T @ V
-    coefs *= st[:, None] if coefs.ndim > 1 else st
-    return spectrum.A @ coefs
 
 
 def trace_smoother(s: np.ndarray, lam: float) -> float:

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,13 +12,19 @@ from sandsmooth.binning import (
     auto_bin_count,
     bin_scatter,
     iterative_fit,
+    _expand_rows,
     _masked_gram,
     _masked_search,
     _masked_sse_table,
+    _null_columns,
+    _project_rows,
+    _weighted_term,
 )
 from sandsmooth.sandwich2d import DegenerateFit, GridData, LambdaGrid, select_lambda
-from sandsmooth.spectra import apply_smoother, axis_spectrum, trace_smoother
+from sandsmooth.spectra import axis_spectrum, trace_smoother
 from sandsmooth.surfaces import f2
+
+from dense_oracle import apply_smoother, dense_factor
 
 
 def centers(n):
@@ -32,15 +39,17 @@ def full_scatter(i1, i2, values):
 
 
 def masked_search_loop(Y, occupied, sx, sz, lam1, lam2, n_eff):
-    """The per-pair search that _masked_search replaced, kept as its oracle."""
+    """The per-pair search that _masked_search replaced, kept as its oracle;
+    the spectra are those of the bin centers of Y's grid."""
+    x, z = centers(Y.shape[0]), centers(Y.shape[1])
     tr1 = np.array([trace_smoother(sx.s, l) for l in lam1])
     tr2 = np.array([trace_smoother(sz.s, l) for l in lam2])
     gcv = np.full((lam1.size, lam2.size), np.inf)
     sse = np.full_like(gcv, np.nan)
     for i, l1 in enumerate(lam1):
-        half = apply_smoother(sx, l1, Y)  # S1 @ Y
+        half = apply_smoother(sx, x, l1, Y)  # S1 @ Y
         for j, l2 in enumerate(lam2):
-            yhat = apply_smoother(sz, l2, half.T).T  # S1 @ Y @ S2
+            yhat = apply_smoother(sz, z, l2, half.T).T  # S1 @ Y @ S2
             resid = (Y - yhat)[occupied]
             sse[i, j] = resid @ resid
             edf = tr1[i] * tr2[j]
@@ -159,10 +168,11 @@ class TestMaskedSearch:
         got = _masked_search(Y, _masked_gram(Y, occupied, sz), sx, sz,
                              lam1, lam2, n_eff)
         gcv = np.empty((lam1.size, lam2.size))
+        A1, A2 = dense_factor(sx, centers(i1)), dense_factor(sz, centers(i2))
         for i, l1 in enumerate(lam1):
-            S1 = (sx.A / (1 + l1 * sx.s)) @ sx.A.T
+            S1 = (A1 / (1 + l1 * sx.s)) @ A1.T
             for j, l2 in enumerate(lam2):
-                S2 = (sz.A / (1 + l2 * sz.s)) @ sz.A.T
+                S2 = (A2 / (1 + l2 * sz.s)) @ A2.T
                 resid = (Y - S1 @ Y @ S2)[occupied]
                 edf = np.trace(S1) * np.trace(S2)
                 gcv[i, j] = (resid @ resid / n_eff) / (1 - edf / n_eff) ** 2
@@ -189,10 +199,11 @@ class TestMaskedSearch:
         table = _masked_sse_table(Y, _masked_gram(Y, occupied, sz), sx, sz,
                                   lam1, lam2)
         dense = np.empty((lam1.size, lam2.size))
+        A1, A2 = dense_factor(sx, centers(i1)), dense_factor(sz, centers(i2))
         for i, l1 in enumerate(lam1):
-            S1 = (sx.A / (1 + l1 * sx.s)) @ sx.A.T
+            S1 = (A1 / (1 + l1 * sx.s)) @ A1.T
             for j, l2 in enumerate(lam2):
-                S2 = (sz.A / (1 + l2 * sz.s)) @ sz.A.T
+                S2 = (A2 / (1 + l2 * sz.s)) @ A2.T
                 resid = (Y - S1 @ Y @ S2)[occupied]
                 dense[i, j] = resid @ resid
         npt.assert_allclose(table, dense, rtol=1e-10)
@@ -423,8 +434,8 @@ class TestWeightedSolve:
         sz = axis_spectrum(res.binned.z_centers, res.fit.specs[1])
         occupied = ~res.binned.empty_mask
         Y = np.where(occupied, res.binned.means, res.fit.fitted)
-        half = apply_smoother(sx, res.fit.lambdas[0], Y)
-        SY = apply_smoother(sz, res.fit.lambdas[1], half.T).T
+        half = apply_smoother(sx, res.binned.x_centers, res.fit.lambdas[0], Y)
+        SY = apply_smoother(sz, res.binned.z_centers, res.fit.lambdas[1], half.T).T
         assert np.max(np.abs(SY - res.fit.fitted)) <= 1e-10
 
     @pytest.mark.parametrize("seed", [31, 32, 33, 34, 35, 55, 56])
@@ -476,3 +487,71 @@ class TestWeightedSolve:
         npt.assert_allclose(res.masked_gcv, own[best].masked_gcv, rtol=1e-10)
         npt.assert_allclose(res.fit.fitted, own[best].fit.fitted, rtol=0,
                             atol=1e-10)
+
+
+def rel_close(got, want, rtol=1e-12):
+    """got matches want to rtol relative to want's largest entry."""
+    return got.shape == want.shape and np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+class TestBandedWeightedFit:
+    """The scatter fit's products through the row blocks against the dense
+    factors A_k = B_k F_k."""
+
+    @staticmethod
+    def problem(seed, i1, i2, k1, k2):
+        """Working grid and spectra on the bin centers, with occupancy
+        falling from 95% in the first row to 20% in the last, and one
+        row and one column empty."""
+        rng = np.random.default_rng(seed)
+        Y = rng.normal(size=(i1, i2))
+        occupied = rng.uniform(size=(i1, i2)) < np.linspace(0.95, 0.2, i1)[:, None]
+        occupied[i1 // 2, :] = False
+        occupied[:, i2 // 3] = False
+        sx = axis_spectrum(centers(i1), AxisSpec(3, 2, k1))
+        sz = axis_spectrum(centers(i2), AxisSpec(3, 2, k2))
+        return Y, occupied, sx, sz, dense_factor(sx, centers(i1)), dense_factor(sz, centers(i2))
+
+    # one block per axis, several per axis, and one of each
+    CASES = [(61, 12, 17, 4, 5, (1, 1)), (62, 90, 61, 30, 20, (3, 2)),
+             (63, 13, 75, 4, 25, (1, 3))]
+
+    @pytest.mark.parametrize("seed, i1, i2, k1, k2, n_blocks", CASES)
+    def test_masked_pieces_match_dense(self, seed, i1, i2, k1, k2, n_blocks):
+        Y, occupied, sx, sz, A1, A2 = self.problem(seed, i1, i2, k1, k2)
+        assert (len(sx.blocks), len(sz.blocks)) == n_blocks
+        masked = _masked_gram(Y, occupied, sz)
+        O = occupied.astype(float)
+        assert rel_close(masked.gram, np.einsum("ak,kp,kq->apq", O, A2, A2))
+        cross = (O * Y) @ A2
+        assert rel_close(masked.cross, cross)
+        assert rel_close(_project_rows(masked.cross, sx), A1.T @ cross)
+        for sp, A in ((sx, A1), (sz, A2)):
+            assert rel_close(_null_columns(sp), A[:, sp.s == 0])
+
+    @pytest.mark.parametrize("seed, i1, i2, k1, k2, n_blocks", CASES)
+    def test_weighted_term_matches_dense(self, seed, i1, i2, k1, k2, n_blocks):
+        # the conjugate-gradient operator A1' (O * (A1 T A2')) A2
+        Y, occupied, sx, sz, A1, A2 = self.problem(seed, i1, i2, k1, k2)
+        masked = _masked_gram(Y, occupied, sz)
+        T = np.random.default_rng(seed).normal(size=(sx.n_basis, sz.n_basis))
+        assert rel_close(_expand_rows(T, sx), A1 @ T)
+        want = A1.T @ (occupied * (A1 @ T @ A2.T)) @ A2
+        assert rel_close(_weighted_term(T, masked, sx), want)
+
+    def test_no_grid_sized_temporary_per_basis_function(self):
+        # 400 x 400 bins, 38 basis functions per axis: the masked Grams once
+        # went through an n1 x n2 x c2 temporary of 46 MiB (a 57 MiB peak)
+        rng = np.random.default_rng(7)
+        x, z = rng.uniform(size=(2, 200_000))
+        keep = (x - 0.5) ** 2 + (z - 0.5) ** 2 > 0.15 ** 2
+        data = ScatterData(x[keep], z[keep], f2(x[keep], z[keep]))
+        grid = LambdaGrid(np.logspace(-3, 3, 8), np.logspace(-3, 3, 8))
+        tracemalloc.start()
+        try:
+            res = iterative_fit(data, 400, 400, grid=grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.binned.empty_mask.any() and res.fit.specs[1].n_basis == 38
+        assert peak <= 30 * 2**20

@@ -20,8 +20,10 @@ from sandsmooth.fda import (
 )
 from sandsmooth.rng import CounterNormals
 from sandsmooth.sandwich2d import DegenerateFit, GridData, LambdaGrid, select_lambda
-from sandsmooth.spectra import SingularGram, apply_smoother, axis_spectrum, shrink_weights
+from sandsmooth.spectra import SingularGram, axis_spectrum, shrink_weights
 from sandsmooth.surfaces import midpoints
+
+from dense_oracle import apply_smoother, dense_factor
 
 
 class TestCounterNormals:
@@ -142,7 +144,7 @@ class TestSmoothCov:
         spec = AxisSpec(3, 2, 5)
         model = smooth_cov(np.outer(v, v), spec, lams=[2.5])
         sp = axis_spectrum(midpoints(J), spec)
-        sv = apply_smoother(sp, 2.5, v)
+        sv = apply_smoother(sp, midpoints(J), 2.5, v)
         npt.assert_allclose(model.smoothed_cov, np.outer(sv, sv), atol=1e-10)
 
     def test_symmetry_preserved(self):
@@ -376,6 +378,28 @@ class TestEigenpairs:
         with pytest.raises(ValueError):
             eigenpairs(np.eye(4), 5)
 
+    @pytest.mark.parametrize("k", [0, -1, -23])
+    def test_k_below_one_raises(self, k):
+        # a negative k once sliced to all but the last -k pairs
+        model = smooth_cov(sample_cov(simulate_fda(1, 30, 40, 0.5, seed=6)))
+        for source in (model, model.smoothed_cov):
+            with pytest.raises(ValueError, match=rf"^asked for k = {k} pairs; 1 to \d+ exist"):
+                eigenpairs(source, k)
+
+    def test_k_beyond_the_model_pairs_raises(self):
+        model = smooth_cov(sample_cov(simulate_fda(1, 30, 40, 0.5, seed=6)))
+        c = model.eigenvalues.size
+        with pytest.raises(ValueError, match=rf"^asked for k = {c + 1} pairs; 1 to {c} exist"):
+            eigenpairs(model, c + 1)
+
+    @pytest.mark.parametrize("shape", [(1, 30), (2, 29), (30,), (2, 2, 30)])
+    def test_reference_of_wrong_shape_raises(self, shape):
+        # too few rows once raised a bare IndexError
+        K = true_covariance(1, midpoints(30))
+        with pytest.raises(ValueError, match=rf"^reference has shape \({shape[0]},"
+                           r".*; need 2 rows of 30 values"):
+            eigenpairs(K, 2, reference=np.ones(shape))
+
     def test_descending_order(self):
         rng = np.random.default_rng(4)
         M = rng.normal(size=(12, 12))
@@ -407,9 +431,10 @@ def dense_smoothed(C, lam, exclude_diagonal=False):
         off = np.diag(C, 1)
         C[np.diag_indices(J)] = np.r_[off[0], 0.5 * (off[:-1] + off[1:]), off[-1]]
     sp = axis_spectrum(midpoints(J), AxisSpec(knot_segments=auto_knot_segments(J)))
+    A = dense_factor(sp, midpoints(J))
     st = shrink_weights(sp.s, lam)
-    K = st[:, None] * (sp.A.T @ C @ sp.A) * st[None, :]
-    return sp.A @ K @ sp.A.T
+    K = st[:, None] * (A.T @ C @ A) * st[None, :]
+    return A @ K @ A.T
 
 
 def indefinite(J, seed):

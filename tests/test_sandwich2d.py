@@ -26,6 +26,8 @@ from sandsmooth.sandwich2d import (
 from sandsmooth.spectra import axis_spectrum
 from sandsmooth.surfaces import f2, midpoints
 
+from dense_oracle import dense_factor
+
 
 def dense_smoother(points, spec, lam):
     B = design_matrix(points, spec)
@@ -170,7 +172,8 @@ class TestTransformData:
         sz = axis_spectrum(midpoints(18), AxisSpec(3, 2, 5))
         rng = np.random.default_rng(3)
         M = rng.normal(size=(sx.n_basis, sz.n_basis))
-        d = GridData(sx.A @ M @ sz.A.T, midpoints(15), midpoints(18))
+        A1, A2 = dense_factor(sx, midpoints(15)), dense_factor(sz, midpoints(18))
+        d = GridData(A1 @ M @ A2.T, midpoints(15), midpoints(18))
         Yt, _ = projection(d, sx, sz)
         npt.assert_allclose(Yt, M, atol=1e-10)
 
@@ -179,7 +182,8 @@ class TestTransformData:
         sx = axis_spectrum(d.x_coords, AxisSpec(3, 2, 7))
         sz = axis_spectrum(d.z_coords, AxisSpec(3, 2, 9))
         Yt, yty = projection(d, sx, sz)
-        expected = np.array([[a @ d.Y @ b for b in sz.A.T] for a in sx.A.T])
+        A1, A2 = dense_factor(sx, d.x_coords), dense_factor(sz, d.z_coords)
+        expected = np.array([[a @ d.Y @ b for b in A2.T] for a in A1.T])
         npt.assert_allclose(Yt, expected, atol=1e-12)
         assert yty == pytest.approx(np.linalg.norm(d.Y) ** 2)
 

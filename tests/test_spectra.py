@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -6,13 +8,15 @@ from sandsmooth.basis import AxisSpec, design_matrix, diff_matrix
 from sandsmooth.sandwich2d import _expand, _project
 from sandsmooth.spectra import (
     BLOCK_SEGMENTS,
+    AxisSpectrum,
     SingularGram,
-    apply_smoother,
     axis_spectrum,
     build_spectrum,
     half_inverse,
     trace_smoother,
 )
+
+from dense_oracle import apply_smoother, dense_factor
 
 
 def dense_smoother(B, D, lam):
@@ -49,30 +53,41 @@ class TestBuildSpectrum:
     def test_identity_design_projection(self):
         n = 8
         sp = build_spectrum(np.eye(n), diff_matrix(n, 1))
-        S0 = sp.A @ sp.A.T
+        A = np.eye(n) @ sp.coef_map  # B F with the identity design
+        S0 = A @ A.T
         npt.assert_allclose(S0, np.eye(n), atol=1e-10)
 
     def test_orthonormal_columns(self):
         spec = AxisSpec(3, 2, 10)
         sp = axis_spectrum(midpoints(20), spec)
-        npt.assert_allclose(sp.A.T @ sp.A, np.eye(spec.n_basis), atol=1e-10)
+        A = dense_factor(sp, midpoints(20))
+        npt.assert_allclose(A.T @ A, np.eye(spec.n_basis), atol=1e-10)
 
     def test_projection_identity(self):
         spec = AxisSpec(3, 2, 10)
         B = design_matrix(midpoints(20), spec)
         sp = build_spectrum(B, diff_matrix(spec.n_basis, 2), spec)
         proj = B @ np.linalg.solve(B.T @ B, B.T)
-        npt.assert_allclose(sp.A @ sp.A.T, proj, atol=1e-10)
+        A = dense_factor(sp, midpoints(20))
+        npt.assert_allclose(A @ A.T, proj, atol=1e-10)
 
     def test_reconstructs_dense_smoother(self):
         spec = AxisSpec(3, 2, 10)
         B = design_matrix(midpoints(20), spec)
         D = diff_matrix(spec.n_basis, 2)
         sp = build_spectrum(B, D, spec)
+        A = dense_factor(sp, midpoints(20))
         for lam in [1.0, 0.01, 37.5, 1e4, 0.0]:
             st = 1.0 / (1.0 + lam * sp.s)
-            S = (sp.A * st) @ sp.A.T
+            S = (A * st) @ A.T
             npt.assert_allclose(S, dense_smoother(B, D, lam) if lam > 0 else B @ np.linalg.solve(B.T @ B, B.T), atol=1e-9)
+
+    def test_spectrum_keeps_no_dense_factor(self):
+        # the design matrix is kept only as row blocks; sizes come from them
+        assert "A" not in {f.name for f in dataclasses.fields(AxisSpectrum)}
+        sp = axis_spectrum(midpoints(30), AxisSpec(3, 2, 10))
+        assert not hasattr(sp, "A")
+        assert (sp.n_points, sp.n_basis) == (30, 13)
 
     def test_null_space_dimension(self):
         for spec in [AxisSpec(3, 2, 10), AxisSpec(3, 3, 9), AxisSpec(1, 1, 12)]:
@@ -125,9 +140,22 @@ class TestRowBlocks:
             assert len(sp.blocks) == 4
         # the banded products serve points in any order
         y = np.random.default_rng(1).standard_normal(200)
-        npt.assert_allclose(_project(y, [sp]), sp.A.T @ y, rtol=0, atol=1e-12)
+        npt.assert_allclose(_project(y, [sp]), dense_factor(sp, points).T @ y,
+                            rtol=0, atol=1e-12)
         coefs = np.random.default_rng(2).standard_normal(sp.n_basis)
         npt.assert_allclose(_expand(coefs, [sp]), B @ coefs, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n, segments, layout", [
+        # two points per segment: groups of 16 segments hold 32 rows
+        (70, 35, [(0, 32, 0, 19), (32, 64, 16, 35), (64, 70, 32, 38)]),
+        # more than BLOCK_ROWS / BLOCK_SEGMENTS points per segment: groups of 8
+        (400, 35, [(0, 91, 0, 11), (91, 183, 8, 19), (183, 274, 16, 27),
+                   (274, 366, 24, 35), (366, 400, 32, 38)]),
+    ])
+    def test_short_axes_group_more_segments(self, n, segments, layout):
+        sp = axis_spectrum(midpoints(n), AxisSpec(knot_segments=segments))
+        assert [(b.rows.start, b.rows.stop, b.cols.start, b.cols.stop)
+                for b in sp.blocks] == layout
 
     def test_without_segments_the_design_is_one_block(self):
         B = design_matrix(midpoints(20), AxisSpec(3, 2, 5))
@@ -142,7 +170,7 @@ class TestApplySmoother:
         B = design_matrix(midpoints(16), spec)
         sp = build_spectrum(B, diff_matrix(spec.n_basis, 2), spec)
         V = B @ np.random.default_rng(0).normal(size=(spec.n_basis, 3))
-        npt.assert_allclose(apply_smoother(sp, 0.0, V), V, atol=1e-10)
+        npt.assert_allclose(apply_smoother(sp, midpoints(16), 0.0, V), V, atol=1e-10)
 
     def test_huge_lambda_is_polynomial_fit(self):
         spec = AxisSpec(3, 2, 10)
@@ -150,7 +178,7 @@ class TestApplySmoother:
         sp = axis_spectrum(x, spec)
         rng = np.random.default_rng(5)
         V = rng.normal(size=(25, 2))
-        got = apply_smoother(sp, 1e12, V)
+        got = apply_smoother(sp, x, 1e12, V)
         X = np.vstack([np.ones_like(x), x]).T
         expected = X @ np.linalg.lstsq(X, V, rcond=None)[0]
         npt.assert_allclose(got, expected, atol=1e-4)
@@ -161,20 +189,22 @@ class TestApplySmoother:
         D = diff_matrix(spec.n_basis, 1)
         sp = build_spectrum(B, D, spec)
         V = np.random.default_rng(9).normal(size=(6, 4))
-        npt.assert_allclose(apply_smoother(sp, 0.7, V), dense_smoother(B, D, 0.7) @ V, atol=1e-10)
+        npt.assert_allclose(apply_smoother(sp, midpoints(6), 0.7, V),
+                            dense_smoother(B, D, 0.7) @ V, atol=1e-10)
 
     def test_linearity(self):
         sp = axis_spectrum(midpoints(12), AxisSpec(3, 2, 5))
         rng = np.random.default_rng(2)
         U, V = rng.normal(size=(2, 12, 3))
-        lhs = apply_smoother(sp, 2.5, 1.3 * U - 0.4 * V)
-        rhs = 1.3 * apply_smoother(sp, 2.5, U) - 0.4 * apply_smoother(sp, 2.5, V)
+        x = midpoints(12)
+        lhs = apply_smoother(sp, x, 2.5, 1.3 * U - 0.4 * V)
+        rhs = 1.3 * apply_smoother(sp, x, 2.5, U) - 0.4 * apply_smoother(sp, x, 2.5, V)
         npt.assert_allclose(lhs, rhs, atol=1e-10)
 
     def test_negative_lambda_rejected(self):
         sp = axis_spectrum(midpoints(10), AxisSpec(3, 2, 4))
         with pytest.raises(ValueError):
-            apply_smoother(sp, -1.0, np.zeros(10))
+            apply_smoother(sp, midpoints(10), -1.0, np.zeros(10))
 
 
 class TestTrace:
