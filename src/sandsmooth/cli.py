@@ -7,13 +7,14 @@ failure, 2 input or configuration error.
 Options can come from a config file (``--config FILE``) holding
 ``key = value`` lines with ``#`` comments; keys are the long option
 names with dashes or underscores (``knots = 10,15``).  Command-line
-flags override config values, which override built-in defaults.  The
-``SANDSMOOTH_THREADS`` environment variable sets the default worker
-count for replicated studies.
+flags override config values, which override built-in defaults.  Every
+input error, usage errors included, is one ``sandsmooth: ...`` line on
+stderr.
 
 Wall-clock fields in summaries (``elapsed_seconds``) are the only
 output values that vary between identically configured runs; all
-numeric artifacts are byte-identical under a fixed seed.
+numeric artifacts are byte-identical under a fixed seed and BLAS thread
+count.
 """
 
 from __future__ import annotations
@@ -21,10 +22,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -52,7 +51,6 @@ __all__ = ["RunConfig", "main"]
 EXIT_OK = 0
 EXIT_NUMERIC = 1
 EXIT_INPUT = 2
-THREADS_ENV = "SANDSMOOTH_THREADS"
 
 # dest -> parser for config-file strings; filled as options are declared
 _OPTION_PARSERS: dict = {}
@@ -153,14 +151,6 @@ def _flag(parser, *flags, dest, **kw):
     _OPTION_PARSERS[dest] = _parse_bool
 
 
-def _default_threads() -> int:
-    raw = os.environ.get(THREADS_ENV, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
     """Validated option set for one command invocation.
@@ -169,9 +159,7 @@ class RunConfig:
     it needs.  Knot and bin counts may be the string "auto", resolved
     deterministically from the data dimensions when the data is seen; the
     spec options and lambda_grid stay None (the fits' defaults) unless given.
-    threads defaults to $SANDSMOOTH_THREADS (1 if unset or not an integer),
-    read when the config is built.  A fine pass is accepted only by the
-    commands whose grid fits run it.
+    A fine pass is accepted only by the commands whose grid fits run it.
     """
 
     command: str
@@ -188,7 +176,6 @@ class RunConfig:
     fine_pass: int = 0
     seed: int = 1
     reps: int = 100
-    threads: int = dataclasses.field(default_factory=_default_threads)
     bins: object = "auto"
     max_iter: int = 20
     center: bool = False
@@ -221,8 +208,6 @@ class RunConfig:
             raise ValueError("fine-pass must be >= 0")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
         if self.bins != "auto" and any(b < 1 for b in self.bins):
             raise ValueError("bins must be >= 1 or 'auto'")
         if self.max_iter < 1:
@@ -249,6 +234,13 @@ class RunConfig:
                              f"simulate --kind surface, not to {what}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one line, as build_config reports a bad value."""
+
+    def error(self, message):
+        self.exit(EXIT_INPUT, f"sandsmooth: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", default=None, metavar="FILE",
@@ -269,18 +261,16 @@ def build_parser() -> argparse.ArgumentParser:
          help="master seed for any randomness (default 1)")
     _opt(shared, "--reps", dest="reps", parse=_parse_int, metavar="N",
          help="replicates for simulation studies (default 100)")
-    _opt(shared, "--threads", dest="threads", parse=_parse_int, metavar="T",
-         help=f"worker threads for replicates (default ${THREADS_ENV} or 1)")
     _opt(shared, "--emit-plotdata", dest="emit_plotdata", metavar="FILE",
          help="write a tidy long-format CSV for external plotting")
     _opt(shared, "--summary", dest="summary", metavar="FILE",
          help="write a JSON run summary")
 
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="sandsmooth",
         description="Fast bivariate and array penalized-spline smoothing.",
     )
-    sub = top.add_subparsers(dest="command", required=True)
+    sub = top.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     g = sub.add_parser("smooth-grid", parents=[shared],
                        help="smooth a complete rectangular grid")
@@ -425,13 +415,6 @@ def _require_input(cfg: RunConfig) -> str:
     if cfg.input is None:
         raise FileFormatError(f"{cfg.command}: --input is required")
     return cfg.input
-
-
-def _parallel_map(fn, items, threads: int) -> list:
-    if threads <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _mesh(*coords) -> list:
@@ -613,35 +596,20 @@ def cmd_smooth_array(cfg: RunConfig) -> int:
 
 
 def run_surface_study(function: str, sigma: float, n1: int, n2: int,
-                      specs, grid, fine_pass: int, seed: int, reps: int,
-                      threads: int = 1) -> np.ndarray:
+                      specs, grid, fine_pass: int, seed: int, reps: int) -> np.ndarray:
     """Per-replicate ISE of the grid fit against the known surface.
 
     Replicate r adds sigma * normals from a stream keyed by seed + r,
     fits with GCV, and scores (1/n) sum (fitted - truth)^2 on the grid.
     """
     x, z, F = sample_surface(SURFACES[function].f, n1, n2)
-
-    def one(r: int) -> float:
+    ises = np.empty(reps)
+    for r in range(reps):
         eps = CounterNormals(replicate_seed(seed, r)).normals((n1, n2))
         fit = select_lambda(GridData(F + sigma * eps, x, z), specs=specs,
                             grid=grid, fine_pass=fine_pass)
-        return float(np.mean((fit.fitted - F) ** 2))
-
-    return np.array(_parallel_map(one, range(reps), threads))
-
-
-def run_fda_study(case: int, n: int, J: int, sigma: float, seed: int,
-                  reps: int, spec=None, lams=None,
-                  threads: int = 1) -> np.ndarray:
-    """Per-replicate ISE of the smoothed covariance against truth."""
-
-    def one(r: int) -> float:
-        # one-replicate call at seed + r draws exactly replicate r
-        return float(replicate_ise(case, n, J, sigma, seed + r, 1,
-                                   spec=spec, lams=lams)[0])
-
-    return np.array(_parallel_map(one, range(reps), threads))
+        ises[r] = np.mean((fit.fitted - F) ** 2)
+    return ises
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
@@ -650,15 +618,14 @@ def cmd_simulate(cfg: RunConfig) -> int:
         n1, n2 = cfg.size if cfg.size else (20, 30)
         specs, grids = _resolve((n1, n2), *fit_options(cfg, (n1, n2)))
         ises = run_surface_study(cfg.function, cfg.sigma, n1, n2, specs,
-                                 LambdaGrid(*grids), cfg.fine_pass, cfg.seed,
-                                 cfg.reps, cfg.threads)
+                                 LambdaGrid(*grids), cfg.fine_pass, cfg.seed, cfg.reps)
         label = f"surface {cfg.function} {n1}x{n2}"
         params = {"function": cfg.function, "size": [n1, n2]}
     else:
         n, J = cfg.size if cfg.size else (25, 20)
         specs, grids = _resolve((J,), *fit_options(cfg, (J,)))
-        ises = run_fda_study(cfg.case, n, J, cfg.sigma, cfg.seed, cfg.reps,
-                             spec=specs[0], lams=grids[0], threads=cfg.threads)
+        ises = replicate_ise(cfg.case, n, J, cfg.sigma, cfg.seed, cfg.reps,
+                             spec=specs[0], lams=grids[0])
         label = f"fda case {cfg.case} (n,J)=({n},{J})"
         params = {"case": cfg.case, "n_curves": n, "n_points": J}
     elapsed = time.perf_counter() - t0

@@ -11,7 +11,6 @@ import pytest
 
 import sandsmooth
 from sandsmooth.cli import (
-    RunConfig,
     bench_knots,
     build_config,
     build_parser,
@@ -200,23 +199,29 @@ class TestConfigFile:
         cfgp.write_text("reps = many\n")
         assert main(["simulate", "--config", str(cfgp)]) == 2
 
-    def test_env_var_default_threads(self, monkeypatch):
-        monkeypatch.setenv("SANDSMOOTH_THREADS", "3")
-        args = build_parser().parse_args(["simulate"])
-        assert build_config(args).threads == 3
-        monkeypatch.delenv("SANDSMOOTH_THREADS")
-        assert build_config(args).threads == 1
-
     def test_validation_catches_bad_combo(self, tmp_path, capsys):
         assert main(["simulate", "--reps", "0"]) == 2
         assert "reps" in capsys.readouterr().err
 
-    def test_bare_run_config_reads_the_env_var(self, monkeypatch):
-        monkeypatch.delenv("SANDSMOOTH_THREADS", raising=False)
-        assert RunConfig("smooth-grid").threads == 1
-        monkeypatch.setenv("SANDSMOOTH_THREADS", "3")
-        assert RunConfig("smooth-grid").threads == 3
-        assert RunConfig("smooth-grid", threads=2).threads == 2
+    def test_removed_threads_key_exits_2(self, tmp_path, capsys):
+        cfgp = tmp_path / "run.cfg"
+        cfgp.write_text("threads = 2\n")
+        assert main(["simulate", "--config", str(cfgp)]) == 2
+        assert "unknown option 'threads'" in capsys.readouterr().err
+
+
+class TestUsageErrors:
+    """A usage error exits 2 with one line, not argparse's usage block."""
+
+    @pytest.mark.parametrize("argv", [
+        [], ["nosuch"], ["simulate", "--bogus"], ["simulate", "--threads", "2"],
+    ], ids=["no subcommand", "unknown subcommand", "unknown flag", "removed --threads"])
+    def test_one_line(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("sandsmooth: ")
 
 
 class TestLambdaGridBounds:
@@ -259,7 +264,6 @@ MALFORMED = [
     ("smooth-grid", "--fine-pass", "x", "expected an integer"),
     ("simulate", "--seed", "1.5", "expected an integer"),
     ("simulate", "--reps", "many", "expected an integer"),
-    ("simulate", "--threads", "x", "expected an integer"),
     ("simulate", "--sigma", "big", "expected a number"),
     ("simulate", "--size", "20", "expected two comma-separated integers"),
     ("simulate", "--case", "one", "expected an integer"),
@@ -576,17 +580,17 @@ class TestSimulate:
             mises[sigma] = json.loads(sump.read_text())["mise"]
         assert 0.0 < mises["0"] < mises["0.1"]
 
-    def test_deterministic_and_thread_invariant(self, tmp_path):
+    @pytest.mark.parametrize("kind", ["surface", "fda"])
+    def test_same_seed_is_deterministic(self, tmp_path, kind):
         outs = []
-        for tag, threads in (("a", "1"), ("b", "2"), ("c", "1")):
+        for tag in "ab":
             sump = tmp_path / f"{tag}.json"
             plotp = tmp_path / f"{tag}.csv"
-            rc = main(["simulate", "--reps", "4", "--seed", "11",
-                       "--threads", threads, "--summary", str(sump),
-                       "--emit-plotdata", str(plotp)])
+            rc = main(["simulate", "--kind", kind, "--reps", "4", "--seed", "11",
+                       "--summary", str(sump), "--emit-plotdata", str(plotp)])
             assert rc == 0
             outs.append((summary_of(sump), plotp.read_bytes()))
-        assert outs[0] == outs[1] == outs[2]
+        assert outs[0] == outs[1]
 
     def test_fda_kind(self, tmp_path):
         sump = tmp_path / "s.json"

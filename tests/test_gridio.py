@@ -11,8 +11,15 @@ from hypothesis.extra import numpy as hnp
 
 from sandsmooth import gridio
 from sandsmooth.binning import ScatterData, iterative_fit
-from sandsmooth.cli import main, run_fda_study, run_surface_study
-from sandsmooth.fda import CurveSet, eigenpairs, sample_cov, simulate_fda, smooth_cov
+from sandsmooth.cli import main, run_surface_study
+from sandsmooth.fda import (
+    CurveSet,
+    eigenpairs,
+    replicate_ise,
+    sample_cov,
+    simulate_fda,
+    smooth_cov,
+)
 from sandsmooth.glam import ArrayData, fit_array
 from sandsmooth.gridio import (
     FileFormatError,
@@ -746,7 +753,7 @@ class TestCliLongTablesMatchOracle:
         if kind == "surface":
             ises = run_surface_study("f2", 0.5, 12, 14, None, None, 0, 1, 3)
         else:
-            ises = run_fda_study(1, 12, 14, 0.5, 1, 3)
+            ises = replicate_ise(1, 12, 14, 0.5, 1, 3)
         self.assert_long(plotp, ["replicate", "ise"],
                          [(float(r), v) for r, v in enumerate(ises)])
 
