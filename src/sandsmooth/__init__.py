@@ -62,9 +62,7 @@ from sandsmooth.spectra import (
     SingularGram,
     axis_spectrum,
     build_spectrum,
-    half_inverse,
     shrink_weights,
-    trace_smoother,
 )
 from sandsmooth.surfaces import SURFACES, f1, f2, midpoints, sample_surface
 
@@ -81,9 +79,7 @@ __all__ = [
     "SingularGram",
     "axis_spectrum",
     "build_spectrum",
-    "half_inverse",
     "shrink_weights",
-    "trace_smoother",
     "DegenerateFit",
     "GridData",
     "LambdaGrid",

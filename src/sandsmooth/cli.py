@@ -159,7 +159,6 @@ class RunConfig:
     it needs.  Knot and bin counts may be the string "auto", resolved
     deterministically from the data dimensions when the data is seen; the
     spec options and lambda_grid stay None (the fits' defaults) unless given.
-    A fine pass is accepted only by the commands whose grid fits run it.
     """
 
     command: str
@@ -173,7 +172,6 @@ class RunConfig:
     penalty_order: tuple | None = None
     knots: tuple | None = None
     lambda_grid: tuple | None = None
-    fine_pass: int = 0
     seed: int = 1
     reps: int = 100
     bins: object = "auto"
@@ -204,8 +202,6 @@ class RunConfig:
             if not 0.0 < lam < np.inf:
                 raise ValueError(f"--lambda-grid bound {bound} gives 10^{bound} = "
                                  f"{lam}, not a positive finite float")
-        if self.fine_pass < 0:
-            raise ValueError("fine-pass must be >= 0")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
         if self.bins != "auto" and any(b < 1 for b in self.bins):
@@ -228,10 +224,6 @@ class RunConfig:
             raise ValueError("orders must be >= 1")
         if any(n < 2 for n in self.sizes):
             raise ValueError("bench sizes must be >= 2")
-        what = f"simulate --kind {self.kind}" if self.command == "simulate" else self.command
-        if self.fine_pass > 0 and what not in ("smooth-grid", "simulate --kind surface"):
-            raise ValueError("--fine-pass applies only to smooth-grid and "
-                             f"simulate --kind surface, not to {what}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -254,9 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     _opt(shared, "--lambda-grid", dest="lambda_grid", parse=_parse_lambda_grid,
          metavar="N,LO,HI", help="count,log10_low,log10_high (default: the "
          "fit's, up to 20 per axis between 10^-5 and 10^4)")
-    _opt(shared, "--fine-pass", dest="fine_pass", parse=_parse_int, metavar="R",
-         help="refine the winner on an RxR bracket (default 0 = off; "
-         "smooth-grid and simulate --kind surface only)")
     _opt(shared, "--seed", dest="seed", parse=_parse_int, metavar="S",
          help="master seed for any randomness (default 1)")
     _opt(shared, "--reps", dest="reps", parse=_parse_int, metavar="N",
@@ -407,8 +396,7 @@ def _lambda_summary(cfg: RunConfig, grids) -> dict:
     else those of grids, the fit's default lists."""
     count, low, high = cfg.lambda_grid or (
         grids[0].size, *np.log10(grids[0][[0, -1]]).tolist())
-    return {"count": count, "log10_low": low, "log10_high": high,
-            "fine_pass": cfg.fine_pass}
+    return {"count": count, "log10_low": low, "log10_high": high}
 
 
 def _require_input(cfg: RunConfig) -> str:
@@ -435,7 +423,7 @@ def cmd_smooth_grid(cfg: RunConfig) -> int:
     data = GridData(Y, x, z)
     specs, grids = fit_options(cfg, data.shape)
     t0 = time.perf_counter()
-    fit = select_lambda(data, specs, grids and LambdaGrid(*grids), cfg.fine_pass)
+    fit = select_lambda(data, specs, grids and LambdaGrid(*grids))
     elapsed = time.perf_counter() - t0
     if cfg.output:
         write_grid_csv(cfg.output, x, z, fit.fitted)
@@ -596,7 +584,7 @@ def cmd_smooth_array(cfg: RunConfig) -> int:
 
 
 def run_surface_study(function: str, sigma: float, n1: int, n2: int,
-                      specs, grid, fine_pass: int, seed: int, reps: int) -> np.ndarray:
+                      specs, grid, seed: int, reps: int) -> np.ndarray:
     """Per-replicate ISE of the grid fit against the known surface.
 
     Replicate r adds sigma * normals from a stream keyed by seed + r,
@@ -606,8 +594,7 @@ def run_surface_study(function: str, sigma: float, n1: int, n2: int,
     ises = np.empty(reps)
     for r in range(reps):
         eps = CounterNormals(replicate_seed(seed, r)).normals((n1, n2))
-        fit = select_lambda(GridData(F + sigma * eps, x, z), specs=specs,
-                            grid=grid, fine_pass=fine_pass)
+        fit = select_lambda(GridData(F + sigma * eps, x, z), specs=specs, grid=grid)
         ises[r] = np.mean((fit.fitted - F) ** 2)
     return ises
 
@@ -618,7 +605,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         n1, n2 = cfg.size if cfg.size else (20, 30)
         specs, grids = _resolve((n1, n2), *fit_options(cfg, (n1, n2)))
         ises = run_surface_study(cfg.function, cfg.sigma, n1, n2, specs,
-                                 LambdaGrid(*grids), cfg.fine_pass, cfg.seed, cfg.reps)
+                                 LambdaGrid(*grids), cfg.seed, cfg.reps)
         label = f"surface {cfg.function} {n1}x{n2}"
         params = {"function": cfg.function, "size": [n1, n2]}
     else:
@@ -700,10 +687,10 @@ def cmd_kernel_check(cfg: RunConfig) -> int:
 
 
 def bench_knots(n: int) -> int:
-    """Knots per axis for timing runs: n//2 capped at 35 for small
+    """Knots per axis for timing runs: the fits' default rule for small
     grids, n^0.65 beyond that so the basis keeps growing sublinearly."""
     if n <= 100:
-        return max(1, min(n // 2, 35))
+        return auto_knot_segments(n)
     return round(n ** 0.65)
 
 

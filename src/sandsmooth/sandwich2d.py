@@ -12,8 +12,8 @@ fit.
 One path serves grids and arrays.  ArrayData holds the values and one
 coordinate vector per axis; GridData is the same class for a matrix, with
 the names Y, x_coords and z_coords.  _fit runs every such fit (defaults and
-checks, the projection of _SpectralFit, the search, an optional fine_pass
-bracket and the reconstruction) and returns one SandwichFit.  select_lambda
+checks, the projection of _SpectralFit, one search over the candidate
+lists and the reconstruction) and returns one SandwichFit.  select_lambda
 here and glam.fit_array are thin names over it.  The covariance fit selects
 through _SpectralFit too, scoring only the candidates that share one lambda
 on both axes, and the scatter fit uses its projection and search.  Every
@@ -119,7 +119,8 @@ def _walk_order(a, b):
     """
     def proxy(x):
         rank = np.argsort(np.argsort(-np.abs(x.strides), kind="stable"))
-        return np.empty((2,) * x.ndim).transpose(rank)
+        # zeros: uninitialised entries could be NaN and warn in the subtract
+        return np.zeros((2,) * x.ndim).transpose(rank)
 
     laid = proxy(a) if b is None else np.subtract(proxy(a), proxy(b))
     return np.argsort(np.negative(laid.strides), kind="stable")
@@ -401,7 +402,7 @@ class SandwichFit:
     """Result of a GCV search on d axes: the chosen lambda per axis, the
     coefficients Theta (c_1 x ... x c_d), the fitted values, the exact
     GCV, edf and SSE of that fit, and gcv_table, the GCV of every tuple of
-    the candidate lists grids (the coarse search's, when a fine pass ran)."""
+    the candidate lists grids."""
 
     lambdas: tuple[float, ...]
     Theta: np.ndarray
@@ -521,15 +522,6 @@ def _gcv_shared(W, yty, s, lams, n):
     sse = _sse_table(np.sum((sq @ W) * sq, axis=1), np.sum((st @ W) * st, axis=1), yty)
     trace = st.sum(axis=1)
     return (*_gcv_at(sse, trace * trace, n), sse)
-
-
-def _refined_axis(lams, idx, count):
-    """Log-spaced refinement bracket around lams[idx] (clipped at the ends)."""
-    order = np.argsort(lams)
-    pos = int(np.nonzero(order == idx)[0][0])
-    lo = lams[order[max(pos - 1, 0)]]
-    hi = lams[order[min(pos + 1, lams.size - 1)]]
-    return np.geomspace(lo, hi, count)
 
 
 def _scaled_blocks(spectra, e):
@@ -654,39 +646,30 @@ class _SpectralFit:
         return np.ldexp(coefs, self.e), fitted, float(sse), float(gcv), table
 
 
-def _fit(data: ArrayData, specs, grids, fine_pass: int = 0) -> SandwichFit:
+def _fit(data: ArrayData, specs, grids) -> SandwichFit:
     """GCV grid-search fit of data, one AxisSpec and one candidate list per
     axis (None for _resolve's defaults), behind select_lambda and
-    glam.fit_array.  With fine_pass = r > 0 a second search runs over r
-    log-spaced values per axis between the coarse winner's neighbouring
-    candidates; the reported table is always the coarse one.
+    glam.fit_array.  One search scores every candidate tuple; a finer
+    lambda comes from denser candidate lists.
     """
     specs, grids = _resolve(data.shape, specs, grids)
     fit = _SpectralFit(data.values, _axis_spectra(data.coords, specs), data._scan)
     idx, gcv, edf = fit.select(grids)
-    lambdas, edf_best = tuple(float(g[i]) for g, i in zip(grids, idx)), edf[idx]
-    if fine_pass > 0:
-        fine = tuple(_refined_axis(g, i, fine_pass) for g, i in zip(grids, idx))
-        fgcv, fedf, _ = fit.score(fine)
-        if fgcv.min() <= gcv[idx]:
-            fidx = _pick(fgcv, fit.n, fine)
-            lambdas = tuple(float(g[i]) for g, i in zip(fine, fidx))
-            edf_best = fedf[fidx]
-
-    Theta, fitted, sse, gcv_value, gcv = fit.finish(data.values, lambdas, edf_best, gcv)
+    lambdas = tuple(float(g[i]) for g, i in zip(grids, idx))
+    Theta, fitted, sse, gcv_value, gcv = fit.finish(data.values, lambdas, edf[idx], gcv)
     return SandwichFit(lambdas=lambdas, Theta=Theta, fitted=fitted,
-                       gcv_value=gcv_value, edf=float(edf_best), sse=sse,
+                       gcv_value=gcv_value, edf=float(edf[idx]), sse=sse,
                        gcv_table=gcv, grids=grids, specs=specs)
 
 
 def select_lambda(data: GridData, specs: tuple[AxisSpec, AxisSpec] | None = None,
-                  grid: LambdaGrid | None = None, fine_pass: int = 0) -> SandwichFit:
+                  grid: LambdaGrid | None = None) -> SandwichFit:
     """Grid-search GCV fit of the sandwich smoother: _fit over the
-    candidates of grid (default LambdaGrid.default()), optionally refined
-    by a fine_pass x fine_pass search.  The GCV table is also gcv_surface.
+    candidates of grid (default LambdaGrid.default()).  The GCV table is
+    also gcv_surface.
     """
     grids = None if grid is None else (grid.lambda_x, grid.lambda_z)
-    return _fit(data, specs, grids, fine_pass)
+    return _fit(data, specs, grids)
 
 
 def predict(Theta: np.ndarray, specs: tuple[AxisSpec, AxisSpec],

@@ -168,8 +168,3 @@ def shrink_weights(s: np.ndarray, lam: float) -> np.ndarray:
     if lam < 0:
         raise ValueError(f"smoothing parameter must be >= 0, got {lam}")
     return 1.0 / (1.0 + lam * s)
-
-
-def trace_smoother(s: np.ndarray, lam: float) -> float:
-    """Trace of S(lam): the axis effective degrees of freedom."""
-    return float(shrink_weights(s, lam).sum())

@@ -27,3 +27,9 @@ def apply_smoother(sp, points, lam, V):
     coefs = A.T @ V
     coefs *= st[:, None] if coefs.ndim > 1 else st
     return A @ coefs
+
+
+def trace_smoother(s, lam):
+    """Trace of S(lam) from the spectrum's eigenvalues s: the axis
+    effective degrees of freedom."""
+    return float(shrink_weights(s, lam).sum())

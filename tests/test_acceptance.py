@@ -37,10 +37,10 @@ from sandsmooth.sandwich2d import (
     _SpectralFit,
     select_lambda,
 )
-from sandsmooth.spectra import axis_spectrum, trace_smoother
+from sandsmooth.spectra import axis_spectrum
 from sandsmooth.surfaces import f2, midpoints, sample_surface
 
-from dense_oracle import apply_smoother
+from dense_oracle import apply_smoother, trace_smoother
 
 SEEDS = range(101, 125)  # 24 randomized instances for the oracle checks
 
@@ -188,7 +188,7 @@ def test_04_surface_benchmark_windows(capsys):
     for fname, sigma, target in cells:
         t0 = time.perf_counter()
         ises = run_surface_study(fname, sigma, 20, 30, specs,
-                                 LambdaGrid.default(), 0, 20260815, 100)
+                                 LambdaGrid.default(), 20260815, 100)
         cell_t = time.perf_counter() - t0
         mise = float(ises.mean())
         dev = mise / target - 1.0

@@ -21,10 +21,10 @@ from sandsmooth.binning import (
     _weighted_term,
 )
 from sandsmooth.sandwich2d import DegenerateFit, GridData, LambdaGrid, select_lambda
-from sandsmooth.spectra import axis_spectrum, trace_smoother
+from sandsmooth.spectra import axis_spectrum
 from sandsmooth.surfaces import f2
 
-from dense_oracle import apply_smoother, dense_factor
+from dense_oracle import apply_smoother, dense_factor, trace_smoother
 
 
 def centers(n):

@@ -10,12 +10,7 @@ import numpy.testing as npt
 import pytest
 
 import sandsmooth
-from sandsmooth.cli import (
-    bench_knots,
-    build_config,
-    build_parser,
-    main,
-)
+from sandsmooth.cli import bench_knots, main
 from sandsmooth.fda import simulate_fda
 from sandsmooth.glam import ArrayData, fit_array
 from sandsmooth.gridio import (
@@ -261,7 +256,6 @@ MALFORMED = [
     ("smooth-grid", "--lambda-grid", "x,-5,4", "the count must be an integer"),
     ("smooth-grid", "--lambda-grid", "3,low,4",
      "log10_low and log10_high must be numbers"),
-    ("smooth-grid", "--fine-pass", "x", "expected an integer"),
     ("simulate", "--seed", "1.5", "expected an integer"),
     ("simulate", "--reps", "many", "expected an integer"),
     ("simulate", "--sigma", "big", "expected a number"),
@@ -298,29 +292,33 @@ class TestMalformedFlags:
 
 
 class TestFinePass:
-    """A fine pass refines the grid fits of smooth-grid and simulate --kind
-    surface; every other command rejects it rather than ignore it."""
+    """The fine pass is removed: --fine-pass, from a flag or a config line,
+    is an unknown option on every command, reported in one line."""
+
+    @staticmethod
+    def assert_rejected(argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--fine-pass", "2"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("sandsmooth: ")
+        assert "--fine-pass" in err[0]
+        cfgp = tmp_path / "run.cfg"
+        cfgp.write_text("fine-pass = 2\n")
+        assert main(argv + ["--config", str(cfgp)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].endswith("unknown option 'fine_pass'")
+
+    @pytest.mark.parametrize("argv", [["smooth-grid"], ["simulate"]], ids=" ".join)
+    def test_rejected_by_grid_fits(self, argv, tmp_path, capsys):
+        self.assert_rejected(argv, tmp_path, capsys)
 
     @pytest.mark.parametrize("argv", [
         ["smooth-scatter"], ["smooth-cov"], ["smooth-array"], ["kernel-check"],
         ["bench"], ["simulate", "--kind", "fda"],
     ], ids=" ".join)
     def test_rejected_where_no_grid_fit_runs(self, argv, tmp_path, capsys):
-        assert main(argv + ["--fine-pass", "3"]) == 2
-        err = capsys.readouterr().err
-        assert "--fine-pass applies only to smooth-grid and simulate --kind surface, " \
-               f"not to {' '.join(argv)}" in err
-        cfgp = tmp_path / "run.cfg"
-        cfgp.write_text("fine-pass = 3\n")
-        assert main(argv + ["--config", str(cfgp)]) == 2
-        assert "--fine-pass" in capsys.readouterr().err
-        assert build_config(build_parser().parse_args(argv + ["--fine-pass", "0"]))
-
-    @pytest.mark.parametrize("argv", [["smooth-grid"], ["simulate"],
-                                      ["simulate", "--kind", "surface"]])
-    def test_accepted_by_grid_fits(self, argv):
-        assert build_config(build_parser().parse_args(argv + ["--fine-pass", "3"])) \
-            .fine_pass == 3
+        self.assert_rejected(argv, tmp_path, capsys)
 
 
 class TestSmoothScatter:

@@ -751,7 +751,7 @@ class TestCliLongTablesMatchOracle:
         assert main(["simulate", "--kind", kind, "--reps", "3", "--size", "12,14",
                      "--emit-plotdata", str(plotp)]) == 0
         if kind == "surface":
-            ises = run_surface_study("f2", 0.5, 12, 14, None, None, 0, 1, 3)
+            ises = run_surface_study("f2", 0.5, 12, 14, None, None, 1, 3)
         else:
             ises = replicate_ise(1, 12, 14, 0.5, 1, 3)
         self.assert_long(plotp, ["replicate", "ise"],

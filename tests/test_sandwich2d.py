@@ -323,12 +323,25 @@ class TestSelectLambda:
             for l2 in (grid.lambda_z[0], grid.lambda_z[-1]):
                 assert ise_best < ise(l1, l2)
 
-    def test_fine_pass_never_worse(self):
-        d = toy_data(15, 15, seed=23)
-        specs = (AxisSpec(3, 2, 6), AxisSpec(3, 2, 6))
-        coarse = select_lambda(d, specs, LambdaGrid.default(8))
-        fine = select_lambda(d, specs, LambdaGrid.default(8), fine_pass=7)
-        assert fine.gcv_value <= coarse.gcv_value
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 3), st.integers(0, 2**32 - 1))
+    def test_denser_candidates_never_worse(self, d, seed):
+        # a finer lambda comes from a denser list: adding candidates to
+        # every axis's list never raises the GCV of the chosen fit (up to
+        # the fast form's cancellation noise, of order eps * y'y)
+        rng = np.random.default_rng(seed)
+        shape = tuple(rng.integers(8, 15, size=d))
+        values = rng.normal(size=shape) + np.linspace(0.0, 2.0, shape[-1])
+        coarse = [10.0 ** rng.uniform(-6, 5, size=rng.integers(1, 6)) for _ in range(d)]
+        dense = [np.union1d(g, 10.0 ** rng.uniform(-6, 5, size=rng.integers(1, 9)))
+                 for g in coarse]
+        if d == 2:
+            data = GridData(values, midpoints(shape[0]), midpoints(shape[1]))
+            fits = [select_lambda(data, grid=LambdaGrid(*g)) for g in (coarse, dense)]
+        else:
+            data = ArrayData.on_midpoints(values)
+            fits = [fit_array(data, grids=g) for g in (coarse, dense)]
+        assert fits[1].gcv_value <= fits[0].gcv_value * (1 + 1e-12)
 
     @pytest.mark.parametrize("shift", [530, -530, 3])
     def test_power_of_two_scaling_is_exact(self, shift):
@@ -336,11 +349,11 @@ class TestSelectLambda:
         # power-of-two rescaling, so it must scale exactly with the data
         d = toy_data(20, 30, seed=8)
         specs = (AxisSpec(3, 2, 10), AxisSpec(3, 2, 15))
-        base = select_lambda(d, specs, fine_pass=5)
+        base = select_lambda(d, specs)
         big = GridData(np.ldexp(d.Y, shift), d.x_coords, d.z_coords)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fit = select_lambda(big, specs, fine_pass=5)
+            fit = select_lambda(big, specs)
         assert fit.lambdas == base.lambdas
         assert np.array_equal(fit.fitted, np.ldexp(base.fitted, shift))
         assert np.array_equal(fit.Theta, np.ldexp(base.Theta, shift))

@@ -13,10 +13,9 @@ from sandsmooth.spectra import (
     axis_spectrum,
     build_spectrum,
     half_inverse,
-    trace_smoother,
 )
 
-from dense_oracle import apply_smoother, dense_factor
+from dense_oracle import apply_smoother, dense_factor, trace_smoother
 
 
 def dense_smoother(B, D, lam):

@@ -30,7 +30,6 @@ from sandsmooth.sandwich2d import (
     _gcv_table,
     _pick,
     _project,
-    _refined_axis,
     _scale_exponent,
     _scan_values,
     _sum_sq,
@@ -264,7 +263,7 @@ class TestBandedProducts:
         assert bits(_expand(coefs, spectra, -700)) == bits(np.ldexp(got, -700))
 
 
-def plain_select_lambda(data, specs, grid, fine_pass=0):
+def plain_select_lambda(data, specs, grid):
     """select_lambda's computation with y'y and the exact SSE as the plain
     numpy expressions over a scaled copy of Y: np.sum(Y * Y) and an
     in-place subtract and square."""
@@ -280,13 +279,6 @@ def plain_select_lambda(data, specs, grid, fine_pass=0):
     gcv, edf, _ = _gcv_table(W, yty, (sx.s, sz.s), lams, n)
     i, j = _pick(gcv, n, lams)
     l1, l2, edf_best = float(lams[0][i]), float(lams[1][j]), edf[i, j]
-    if fine_pass > 0:
-        fine = (_refined_axis(lams[0], i, fine_pass),
-                _refined_axis(lams[1], j, fine_pass))
-        fgcv, fedf, _ = _gcv_table(W, yty, (sx.s, sz.s), fine, n)
-        if fgcv.min() <= gcv[i, j]:
-            fi, fj = _pick(fgcv, n, fine)
-            l1, l2, edf_best = float(fine[0][fi]), float(fine[1][fj]), fedf[fi, fj]
     st1 = shrink_weights(sx.s, l1)
     st2 = shrink_weights(sz.s, l2)
     core = st1[:, None] * Ytilde * st2[None, :]
@@ -346,17 +338,15 @@ def plain_cov_selection(C, lams):
 
 class TestFitsKeepTheirBits:
     @pytest.mark.parametrize("order", ["C", "F"])
-    @pytest.mark.parametrize("fine_pass", [0, 3])
-    def test_select_lambda(self, order, fine_pass):
+    def test_select_lambda(self, order):
         rng = np.random.default_rng(3)
         x, z = midpoints(400), midpoints(380)
         Y = np.asarray(np.sin(6 * x)[:, None] * z + heavy(rng, (400, 380)), order=order)
         data = GridData(Y, x, z)
         specs = (AxisSpec(knot_segments=40), AxisSpec(knot_segments=33))
         grid = LambdaGrid.default()
-        fit = select_lambda(data, specs, grid, fine_pass=fine_pass)
-        lambdas, fitted, gcv_value, sse, table = plain_select_lambda(
-            data, specs, grid, fine_pass)
+        fit = select_lambda(data, specs, grid)
+        lambdas, fitted, gcv_value, sse, table = plain_select_lambda(data, specs, grid)
         assert fit.lambdas == lambdas
         assert bits(fit.fitted) == bits(fitted)
         assert fit.gcv_value == gcv_value and fit.sse == sse
