@@ -20,8 +20,8 @@ the smoothed matrix X X' - Z Z' (X = V_+ sqrt(w_+), Z = V_- sqrt(-w_-)),
 built in strips of rows (_gram), symmetric by construction.  smooth_cov
 reads C three times: a read-only check, in mirrored pairs of cache-sized
 tiles, that C equals C' exactly (only a C asymmetric within ASYMMETRY_TOL
-is copied and symmetrized), the scan (sandwich2d._scan_values), and the
-projection's first product, through the row blocks (sandwich2d._project).
+is copied and symmetrized), the scan, summed in chunks (_scan_values), and
+the projection's first product, through the row blocks (_project).
 It writes one J x J matrix, the smoothed one.  The fit runs on C * 2^-e
 without a scaled copy: the power of two rides in the row blocks of the
 projection and in X and Z, so entries near the float maximum smooth

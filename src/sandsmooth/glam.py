@@ -18,12 +18,13 @@ The first axis is the fastest-varying one under column-major flattening,
 so for d = 2 the flattened fit matches the column-stacked matrix fit.
 
 Per fit, the values are read four times, as in every sandwich2d fit: the
-scan at construction, the first-axis products of the projection and the
-reconstruction, both through the row blocks of the design matrices, and
-the exact SSE.  The reconstruction expands the last axis first, each
-middle axis in one batched product per block.  The peak working memory
-is the fitted array plus the first axis's input, c_1 n_2 ... n_d
-entries: 1.2 x the values at 200^3 with 38 basis functions per axis.
+scan and the exact SSE, both summed in chunks (sandwich2d._sum_sq), and
+the first-axis products of the projection and the reconstruction, through
+the row blocks of the design matrices.  The reconstruction expands the
+last axis first, each middle axis in one batched product per block.  The
+peak working memory is the fitted array plus the first axis's input,
+c_1 n_2 ... n_d entries: 1.2 x the values at 200^3 with 38 basis
+functions per axis.
 """
 
 from __future__ import annotations

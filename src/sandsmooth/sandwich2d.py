@@ -36,9 +36,9 @@ blocks (spectra.AxisSpectrum.blocks): _project applies B_1' ... B_d',
 first axis first, then the c_k x c_k maps F_k'; the F_k turn the shrunk
 core into Theta, and _expand applies the B_k to it, last axis first, so
 the first axis writes whole rows.  The power of two of Y * 2^-e rides in
-the row blocks, and the scan and the exact SSE walk numpy's pairwise
-summation tree one cache-sized block at a time (_sum_sq), so no copy or
-temporary the size of the data is made.
+the row blocks, and the scan and the exact SSE sum in cache-sized chunks
+in memory order (_sum_sq): no temporary the size of the data, and sums
+that depend on the values, shape and layout, not on BLAS threads.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import product
 from typing import NamedTuple, NoReturn
 
 import numpy as np
@@ -69,9 +70,9 @@ __all__ = [
 # Tiny negative SSE values are cancellation noise from the three-term form;
 # anything below -SSE_CLAMP_REL * y'y signals an implementation bug.
 SSE_CLAMP_REL = 1e-9
-# Largest leaf of _sum_sq's pairwise tree: 2^17 float64 entries (1 MB), so
-# a leaf's buffer stays in cache between its fill, square and sum.
-SUM_LEAF = 1 << 17
+# Most entries in one chunk of _sum_sq's walk: 2^16 float64 entries (512 KB),
+# so a chunk stays in cache between its fill, square and sum.
+SUM_CHUNK = 1 << 16
 # Most candidate tuples one search may score.
 MAX_GRID_COMBINATIONS = 100_000
 
@@ -111,88 +112,48 @@ def require_coordinates(name: str, c: np.ndarray) -> None:
             raise ValueError(f"{name}[{i}] is {c[i]}; coordinates must {rule}")
 
 
-def _walk_order(a, b):
-    """Axes of a, slowest first, in the memory order numpy gives a fresh
-    a - b (or a * k when b is None): descending stride magnitude, C order
-    winning ties and conflicts between the operands.  numpy decides it on
-    two 2 x ... x 2 arrays whose strides are ordered like those of a and b.
-    """
-    def proxy(x):
-        rank = np.argsort(np.argsort(-np.abs(x.strides), kind="stable"))
-        # zeros: uninitialised entries could be NaN and warn in the subtract
-        return np.zeros((2,) * x.ndim).transpose(rank)
+def _sum_sq(a, b=None, k=1.0, stats=None) -> float:
+    """The sum of the squares of (a - b) * k, b None reading as zero,
+    without a temporary the size of the data.
 
-    laid = proxy(a) if b is None else np.subtract(proxy(a), proxy(b))
-    return np.argsort(np.negative(laid.strides), kind="stable")
-
-
-def _fill(out, a, b, k, lo):
-    """out = (a - b) * k, or a * k when b is None, over the out.size
-    entries of a's C-order walk that start at entry lo.  The entries come
-    as the rest of one leading-axis row, whole rows, and the start of one
-    more row; the partial rows recurse on the row's own axes."""
-    n = out.size
-    row = math.prod(a.shape[1:])
-    r, c = divmod(lo, row)
-    done = 0
-    if c:
-        done = min(row - c, n)
-        _fill(out[:done], a[r], None if b is None else b[r], k, c)
-        r += 1
-    full = (n - done) // row
-    if full:
-        block = out[done:done + full * row].reshape((full,) + a.shape[1:])
-        if b is None:
-            np.multiply(a[r:r + full], k, out=block)
-        else:
-            np.subtract(a[r:r + full], b[r:r + full], out=block)
-            block *= k
-        done += full * row
-        r += full
-    if done < n:
-        _fill(out[done:], a[r], None if b is None else b[r], k, 0)
-
-
-def _tree_sum(a, b, k, lo, n, buf, leaves=None):
-    """Sum of the squared entries lo .. lo + n - 1 of a's C-order walk of
-    (a - b) * k, split as numpy's pairwise summation splits them: halves
-    cut at a multiple of 8 down to SUM_LEAF entries, each leaf filled into
-    buf and summed by np.sum.  A list passed as leaves receives each
-    leaf's (min, max, smallest square) while the leaf is in cache."""
-    if n > SUM_LEAF:
-        h = n // 2
-        h -= h % 8
-        return (_tree_sum(a, b, k, lo, h, buf, leaves)
-                + _tree_sum(a, b, k, lo + h, n - h, buf, leaves))
-    leaf = buf[:n]
-    _fill(leaf, a, b, k, lo)
-    if leaves is not None:
-        low, high = leaf.min(), leaf.max()
-    np.square(leaf, out=leaf)
-    if leaves is not None:
-        leaves.append((low, high, leaf.min()))
-    return np.sum(leaf)
-
-
-def _sum_sq(a, b=None, k=1.0) -> float:
-    """float(np.sum(((a - b) * k) ** 2)) bit for bit, b None reading as zero,
-    without the data-sized temporary.
-
-    numpy sums the temporary in its memory order, halving the range at a
-    multiple of 8 until at most 128 entries are left.  The walk takes the
-    same order (_walk_order) and the same halves, and fills each leaf of
-    at most SUM_LEAF entries into one cache-sized buffer, where np.sum
-    continues the same tree.  a and b may have any layout.  The buffer is
-    allocated per call and the recursion holds no reference cycle, so fits
-    on different threads share nothing and the operands are freed as soon
-    as the caller drops them.
+    The walk takes a's axes in memory order (descending stride magnitude,
+    C order on ties; b follows a) and cuts them into chunks of at most
+    SUM_CHUNK entries: runs of whole sub-arrays along the first axis j
+    whose trailing sub-arrays fit, at every index of the axes before j.
+    Each chunk is filled into one buffer, squared in place and summed by
+    np.sum, and np.sum adds the chunk sums in order.  A blocked sum is
+    within Higham's bound (SIAM J. Sci. Comput. 14, 1993) of the exact
+    one, and one chunk keeps np.sum's bits.  A list passed as stats (b
+    None, k = 1) receives each chunk's (min, max) and the smallest square
+    of its nonzero entries (inf if none).
     """
     if a.size == 0:
         return 0.0
-    order = _walk_order(a, b)
+    order = np.argsort(np.negative(np.abs(a.strides)), kind="stable")
     a = a.transpose(order)
     b = None if b is None else b.transpose(order)
-    return float(_tree_sum(a, b, k, 0, a.size, np.empty(min(a.size, SUM_LEAF))))
+    j = next(j for j in range(a.ndim) if math.prod(a.shape[j + 1:]) <= SUM_CHUNK)
+    step = SUM_CHUNK // math.prod(a.shape[j + 1:])
+    buf, sums = np.empty(min(a.size, SUM_CHUNK)), []
+    for lead, start in product(np.ndindex(a.shape[:j]), range(0, a.shape[j], step)):
+        at = lead + (slice(start, start + step),)
+        part = a[at]
+        x = buf[:part.size].reshape(part.shape)
+        if b is None:
+            np.multiply(part, k, out=x)
+        else:
+            np.subtract(part, b[at], out=x)
+            x *= k
+        if stats is not None:
+            low, high = x.min(), x.max()
+        np.square(x, out=x)
+        sums.append(np.sum(x))
+        if stats is not None:
+            small = x.min()
+            if small < np.finfo(float).tiny:  # squares of exact zeros do not count
+                small = np.min(x, where=part != 0, initial=np.inf)
+            stats.append((low, high, small))
+    return float(np.sum(sums))
 
 
 def _exponent(low, high) -> int:
@@ -203,7 +164,8 @@ def _exponent(low, high) -> int:
 
 class _Scan(NamedTuple):
     """What one read of a data array tells a fit: its extremes, its sum of
-    squares (the bits of _sum_sq(values)) and its smallest square."""
+    squares (the bits of _sum_sq(values)) and the smallest square of its
+    nonzero entries (inf if none)."""
 
     low: float
     high: float
@@ -211,10 +173,11 @@ class _Scan(NamedTuple):
     min_sq: float
 
     def scaled_sum_sq(self, values, e) -> float:
-        """_sum_sq(values, k=2^-e) bit for bit.  When every square and every
-        scaled square is normal and the sum is finite, scaling by 2^-2e
-        changes no rounding in the tree, so the unscaled sum scales
-        exactly; otherwise the values are read again."""
+        """_sum_sq(values, k=2^-e) bit for bit.  When every square of a
+        nonzero entry, scaled or not, is normal and the sum is finite,
+        scaling by 2^-2e changes no rounding in the sum (zeros scale
+        exactly), so the unscaled sum scales exactly; otherwise the values
+        are read again."""
         tiny = np.finfo(float).tiny
         if (math.isfinite(self.sum_sq) and self.min_sq >= tiny
                 and math.ldexp(self.min_sq, -2 * e) >= tiny):
@@ -223,21 +186,18 @@ class _Scan(NamedTuple):
 
 
 def _scan_values(name: str, values: np.ndarray) -> _Scan:
-    """One read of values along _sum_sq's walk (k = 1): the extremes, the
-    sum of squares and the smallest square.  Raises ValueError naming the
-    first non-finite entry; the mask is built only then."""
-    if values.size == 0:
-        return _Scan(0.0, 0.0, 0.0, 0.0)
-    a = values.transpose(_walk_order(values, None))
-    leaves = []
+    """One read of values by _sum_sq (k = 1): the extremes, the sum of
+    squares and the smallest square of a nonzero entry.  Raises ValueError
+    naming the first non-finite entry; the mask is built only then."""
+    stats = []
     with np.errstate(over="ignore"):  # squares past the float range read inf
-        total = _tree_sum(a, None, 1.0, 0, a.size, np.empty(min(a.size, SUM_LEAF)),
-                          leaves)
-    lows, highs, squares = np.array(leaves).T
+        total = _sum_sq(values, stats=stats)
+    # an empty array has no chunk: extremes 0, no nonzero square
+    lows, highs, squares = np.array(stats or [(0.0, 0.0, np.inf)]).T
     low, high = lows.min(), highs.max()
     if not (np.isfinite(low) and np.isfinite(high)):
         _name_non_finite(name, values)
-    return _Scan(float(low), float(high), float(total), float(squares.min()))
+    return _Scan(float(low), float(high), total, float(squares.min()))
 
 
 def _axis_spectra(coords, specs) -> list[AxisSpectrum]:
@@ -640,8 +600,7 @@ class _SpectralFit:
         order."""
         coefs = _contract(self.core(lambdas), [sp.coef_map for sp in self.spectra])
         fitted = _expand(coefs, self.spectra, self.e)
-        order = np.argsort(np.negative(np.abs(values.strides)), kind="stable")
-        sse = _sum_sq(values.transpose(order), fitted.transpose(order), 2.0 ** -self.e)
+        sse = _sum_sq(values, fitted, 2.0 ** -self.e)
         sse, gcv, table = _unscale(self.e, sse, gcv_score(sse, edf, self.n), table)
         return np.ldexp(coefs, self.e), fitted, float(sse), float(gcv), table
 

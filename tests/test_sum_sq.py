@@ -1,18 +1,28 @@
-"""The fused square-and-sum kernel, the construction scan, the banded
+"""The chunked square-and-sum kernel, the construction scan, the banded
 projection and reconstruction, and the fits that use them.
 
-_sum_sq must return float(np.sum(((a - b) * k) ** 2)) bit for bit for any
-layout of a and b.  The scan must give the scaling exponent and y'y that
-_scale_exponent and _sum_sq give.  The banded products must match the
-dense factors to 1e-12 and scale by powers of two exactly.  Each fit is
-checked against a reference copy of its computation that runs the banded
-products on a plainly scaled copy of the data and takes y'y and the exact
-SSE from the plain numpy expressions over data-sized temporaries: every
-reported number and array must carry the same bits.
+_sum_sq sums the squares of (a - b) * k in chunks of at most SUM_CHUNK
+entries in a's memory order.  For any layout of a and b it must carry the
+bits of chunked_sum_sq, which applies the same rule to a data-sized
+temporary, stay within the blocked-summation error bound of math.fsum, and
+equal np.sum's bits when the array is one chunk; the bits must not depend
+on the number of BLAS threads.  The scan must give the scaling exponent
+and y'y that _scale_exponent and _sum_sq give.  The banded products must
+match the dense factors to 1e-12 and scale by powers of two exactly.  Each
+fit is checked against a reference copy of its computation that runs the
+banded products on a plainly scaled copy of the data and takes y'y and the
+exact SSE from chunked_sum_sq: every reported number and array must carry
+the same bits.
 """
 
 import gc
+import json
+import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +31,7 @@ from sandsmooth import fda, glam, sandwich2d
 from sandsmooth.basis import AxisSpec, auto_knot_segments, design_matrix
 from sandsmooth.glam import ArrayData, fit_array
 from sandsmooth.sandwich2d import (
-    SUM_LEAF,
+    SUM_CHUNK,
     GridData,
     LambdaGrid,
     _contract,
@@ -40,7 +50,7 @@ from sandsmooth.sandwich2d import (
 from sandsmooth.spectra import axis_spectrum, shrink_weights
 from sandsmooth.surfaces import midpoints
 
-from dense_oracle import dense_factor
+from dense_oracle import chunked_sum_sq, dense_factor, within_fsum_bound
 
 
 def bits(x):
@@ -53,22 +63,32 @@ def heavy(rng, shape):
 
 
 class TestKernel:
-    @pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, SUM_LEAF - 1,
-                                   SUM_LEAF, SUM_LEAF + 1, 2 * SUM_LEAF + 3])
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, SUM_CHUNK - 1,
+                                   SUM_CHUNK, SUM_CHUNK + 1, 2 * SUM_CHUNK + 3,
+                                   2 * SUM_CHUNK - 1, 2 * SUM_CHUNK,
+                                   2 * SUM_CHUNK + 1, 4 * SUM_CHUNK + 3])
     @pytest.mark.parametrize("k", [1.0, 2.0 ** -7])
     def test_lengths(self, n, k):
         rng = np.random.default_rng(n)
         a, b = heavy(rng, n), heavy(rng, n)
-        assert _sum_sq(a, b, k) == float(np.sum(((a - b) * k) ** 2))
-        assert _sum_sq(a, k=k) == float(np.sum((a * k) ** 2))
+        for args in ((a, b, k), (a, None, k)):
+            got = _sum_sq(*args)
+            assert bits(got) == bits(chunked_sum_sq(*args))
+            assert within_fsum_bound(got, *args)
+        if n <= SUM_CHUNK:  # one chunk: np.sum's own bits
+            assert _sum_sq(a, b, k) == float(np.sum(((a - b) * k) ** 2))
+            assert _sum_sq(a, k=k) == float(np.sum((a * k) ** 2))
 
-    @pytest.mark.parametrize("shape", [(700, 311), (53, 67, 71), (3, 2 * SUM_LEAF + 5),
-                                       (17, 19, 23, 29)])
-    @pytest.mark.parametrize("a_layout", ["C", "F", "view"])
+    @pytest.mark.parametrize("shape", [(700, 311), (53, 67, 71), (3, 4 * SUM_CHUNK + 5),
+                                       (17, 19, 23, 29), (3, 250, 300)])
+    @pytest.mark.parametrize("a_layout", ["C", "F", "view", "strided"])
     @pytest.mark.parametrize("b_layout", ["C", "F", "moveaxis"])
     @pytest.mark.parametrize("k", [1.0, 2.0 ** -9])
     def test_layouts(self, shape, a_layout, b_layout, k):
-        # row lengths that do not divide the leaf; b as a C, an F and a
+        # rows that do not divide the chunk, and in C order chunks cut at
+        # every index of a leading axis (the shapes with 3 first); a as a C,
+        # an F, a permuted and
+        # flipped, and an every-other-entry view; b as a C, an F and a
         # permuted array such as a fit reconstructed axis by axis
         rng = np.random.default_rng(len(shape))
         a, b = heavy(rng, shape), heavy(rng, shape)
@@ -76,15 +96,48 @@ class TestKernel:
             a = np.asfortranarray(a)
         elif a_layout == "view":
             a = np.flip(np.moveaxis(heavy(rng, shape[1:] + shape[:1]), -1, 0), 1)
+        elif a_layout == "strided":
+            a = oracle_layout(a, "strided")
         if b_layout == "F":
             b = np.asfortranarray(b)
         elif b_layout == "moveaxis":
             b = np.moveaxis(np.ascontiguousarray(np.moveaxis(b, -1, 0)), 0, -1)
-        assert _sum_sq(a, b, k) == float(np.sum(((a - b) * k) ** 2))
-        assert _sum_sq(a, k=k) == float(np.sum((a * k) ** 2))
+        assert bits(_sum_sq(a, b, k)) == bits(chunked_sum_sq(a, b, k))
+        assert bits(_sum_sq(a, k=k)) == bits(chunked_sum_sq(a, k=k))
 
     def test_empty(self):
         assert _sum_sq(np.zeros((0, 4)), np.zeros((0, 4))) == 0.0
+
+
+BLAS_PROBE = """
+import json
+import numpy as np
+from sandsmooth.sandwich2d import _scan_values, _sum_sq
+rng = np.random.default_rng(8)
+out = []
+for shape in [(300, 280), (53, 61, 71)]:
+    a, b = rng.standard_t(1.5, shape), rng.standard_t(1.5, shape)
+    for order in "CF":
+        a, b = np.asarray(a, order=order), np.asarray(b, order=order)
+        out += [float(v).hex() for v in _scan_values("a", a)]
+        out += [_sum_sq(a, b, 2.0 ** -3).hex(), _sum_sq(a, np.asfortranarray(b)).hex()]
+print(json.dumps(out))
+"""
+
+
+def test_sums_do_not_depend_on_blas_threads():
+    # a BLAS dot product changes its bits with the thread count; the sums
+    # must not, on one and on two OpenBLAS threads
+    src = str(Path(sandwich2d.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    runs = [subprocess.Popen([sys.executable, "-c", BLAS_PROBE], stdout=subprocess.PIPE,
+                             env={**os.environ, "PYTHONPATH": path,
+                                  "OPENBLAS_NUM_THREADS": threads})
+            for threads in ("1", "2")]
+    outs = [run.communicate(timeout=30)[0] for run in runs]
+    assert [run.returncode for run in runs] == [0, 0]
+    one, two = (json.loads(out) for out in outs)
+    assert len(one) == 24 and one == two
 
 
 def scan_cases():
@@ -101,7 +154,8 @@ def scan_cases():
     return [
         ("heavy", heavy(rng, (300, 280)), False),
         ("heavy-4d", heavy(rng, (17, 19, 23, 29)), False),
-        ("exact zeros", zeros, True),
+        ("exact zeros", zeros, False),
+        ("all zeros", np.zeros((40, 50)), False),
         ("a few subnormal squares", mixed, True),
         ("subnormal squares", 1e-160 * rng.standard_normal((40, 50)), True),
         ("near the float maximum", 1.7e308 * rng.uniform(-1, 1, (40, 50)), True),
@@ -126,8 +180,8 @@ class TestScan:
         values = laid_out(values, layout)
         e = _scale_exponent(values)
         with np.errstate(over="ignore"):
-            want = _sum_sq(values, k=2.0 ** -e)
-            whole = _sum_sq(values)
+            want = chunked_sum_sq(values, k=2.0 ** -e)
+            whole = chunked_sum_sq(values)
         scan = _scan_values("v", values)
         assert (scan.low, scan.high) == (values.min(), values.max())
         assert bits(scan.sum_sq) == bits(whole)
@@ -136,7 +190,10 @@ class TestScan:
         monkeypatch.setattr(sandwich2d, "_sum_sq",
                             lambda *a, **k: reads.append(1) or _sum_sq(*a, **k))
         assert bits(scan.scaled_sum_sq(values, e)) == bits(want)
-        # only values outside the proven range are read a second time
+        if math.isfinite(want):
+            assert within_fsum_bound(want, values, k=2.0 ** -e)
+        # only values outside the proven range are read a second time;
+        # exact zeros are not
         assert bool(reads) == fallback
 
     def test_the_shortcut_alone_would_be_wrong(self):
@@ -149,11 +206,11 @@ class TestScan:
             scan = _scan_values("v", values)
             e = _exponent(scan.low, scan.high)
             with np.errstate(over="ignore"):
-                assert np.ldexp(scan.sum_sq, -2 * e) != _sum_sq(values, k=2.0 ** -e)
+                assert np.ldexp(scan.sum_sq, -2 * e) != chunked_sum_sq(values, k=2.0 ** -e)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_names_the_first_non_finite_entry(self, bad):
-        values = np.ones((3, SUM_LEAF // 2 + 5))
+        values = np.ones((3, SUM_CHUNK + 5))
         values[2, 7] = bad
         with pytest.raises(ValueError, match=rf"^Y\[2, 7\] is {bad}; values must be finite"):
             _scan_values("Y", values)
@@ -264,15 +321,15 @@ class TestBandedProducts:
 
 
 def plain_select_lambda(data, specs, grid):
-    """select_lambda's computation with y'y and the exact SSE as the plain
-    numpy expressions over a scaled copy of Y: np.sum(Y * Y) and an
-    in-place subtract and square."""
+    """select_lambda's computation with y'y and the exact SSE summed by
+    chunked_sum_sq over a scaled copy of Y, the SSE of its difference from
+    the fit."""
     sx = axis_spectrum(data.x_coords, specs[0])
     sz = axis_spectrum(data.z_coords, specs[1])
     e = _scale_exponent(data.Y)
     Ys = np.ldexp(data.Y, -e)
     Ytilde = _project(Ys, (sx, sz))
-    yty = float(np.sum(Ys * Ys))
+    yty = chunked_sum_sq(Ys)
     W = Ytilde * Ytilde
     n = data.n
     lams = (grid.lambda_x, grid.lambda_z)
@@ -283,24 +340,23 @@ def plain_select_lambda(data, specs, grid):
     st2 = shrink_weights(sz.s, l2)
     core = st1[:, None] * Ytilde * st2[None, :]
     fitted = _expand(sx.coef_map @ core @ sz.coef_map.T, (sx, sz))
-    Ys -= fitted
-    Ys **= 2
-    sse_exact = float(np.sum(Ys))
+    sse_exact = chunked_sum_sq(Ys, fitted)
+    assert within_fsum_bound(yty, Ys) and within_fsum_bound(sse_exact, Ys, fitted)
     sse_exact, gcv_exact, gcv = _unscale(
         e, sse_exact, gcv_score(sse_exact, edf_best, n), gcv)
     return (l1, l2), np.ldexp(fitted, e, out=fitted), float(gcv_exact), float(sse_exact), gcv
 
 
 def plain_fit_array(data, specs, grids):
-    """fit_array's computation with y'y and the exact SSE as the plain
-    numpy expressions over data-sized temporaries, on the unscaled values
+    """fit_array's computation with y'y and the exact SSE summed by
+    chunked_sum_sq over data-sized temporaries, on the unscaled values
     (scaling by k = 2^-e is exact).  As in select_lambda, the SSE sums in
     the values' memory order (C or F)."""
     spectra = [axis_spectrum(c, spec) for c, spec in zip(data.coords, specs)]
     e = _scale_exponent(data.values)
     k = 2.0 ** -e
     Ytilde = _project(data.values, spectra)
-    yty = float(np.sum((data.values * k) ** 2))
+    yty = chunked_sum_sq(data.values, k=k)
     n = data.n
     gcv, edf, _ = _gcv_table((Ytilde * k) ** 2, yty, [sp.s for sp in spectra], grids, n)
     idx = _pick(gcv, n, grids)
@@ -309,10 +365,9 @@ def plain_fit_array(data, specs, grids):
     for axis, (sp, lam) in enumerate(zip(spectra, lambdas)):
         core *= shrink_weights(sp.s, lam).reshape((-1,) + (1,) * (data.ndim - 1 - axis))
     fitted = _expand(_contract(core, [sp.coef_map for sp in spectra]), spectra)
-    R = data.values * k
-    R -= fitted * k
-    R **= 2
-    sse_exact = float(np.sum(R))
+    sse_exact = chunked_sum_sq(data.values * k, fitted * k)
+    assert within_fsum_bound(yty, data.values, k=k)
+    assert within_fsum_bound(sse_exact, data.values * k, fitted * k)
     edf_best = float(edf[idx])
     sse_exact, gcv_exact, gcv = _unscale(
         e, sse_exact, gcv_score(sse_exact, edf_best, n), gcv)
@@ -320,15 +375,16 @@ def plain_fit_array(data, specs, grids):
 
 
 def plain_cov_selection(C, lams):
-    """smooth_cov's lambda search with ||C||^2 as np.sum(C * C) over a
-    scaled copy of C, read off the diagonal of the full L x L GCV table."""
+    """smooth_cov's lambda search with ||C||^2 summed by chunked_sum_sq over
+    a scaled copy of C, read off the diagonal of the full L x L GCV
+    table."""
     _, C = fda._symmetrize(np.asarray(C, dtype=float))
     J = C.shape[0]
     sp = axis_spectrum(midpoints(J), AxisSpec(knot_segments=auto_knot_segments(J)))
     e = _scale_exponent(C)
     C *= 2.0 ** -e
     Ct = _project(C, (sp, sp))
-    cc = float(np.sum(C * C))
+    cc = chunked_sum_sq(C)
     n = C.size
     gcv, edf, _ = _gcv_table(Ct * Ct, cc, (sp.s, sp.s), (lams, lams), n)
     gcv, edf = np.diagonal(gcv), np.diagonal(edf)
