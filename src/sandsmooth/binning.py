@@ -37,6 +37,7 @@ from .sandwich2d import (
     _scale_exponent,
     _shrink_table,
     _sse_table,
+    _sum_sq,
     _unscale,
     gcv_score,
     require_finite,
@@ -76,8 +77,11 @@ class ScatterData:
         for name, c in (("x", x), ("z", z), ("y", y)):
             require_finite(name, c)
         for name, c in (("x", x), ("z", z)):
-            if c.size and (c.min() < 0.0 or c.max() > 1.0):
-                raise ValueError(f"{name} coordinates must lie in [0, 1]")
+            outside = (c < 0.0) | (c > 1.0)
+            if outside.any():
+                i = int(np.argmax(outside))
+                raise ValueError(f"{name}[{i}] is {c[i]}; coordinates must lie "
+                                 "within [0, 1]")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "y", y)
@@ -190,7 +194,7 @@ def _masked_gram(Y, occupied, sz) -> _MaskedGram:
         gram[:, cols, cols] += np.tensordot(O[:, rows], np.einsum("kp,kq->kpq", B, B), 1)
     np.matmul(F.T, gram @ F, out=gram)
     return _MaskedGram(occupied, gram, _project_axis(Yo, 1, sz.blocks, len(F)) @ F,
-                       float(np.sum(Yo * Yo)))
+                       _sum_sq(Yo))
 
 
 def _null_columns(sp):
@@ -347,8 +351,8 @@ def iterative_fit(
         st2 = shrink_weights(sz.s, lam2[pair[1]])
         theta, resid = _weighted_solve(theta, rhs, masked, sx, np.outer(st1, st2))
         fitted = _expand(_contract(theta, (sx.coef_map, sz.coef_map)), (sx, sz))
-        sse = float(np.sum((fitted - means)[occupied] ** 2))
         Y = np.where(occupied, means, fitted)
+        sse = _sum_sq(fitted, Y)  # exactly 0 in the empty cells
         solved[pair] = (gcv_score(sse, st1.sum() * st2.sum(), n_eff), sse, Y, resid)
 
     order = list(solved)

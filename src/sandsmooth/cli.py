@@ -4,12 +4,13 @@ Subcommands: smooth-grid, smooth-scatter, smooth-cov, smooth-array,
 simulate, kernel-check, bench.  Exit codes: 0 success, 1 numeric
 failure, 2 input or configuration error.
 
-Options can come from a config file (``--config FILE``) holding
-``key = value`` lines with ``#`` comments; keys are the long option
-names with dashes or underscores (``knots = 10,15``).  Command-line
-flags override config values, which override built-in defaults.  Every
-input error, usage errors included, is one ``sandsmooth: ...`` line on
-stderr.
+Each subcommand takes only the options its handler reads.  Options can
+also come from a config file (``--config FILE``) holding ``key = value``
+lines with ``#`` comments; keys are the long option names with dashes or
+underscores (``knots = 10,15``), and a subcommand reads only its own.
+Command-line flags override config values, which override built-in
+defaults.  Every input error, usage errors included, is one
+``sandsmooth: ...`` line on stderr.
 
 Wall-clock fields in summaries (``elapsed_seconds``) are the only
 output values that vary between identically configured runs; all
@@ -20,7 +21,6 @@ count.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 import time
@@ -46,14 +46,14 @@ from .sandwich2d import DegenerateFit, GridData, LambdaGrid, _resolve, select_la
 from .spectra import SingularGram
 from .surfaces import SURFACES, midpoints, sample_surface
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_NUMERIC = 1
 EXIT_INPUT = 2
 
-# dest -> parser for config-file strings; filled as options are declared
-_OPTION_PARSERS: dict = {}
+# dest -> (config key, parser, default) of every declared option
+_OPTIONS: dict = {}
 
 
 # Each parser raises ValueError naming the rule a value breaks; build_config
@@ -80,12 +80,35 @@ def _parse_axes_int(s: str) -> tuple:
         raise ValueError("expected comma-separated integers") from None
 
 
+def _at_least(low, parse):
+    """parse, then require the value, or each value of a tuple, >= low."""
+    def parse_bounded(s: str):
+        value = parse(s)
+        if not all(v >= low for v in (value if isinstance(value, tuple) else (value,))):
+            raise ValueError(f"must be >= {low}")
+        return value
+    return parse_bounded
+
+
+def _one_of(choices, parse=str):
+    """parse, then require the value to be one of choices."""
+    def parse_choice(s: str):
+        value = parse(s)
+        if value not in choices:
+            raise ValueError(f"must be one of {list(choices)}")
+        return value
+    return parse_choice
+
+
 def _parse_knots(s: str) -> tuple:
     fields = [f.strip() for f in s.split(",")]
     try:
-        return tuple(f if f == "auto" else int(f) for f in fields)
+        knots = tuple(f if f == "auto" else int(f) for f in fields)
     except ValueError:
         raise ValueError("each knot count must be an integer or 'auto'") from None
+    if any(k != "auto" and k < 1 for k in knots):
+        raise ValueError("each knot count must be >= 1 or 'auto'")
+    return knots
 
 
 def _parse_lambda_grid(s: str) -> tuple:
@@ -104,6 +127,12 @@ def _parse_lambda_grid(s: str) -> tuple:
         raise ValueError("the count must be >= 1")
     if count > 1 and high <= low:
         raise ValueError("log10_high must exceed log10_low")
+    for bound in (low, high):
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            lam = np.power(10.0, bound)
+        if not 0.0 < lam < np.inf:
+            raise ValueError(f"bound {bound} gives 10^{bound} = {lam}, "
+                             "not a positive finite float")
     return count, low, high
 
 
@@ -120,6 +149,8 @@ def _parse_bins(s: str):
     parts = _parse_axes_int(s)
     if len(parts) > 2:
         raise ValueError("expected 'auto' or one or two comma-separated integers")
+    if min(parts) < 1:
+        raise ValueError("must be >= 1 or 'auto'")
     return parts if len(parts) == 2 else parts * 2
 
 
@@ -139,192 +170,127 @@ def _parse_bool(s: str) -> bool:
     raise ValueError("expected a boolean")
 
 
-def _opt(parser, *flags, dest, parse=str, **kw):
-    # the raw string is kept; build_config parses it, as it does a config value
-    parser.add_argument(*flags, dest=dest, default=None, **kw)
-    _OPTION_PARSERS[dest] = parse
-
-
-def _flag(parser, *flags, dest, **kw):
-    parser.add_argument(*flags, dest=dest, action="store_const", const="true",
-                        default=None, **kw)
-    _OPTION_PARSERS[dest] = _parse_bool
-
-
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    """Validated option set for one command invocation.
-
-    Holds the union of all command options; each handler reads the ones
-    it needs.  Knot and bin counts may be the string "auto", resolved
-    deterministically from the data dimensions when the data is seen; the
-    spec options and lambda_grid stay None (the fits' defaults) unless given.
-    """
-
-    command: str
-    input: str | None = None
-    output: str | None = None
-    summary: str | None = None
-    gcv_surface: str | None = None
-    eigen_output: str | None = None
-    emit_plotdata: str | None = None
-    degree: tuple | None = None
-    penalty_order: tuple | None = None
-    knots: tuple | None = None
-    lambda_grid: tuple | None = None
-    seed: int = 1
-    reps: int = 100
-    bins: object = "auto"
-    max_iter: int = 20
-    center: bool = False
-    exclude_diagonal: bool = False
-    npairs: int = 4
-    kind: str = "surface"
-    function: str = "f2"
-    sigma: float = 0.5
-    size: tuple | None = None
-    case: int = 1
-    orders: tuple = (1, 2, 3)
-    profile: tuple | None = None
-    sizes: tuple = (20, 40, 80)
-
-    def __post_init__(self):
-        if any(p < 0 for p in self.degree or ()):
-            raise ValueError("degree must be >= 0")
-        if any(m < 1 for m in self.penalty_order or ()):
-            raise ValueError("penalty order must be >= 1")
-        for k in self.knots or ():
-            if k != "auto" and k < 1:
-                raise ValueError("knot counts must be >= 1 or 'auto'")
-        for bound in (self.lambda_grid or ())[1:]:
-            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-                lam = np.power(10.0, bound)
-            if not 0.0 < lam < np.inf:
-                raise ValueError(f"--lambda-grid bound {bound} gives 10^{bound} = "
-                                 f"{lam}, not a positive finite float")
-        if self.reps < 1:
-            raise ValueError("reps must be >= 1")
-        if self.bins != "auto" and any(b < 1 for b in self.bins):
-            raise ValueError("bins must be >= 1 or 'auto'")
-        if self.max_iter < 1:
-            raise ValueError("max-iter must be >= 1")
-        if self.npairs < 1:
-            raise ValueError("npairs must be >= 1")
-        if self.kind not in ("surface", "fda"):
-            raise ValueError(f"kind must be 'surface' or 'fda', got {self.kind!r}")
-        if self.function not in SURFACES:
-            raise ValueError(f"function must be one of {sorted(SURFACES)}")
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
-        if self.case not in (1, 2):
-            raise ValueError("case must be 1 or 2")
-        if self.size is not None and any(v < 2 for v in self.size):
-            raise ValueError("size values must be >= 2")
-        if any(m < 1 for m in self.orders):
-            raise ValueError("orders must be >= 1")
-        if any(n < 2 for n in self.sizes):
-            raise ValueError("bench sizes must be >= 2")
+def _opt(parser, flag, *aliases, dest=None, parse=str, default=None, **kw):
+    """Declare an option on parser with its parser and its default.  The
+    config key is the long flag's name; argparse keeps the flag's string,
+    which build_config parses as it does the key's config value."""
+    key = flag[2:].replace("-", "_")
+    dest = dest or key
+    parser.add_argument(flag, *aliases, dest=dest, default=None, **kw)
+    _OPTIONS[dest] = key, parse, default
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as one line, as build_config reports a bad value."""
+    """Takes only whole flag names, so a subcommand's flag never stands in
+    for another's (bench's --sizes for --size); reports a usage error as
+    one line, as build_config reports a bad value."""
+
+    def __init__(self, *args, **kw):
+        super().__init__(*args, allow_abbrev=False, **kw)
 
     def error(self, message):
         self.exit(EXIT_INPUT, f"sandsmooth: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--config", default=None, metavar="FILE",
-                        help="key = value option file; flags override it")
-    _opt(shared, "--degree", dest="degree", parse=_parse_axes_int,
+    # parent parsers: each option is declared once and attached only to
+    # the subcommands that read it
+    base, plot, io, spec, lam, seed = (argparse.ArgumentParser(add_help=False)
+                                       for _ in range(6))
+    base.add_argument("--config", default=None, metavar="FILE",
+                      help="key = value option file; flags override it")
+    _opt(base, "--summary", metavar="FILE", help="write a JSON run summary")
+    _opt(plot, "--emit-plotdata", metavar="FILE",
+         help="write a tidy long-format CSV for external plotting")
+    _opt(io, "--input", "-i", metavar="FILE")
+    _opt(io, "--output", "-o", metavar="FILE")
+    _opt(spec, "--degree", parse=_at_least(0, _parse_axes_int),
          metavar="P[,P...]", help="B-spline degree per axis (default 3)")
-    _opt(shared, "--penalty-order", dest="penalty_order", parse=_parse_axes_int,
+    _opt(spec, "--penalty-order", parse=_at_least(1, _parse_axes_int),
          metavar="M[,M...]", help="difference-penalty order per axis (default 2)")
-    _opt(shared, "--knots", dest="knots", parse=_parse_knots,
+    _opt(spec, "--knots", parse=_parse_knots,
          metavar="K[,K...]", help="knot segments per axis, or 'auto'")
-    _opt(shared, "--lambda-grid", dest="lambda_grid", parse=_parse_lambda_grid,
+    _opt(lam, "--lambda-grid", parse=_parse_lambda_grid,
          metavar="N,LO,HI", help="count,log10_low,log10_high (default: the "
          "fit's, up to 20 per axis between 10^-5 and 10^4)")
-    _opt(shared, "--seed", dest="seed", parse=_parse_int, metavar="S",
-         help="master seed for any randomness (default 1)")
-    _opt(shared, "--reps", dest="reps", parse=_parse_int, metavar="N",
-         help="replicates for simulation studies (default 100)")
-    _opt(shared, "--emit-plotdata", dest="emit_plotdata", metavar="FILE",
-         help="write a tidy long-format CSV for external plotting")
-    _opt(shared, "--summary", dest="summary", metavar="FILE",
-         help="write a JSON run summary")
+    _opt(seed, "--seed", parse=_parse_int, default=1, metavar="S",
+         help="master seed (default 1)")
 
     top = _Parser(
         prog="sandsmooth",
         description="Fast bivariate and array penalized-spline smoothing.",
     )
     sub = top.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    smoother = [base, plot, io, spec, lam]
 
-    g = sub.add_parser("smooth-grid", parents=[shared],
+    g = sub.add_parser("smooth-grid", parents=smoother,
                        help="smooth a complete rectangular grid")
-    _opt(g, "--input", "-i", dest="input", metavar="CSV")
-    _opt(g, "--output", "-o", dest="output", metavar="CSV")
-    _opt(g, "--gcv-surface", dest="gcv_surface", metavar="CSV",
+    _opt(g, "--gcv-surface", metavar="CSV",
          help="also write the lambda-grid GCV scores")
 
-    s = sub.add_parser("smooth-scatter", parents=[shared],
+    s = sub.add_parser("smooth-scatter", parents=smoother,
                        help="bin scattered points, then smooth the bin means")
-    _opt(s, "--input", "-i", dest="input", metavar="CSV")
-    _opt(s, "--output", "-o", dest="output", metavar="CSV")
-    _opt(s, "--bins", dest="bins", parse=_parse_bins, metavar="I[,I]",
+    _opt(s, "--bins", parse=_parse_bins, default="auto", metavar="I[,I]",
          help="bins per axis, or 'auto'")
-    _opt(s, "--max-iter", dest="max_iter", parse=_parse_int, metavar="N",
+    _opt(s, "--max-iter", parse=_at_least(1, _parse_int), default=20, metavar="N",
          help="lambda-search limit (default 20)")
 
-    c = sub.add_parser("smooth-cov", parents=[shared],
+    c = sub.add_parser("smooth-cov", parents=smoother,
                        help="smooth the sample covariance of a curve set")
-    _opt(c, "--input", "-i", dest="input", metavar="CSV")
-    _opt(c, "--output", "-o", dest="output", metavar="CSV")
-    _opt(c, "--eigen-output", dest="eigen_output", metavar="CSV",
+    _opt(c, "--eigen-output", metavar="CSV",
          help="write leading eigenvalues and eigenfunctions")
-    _opt(c, "--npairs", dest="npairs", parse=_parse_int, metavar="K",
+    _opt(c, "--npairs", parse=_at_least(1, _parse_int), default=4, metavar="K",
          help="eigenpairs to report (default 4)")
-    _flag(c, "--center", dest="center",
-          help="subtract the mean curve before forming the covariance")
-    _flag(c, "--exclude-diagonal", dest="exclude_diagonal",
-          help="rebuild the noise-inflated diagonal from its neighbors")
+    switch = {"parse": _parse_bool, "default": False, "action": "store_const",
+              "const": "true"}
+    _opt(c, "--center", **switch,
+         help="subtract the mean curve before forming the covariance")
+    _opt(c, "--exclude-diagonal", **switch,
+         help="rebuild the noise-inflated diagonal from its neighbors")
 
-    a = sub.add_parser("smooth-array", parents=[shared],
-                       help="smooth a d-dimensional .npy array")
-    _opt(a, "--input", "-i", dest="input", metavar="NPY")
-    _opt(a, "--output", "-o", dest="output", metavar="NPY")
+    sub.add_parser("smooth-array", parents=smoother,
+                   help="smooth a d-dimensional .npy array")
 
-    m = sub.add_parser("simulate", parents=[shared],
+    m = sub.add_parser("simulate", parents=[base, plot, spec, lam, seed],
                        help="replicated accuracy studies with known truth")
-    _opt(m, "--kind", dest="kind", metavar="WHAT",
-         help="'surface' (grid MISE) or 'fda' (covariance ISE)")
-    _opt(m, "--function", dest="function", metavar="ID",
-         help="test surface id: f1 or f2 (surface kind)")
-    _opt(m, "--sigma", dest="sigma", parse=_parse_float, metavar="S",
+    _opt(m, "--kind", parse=_one_of(("surface", "fda")), default="surface",
+         metavar="WHAT", help="'surface' (grid MISE) or 'fda' (covariance ISE)")
+    _opt(m, "--function", parse=_one_of(sorted(SURFACES)), default="f2",
+         metavar="ID", help="test surface id: f1 or f2 (surface kind)")
+    _opt(m, "--sigma", parse=_at_least(0, _parse_float), default=0.5, metavar="S",
          help="noise standard deviation (default 0.5)")
-    _opt(m, "--size", dest="size", parse=_parse_pair, metavar="N1,N2",
+    _opt(m, "--size", parse=_at_least(2, _parse_pair), metavar="N1,N2",
          help="grid size, or curves,points for fda (defaults 20,30 / 25,20)")
-    _opt(m, "--case", dest="case", parse=_parse_int, metavar="C",
+    _opt(m, "--case", parse=_one_of((1, 2), _parse_int), default=1, metavar="C",
          help="fda eigenfunction family: 1 or 2")
+    _opt(m, "--reps", parse=_at_least(1, _parse_int), default=100, metavar="N",
+         help="replicates (default 100)")
 
-    k = sub.add_parser("kernel-check", parents=[shared],
+    k = sub.add_parser("kernel-check", parents=[base, plot],
                        help="verify equivalent-kernel moments and constants")
-    _opt(k, "--orders", dest="orders", parse=_parse_axes_int, metavar="M[,M...]",
-         help="penalty orders to check (default 1,2,3)")
-    _opt(k, "--profile", dest="profile", parse=_parse_profile, metavar="N,K,LAM",
+    _opt(k, "--orders", parse=_at_least(1, _parse_axes_int), default=(1, 2, 3),
+         metavar="M[,M...]", help="penalty orders to check (default 1,2,3)")
+    _opt(k, "--profile", parse=_parse_profile, metavar="N,K,LAM",
          help="also compare smoother weights against the kernel curve")
+    _opt(k, "--degree", dest="profile_degree", parse=_at_least(0, _parse_int),
+         default=3, metavar="P", help="B-spline degree of the --profile smoother "
+         "(default 3)")
+    _opt(k, "--penalty-order", dest="profile_penalty_order",
+         parse=_at_least(1, _parse_int), default=2, metavar="M",
+         help="penalty order of the --profile smoother (default 2)")
 
-    b = sub.add_parser("bench", parents=[shared],
+    b = sub.add_parser("bench", parents=[base, lam, seed],
                        help="time the full GCV search on square grids")
-    _opt(b, "--sizes", dest="sizes", parse=_parse_axes_int, metavar="N[,N...]",
-         help="per-axis grid sizes (default 20,40,80)")
+    _opt(b, "--sizes", parse=_at_least(2, _parse_axes_int), default=(20, 40, 80),
+         metavar="N[,N...]", help="per-axis grid sizes (default 20,40,80)")
 
     return top
 
 
 def read_config_file(path: str) -> dict:
-    """Parse ``key = value`` lines; '#' starts a comment."""
+    """Parse ``key = value`` lines; '#' starts a comment.  A key must name
+    an option of some subcommand."""
+    keys = {key for key, _, _ in _OPTIONS.values()}
     out = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -339,30 +305,29 @@ def read_config_file(path: str) -> dict:
             raise FileFormatError(f"{path}:{lineno}: expected 'key = value'")
         key, value = line.split("=", 1)
         key = key.strip().replace("-", "_")
-        if key not in _OPTION_PARSERS:
+        if key not in keys:
             raise FileFormatError(f"{path}:{lineno}: unknown option {key!r}")
         out[key] = value.strip()
     return out
 
 
-def build_config(args: argparse.Namespace) -> RunConfig:
-    """Merge flags over config-file entries over RunConfig's defaults.
-    Both are strings, parsed by the option's parser; a malformed one
-    raises ValueError naming the option, the value and the rule."""
+def build_config(args: argparse.Namespace) -> argparse.Namespace:
+    """The command's options, each from its flag, else from the config
+    file, else its default.  Flag and config strings are parsed by the
+    option's parser; a bad one raises ValueError naming the option, the
+    value and the rule.  Config keys of other commands are not parsed."""
     config = read_config_file(args.config) if args.config else {}
-    merged = {}
-    for field in dataclasses.fields(RunConfig)[1:]:
-        dest = field.name
-        raw = getattr(args, dest, None)
-        if raw is None:
-            raw = config.get(dest)
-        if raw is None:
+    cfg = argparse.Namespace(command=args.command)
+    for dest, raw in vars(args).items():
+        if dest in ("command", "config"):
             continue
+        key, parse, default = _OPTIONS[dest]
+        raw = config.get(key) if raw is None else raw
         try:
-            merged[dest] = _OPTION_PARSERS[dest](raw)
+            setattr(cfg, dest, default if raw is None else parse(raw))
         except ValueError as exc:
-            raise ValueError(f"--{dest.replace('_', '-')} {raw!r}: {exc}") from None
-    return RunConfig(command=args.command, **merged)
+            raise ValueError(f"--{key.replace('_', '-')} {raw!r}: {exc}") from None
+    return cfg
 
 
 def _broadcast(values: tuple, d: int, name: str) -> tuple:
@@ -373,7 +338,7 @@ def _broadcast(values: tuple, d: int, name: str) -> tuple:
     return values
 
 
-def fit_options(cfg: RunConfig, lengths) -> tuple:
+def fit_options(cfg: argparse.Namespace, lengths) -> tuple:
     """(specs, grids) from the spec and --lambda-grid options for axes of
     these lengths, 'auto' knots resolved; each is None, the fit's own
     default, when none of its options is given."""
@@ -391,7 +356,7 @@ def fit_options(cfg: RunConfig, lengths) -> tuple:
     return specs, grids
 
 
-def _lambda_summary(cfg: RunConfig, grids) -> dict:
+def _lambda_summary(cfg: argparse.Namespace, grids) -> dict:
     """The summary's lambda_grid block: the --lambda-grid count and range,
     else those of grids, the fit's default lists."""
     count, low, high = cfg.lambda_grid or (
@@ -399,7 +364,7 @@ def _lambda_summary(cfg: RunConfig, grids) -> dict:
     return {"count": count, "log10_low": low, "log10_high": high}
 
 
-def _require_input(cfg: RunConfig) -> str:
+def _require_input(cfg: argparse.Namespace) -> str:
     if cfg.input is None:
         raise FileFormatError(f"{cfg.command}: --input is required")
     return cfg.input
@@ -418,7 +383,7 @@ def _spec_summary(specs) -> dict:
     }
 
 
-def cmd_smooth_grid(cfg: RunConfig) -> int:
+def cmd_smooth_grid(cfg: argparse.Namespace) -> int:
     x, z, Y = read_grid_csv(_require_input(cfg))
     data = GridData(Y, x, z)
     specs, grids = fit_options(cfg, data.shape)
@@ -456,7 +421,7 @@ def cmd_smooth_grid(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_smooth_scatter(cfg: RunConfig) -> int:
+def cmd_smooth_scatter(cfg: argparse.Namespace) -> int:
     x, z, y = read_scatter_csv(_require_input(cfg))
     data = ScatterData(x, z, y)
     if cfg.bins == "auto":
@@ -502,7 +467,7 @@ def cmd_smooth_scatter(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_smooth_cov(cfg: RunConfig) -> int:
+def cmd_smooth_cov(cfg: argparse.Namespace) -> int:
     t, Y = read_curves_csv(_require_input(cfg))
     curves = CurveSet(Y, t)
     C = sample_cov(curves, center=cfg.center)
@@ -544,7 +509,7 @@ def cmd_smooth_cov(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_smooth_array(cfg: RunConfig) -> int:
+def cmd_smooth_array(cfg: argparse.Namespace) -> int:
     path = _require_input(cfg)
     try:
         values = np.load(path)
@@ -599,7 +564,7 @@ def run_surface_study(function: str, sigma: float, n1: int, n2: int,
     return ises
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
+def cmd_simulate(cfg: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     if cfg.kind == "surface":
         n1, n2 = cfg.size if cfg.size else (20, 30)
@@ -640,7 +605,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_kernel_check(cfg: RunConfig) -> int:
+def cmd_kernel_check(cfg: argparse.Namespace) -> int:
     all_pass = True
     moments: dict = {}
     l2: dict = {}
@@ -664,8 +629,7 @@ def cmd_kernel_check(cfg: RunConfig) -> int:
     gap = None
     if cfg.profile:
         n, k, lam = cfg.profile
-        given = {"degree": cfg.degree, "penalty_order": cfg.penalty_order}
-        gap = profile_gap(n, k, lam, **{f: v[0] for f, v in given.items() if v})
+        gap = profile_gap(n, k, lam, cfg.profile_degree, cfg.profile_penalty_order)
         print(f"kernel-check: profile n={n} knots={k} lambda={lam:g} "
               f"max-abs gap={gap:.4f}")
     if cfg.emit_plotdata:
@@ -694,7 +658,7 @@ def bench_knots(n: int) -> int:
     return round(n ** 0.65)
 
 
-def cmd_bench(cfg: RunConfig) -> int:
+def cmd_bench(cfg: argparse.Namespace) -> int:
     results = []
     grid = cfg.lambda_grid and LambdaGrid.default(*cfg.lambda_grid)
     for n in cfg.sizes:

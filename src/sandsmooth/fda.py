@@ -270,12 +270,18 @@ def smooth_cov(C: np.ndarray, spec: AxisSpec | None = None,
 
     The single lambda is chosen by GCV over `lams` (ties to the largest),
     finite and strictly positive; spec and lams default as for any fit on
-    one axis of length J.  Raises DegenerateFit when no candidate has
-    edf < n.
+    one axis of length J.  t, midpoints(J) by default, must hold J strictly
+    increasing points of [0, 1].  Raises DegenerateFit when no candidate
+    has edf < n.
     """
     C = np.asarray(C, dtype=float)
     if C.ndim != 2 or C.shape[0] != C.shape[1]:
         raise ValueError("C must be square")
+    J = C.shape[0]
+    t = midpoints(J) if t is None else np.asarray(t, dtype=float)
+    require_coordinates("t", t)
+    if t.size != J:
+        raise ValueError(f"t has {t.size} points for J = {J}")
     # an exactly symmetric C (sample_cov's) is read in place; only one
     # asymmetric within the tolerance is copied and symmetrized
     copied = not _is_symmetric(C)
@@ -287,9 +293,6 @@ def smooth_cov(C: np.ndarray, spec: AxisSpec | None = None,
             raise ValueError(f"input asymmetric beyond {ASYMMETRY_TOL}")
         C = sym
     scan = _scan_values("C", C)  # names a non-finite entry
-    J = C.shape[0]
-    if t is None:
-        t = midpoints(J)
     (spec,), (lams,) = _resolve((J,), None if spec is None else (spec,),
                                 None if lams is None else (lams,))
     sp = axis_spectrum(t, spec)  # a J too short for the basis raises here
@@ -315,7 +318,7 @@ def smooth_cov(C: np.ndarray, spec: AxisSpec | None = None,
     V = _expand_axis(sp.coef_map @ U, 0, sp.blocks, J)
     values, funcs = _eigensystem(w, V, fit.e)
     return CovModel(
-        t=np.asarray(t, float),
+        t=t,
         smoothed_cov=_gram(V, w, fit.e),
         lam=lam,
         gcv_value=float(_unscale(fit.e, gcv[k])[0]),

@@ -639,6 +639,9 @@ def predict(Theta: np.ndarray, specs: tuple[AxisSpec, AxisSpec],
     cover (x, z) enters the tensor product.
     """
     spec_x, spec_z = specs
+    if Theta.shape != (spec_x.n_basis, spec_z.n_basis):
+        raise ValueError(f"Theta has shape {Theta.shape}, but the specs have "
+                         f"{spec_x.n_basis} x {spec_z.n_basis} basis functions")
     bx = eval_basis(make_knots(spec_x), spec_x.degree, x)
     bz = eval_basis(make_knots(spec_z), spec_z.degree, z)
     seg_x = int(segment_index(np.asarray(x, dtype=float), spec_x.knot_segments))

@@ -10,7 +10,7 @@ import numpy.testing as npt
 import pytest
 
 import sandsmooth
-from sandsmooth.cli import bench_knots, main
+from sandsmooth.cli import bench_knots, build_parser, main
 from sandsmooth.fda import simulate_fda
 from sandsmooth.glam import ArrayData, fit_array
 from sandsmooth.gridio import (
@@ -221,8 +221,8 @@ class TestUsageErrors:
 
 class TestLambdaGridBounds:
     """A --lambda-grid bound whose power of ten is not a positive finite
-    float exits 2 with one line naming the option and the bound, from the
-    flag or from a config file, before numpy can warn."""
+    float exits 2 with one line naming the option, the value and the
+    bound, from the flag or from a config file, before numpy can warn."""
 
     @pytest.mark.parametrize("grid, bound", [
         ("3,-5,nan", "nan"), ("2,-5,inf", "inf"), ("1,400,400", "400.0"),
@@ -242,7 +242,7 @@ class TestLambdaGridBounds:
             assert main(["smooth-grid", "-i", str(inp), *args]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
-        assert err[0].startswith("sandsmooth: --lambda-grid bound ")
+        assert err[0].startswith(f"sandsmooth: --lambda-grid {grid!r}: bound {bound} ")
         assert f"10^{bound} = " in err[0]
 
 
@@ -271,12 +271,38 @@ MALFORMED = [
 ]
 
 
-class TestMalformedFlags:
-    """A malformed value exits 2 with one line naming the option, the value
-    and the rule it breaks, the same from a flag as from a config file."""
+OUT_OF_RANGE = [
+    ("smooth-grid", "--degree", "3,-1", "must be >= 0"),
+    ("smooth-grid", "--penalty-order", "0", "must be >= 1"),
+    ("smooth-grid", "--knots", "8,0", "each knot count must be >= 1 or 'auto'"),
+    ("smooth-grid", "--lambda-grid", "2,-5,inf",
+     "bound inf gives 10^inf = inf, not a positive finite float"),
+    ("smooth-scatter", "--bins", "4,0", "must be >= 1 or 'auto'"),
+    ("smooth-scatter", "--max-iter", "0", "must be >= 1"),
+    ("smooth-cov", "--npairs", "0", "must be >= 1"),
+    ("simulate", "--reps", "0", "must be >= 1"),
+    ("simulate", "--kind", "grid", "must be one of ['surface', 'fda']"),
+    ("simulate", "--function", "f3", "must be one of ['f1', 'f2']"),
+    ("simulate", "--sigma", "-0.5", "must be >= 0"),
+    ("simulate", "--sigma", "nan", "must be >= 0"),
+    ("simulate", "--case", "3", "must be one of [1, 2]"),
+    ("simulate", "--size", "20,1", "must be >= 2"),
+    ("kernel-check", "--orders", "1,0", "must be >= 1"),
+    ("kernel-check", "--degree", "-1", "must be >= 0"),
+    ("kernel-check", "--degree", "2,3", "expected an integer"),
+    ("kernel-check", "--penalty-order", "0", "must be >= 1"),
+    ("bench", "--sizes", "20,1", "must be >= 2"),
+]
 
-    @pytest.mark.parametrize("command, flag, value, rule", MALFORMED,
-                             ids=[f"{f} {v}" for _, f, v, _ in MALFORMED])
+
+class TestMalformedFlags:
+    """A malformed or out-of-range value exits 2 with one line naming the
+    option, the value and the rule it breaks, the same from a flag as from
+    a config file."""
+
+    @pytest.mark.parametrize("command, flag, value, rule", MALFORMED + OUT_OF_RANGE,
+                             ids=[f"{f} {v}" for _, f, v, _ in MALFORMED]
+                             + [f"{c} {f} {v}" for c, f, v, _ in OUT_OF_RANGE])
     @pytest.mark.parametrize("route", ["flag", "config"])
     def test_one_line_naming_the_rule(self, tmp_path, capsys, command, flag, value,
                                       rule, route):
@@ -289,6 +315,77 @@ class TestMalformedFlags:
         assert main([command, *args]) == 2
         assert capsys.readouterr().err.splitlines() == [
             f"sandsmooth: {flag} {value!r}: {rule}"]
+
+
+# the options each subcommand's handler reads; every one also takes --config
+READS = {
+    "smooth-grid": "input output gcv-surface emit-plotdata summary degree "
+                   "penalty-order knots lambda-grid",
+    "smooth-scatter": "input output bins max-iter emit-plotdata summary degree "
+                      "penalty-order knots lambda-grid",
+    "smooth-cov": "input output eigen-output npairs center exclude-diagonal "
+                  "emit-plotdata summary degree penalty-order knots lambda-grid",
+    "smooth-array": "input output emit-plotdata summary degree penalty-order "
+                    "knots lambda-grid",
+    "simulate": "kind function sigma size case seed reps emit-plotdata summary "
+                "degree penalty-order knots lambda-grid",
+    "kernel-check": "orders profile degree penalty-order emit-plotdata summary",
+    "bench": "sizes seed lambda-grid summary",
+}
+# the options every subcommand used to accept, read or not
+SHARED = ("degree", "penalty-order", "knots", "lambda-grid", "seed", "reps",
+          "emit-plotdata", "summary")
+UNREAD = [(command, flag) for command, reads in READS.items()
+          for flag in SHARED if flag not in reads.split()]
+
+
+class TestOptionsPerCommand:
+    """Each subcommand takes exactly the options its handler reads; any
+    other exits 2 in one line.  A config file serves every subcommand: a
+    command parses only its own keys."""
+
+    @pytest.mark.parametrize("command, flag", UNREAD,
+                             ids=[" --".join(u) for u in UNREAD])
+    def test_unread_shared_flag_exits_2(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([command, f"--{flag}", "4"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"sandsmooth: unrecognized arguments: --{flag} 4"]
+
+    @pytest.mark.parametrize("command", READS)
+    def test_takes_exactly_its_options(self, capsys, command):
+        parser = build_parser()
+        for option in sorted({o for reads in READS.values() for o in reads.split()}):
+            value = [] if option in ("center", "exclude-diagonal") else ["4"]
+            argv = [command, f"--{option}", *value, "--config", "run.cfg"]
+            if option in READS[command].split():
+                args = parser.parse_args(argv)
+                assert args.config == "run.cfg"
+            else:
+                with pytest.raises(SystemExit):
+                    parser.parse_args(argv)
+
+    def test_other_commands_keys_are_not_parsed(self, tmp_path, capsys):
+        inp, sump = tmp_path / "in.csv", tmp_path / "s.json"
+        make_grid_csv(inp)
+        cfgp = tmp_path / "run.cfg"
+        cfgp.write_text("knots = 8,9\nreps = 0\nseed = x\nbins = 0,0,0\n"
+                        "sizes = none\ncase = 7\n")
+        assert main(["smooth-grid", "--config", str(cfgp), "-i", str(inp),
+                     "--summary", str(sump)]) == 0
+        assert json.loads(sump.read_text())["knots"] == [8, 9]
+        assert main(["kernel-check", "--config", str(cfgp), "--orders", "1"]) == 0
+        assert main(["bench", "--config", str(cfgp)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "sandsmooth: --seed 'x': expected an integer"]
+
+    def test_unknown_key_beside_other_commands_keys_exits_2(self, tmp_path, capsys):
+        cfgp = tmp_path / "run.cfg"
+        cfgp.write_text("reps = 3\nsizes = 20\nknotz = 8\n")
+        assert main(["smooth-grid", "--config", str(cfgp)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"sandsmooth: {cfgp}:3: unknown option 'knotz'"]
 
 
 class TestFinePass:
@@ -355,10 +452,12 @@ class TestSmoothScatter:
         assert sm["n_occupied"] < 225
         assert sm["iterations"] >= 1
 
-    def test_out_of_domain_point_exits_2(self, tmp_path):
+    def test_out_of_domain_point_exits_2(self, tmp_path, capsys):
         sc = tmp_path / "sc.csv"
         write_scatter_csv(sc, [0.2, 1.7], [0.3, 0.4], [1.0, 2.0])
         assert main(["smooth-scatter", "-i", str(sc)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "sandsmooth: x[1] is 1.7; coordinates must lie within [0, 1]"]
 
     def test_non_finite_response_exits_2(self, tmp_path, capsys):
         sc = tmp_path / "sc.csv"

@@ -153,6 +153,18 @@ class TestSmoothCov:
         model = smooth_cov(M + M.T, AxisSpec(3, 2, 4))
         npt.assert_allclose(model.smoothed_cov, model.smoothed_cov.T, atol=1e-10)
 
+    @pytest.mark.parametrize("t, message", [
+        (midpoints(40), "t has 40 points for J = 50"),
+        (midpoints(60), "t has 60 points for J = 50"),
+        (np.r_[0.1, 0.1, midpoints(50)[2:]],
+         r"t\[1\] is 0.1; coordinates must be strictly increasing"),
+    ], ids=["short", "long", "repeated point"])
+    def test_t_checked_against_C(self, t, message):
+        # each used to pass silently, fail in matmul or raise SingularGram
+        C = sample_cov(simulate_fda(1, 30, 50, 0.5, seed=4))
+        with pytest.raises(ValueError, match=message):
+            smooth_cov(C, t=t)
+
     def test_asymmetric_rejected(self):
         C = np.eye(6)
         C[0, 5] = 1e-4

@@ -511,6 +511,12 @@ class TestPredict:
         with pytest.raises(ValueError):
             predict(self.fit.Theta, self.specs, 1.2, 0.5)
 
+    def test_theta_checked_against_specs(self):
+        specs = (AxisSpec(knot_segments=10),) * 2  # 13 x 13 basis functions
+        with pytest.raises(ValueError, match=r"Theta has shape \(23, 28\), but the "
+                           r"specs have 13 x 13 basis functions"):
+            predict(np.ones((23, 28)), specs, 0.3, 0.3)
+
 
 @st.composite
 def search_problems(draw):

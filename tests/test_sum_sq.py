@@ -449,7 +449,7 @@ class TestWorkingMemory:
     def test_fit_array_peak(self):
         # at the default 35 knot segments (c = 38): the fitted array, plus
         # the input of the reconstruction's first-axis step (c / n = 0.32
-        # of the values) and the 1 MB leaf buffer, 1.4 x values.nbytes; a
+        # of the values) and the 512 KB leaf buffer, 1.4 x values.nbytes; a
         # data-sized temporary for the SSE makes it 2.1 x, a scaled copy of
         # the values kept through the fit 2.4 x
         values = np.random.default_rng(0).standard_normal(self.SHAPE)
