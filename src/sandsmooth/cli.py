@@ -80,24 +80,30 @@ def _parse_axes_int(s: str) -> tuple:
         raise ValueError("expected comma-separated integers") from None
 
 
+def _rule(parse, holds, rule):
+    """parse, then require holds(value); else raise ValueError(rule)."""
+    def parse_checked(s: str):
+        value = parse(s)
+        if not holds(value):
+            raise ValueError(rule)
+        return value
+    return parse_checked
+
+
 def _at_least(low, parse):
     """parse, then require the value, or each value of a tuple, >= low."""
-    def parse_bounded(s: str):
-        value = parse(s)
-        if not all(v >= low for v in (value if isinstance(value, tuple) else (value,))):
-            raise ValueError(f"must be >= {low}")
-        return value
-    return parse_bounded
+    return _rule(parse, lambda value: all(v >= low for v in (
+        value if isinstance(value, tuple) else (value,))), f"must be >= {low}")
 
 
 def _one_of(choices, parse=str):
     """parse, then require the value to be one of choices."""
-    def parse_choice(s: str):
-        value = parse(s)
-        if value not in choices:
-            raise ValueError(f"must be one of {list(choices)}")
-        return value
-    return parse_choice
+    return _rule(parse, lambda value: value in choices,
+                 f"must be one of {list(choices)}")
+
+
+_parse_pair = _rule(_parse_axes_int, lambda parts: len(parts) == 2,
+                    "expected two comma-separated integers")
 
 
 def _parse_knots(s: str) -> tuple:
@@ -136,13 +142,6 @@ def _parse_lambda_grid(s: str) -> tuple:
     return count, low, high
 
 
-def _parse_pair(s: str) -> tuple:
-    parts = _parse_axes_int(s)
-    if len(parts) != 2:
-        raise ValueError("expected two comma-separated integers")
-    return parts
-
-
 def _parse_bins(s: str):
     if s.strip() == "auto":
         return "auto"
@@ -158,7 +157,10 @@ def _parse_profile(s: str) -> tuple:
     parts = s.split(",")
     if len(parts) != 3:
         raise ValueError("expected n,knots,lambda")
-    return _parse_int(parts[0]), _parse_int(parts[1]), _parse_float(parts[2])
+    n, knots, lam = _parse_int(parts[0]), _parse_int(parts[1]), _parse_float(parts[2])
+    if min(n, knots) < 1 or not 0.0 < lam < math.inf:  # lambda 0: bandwidth 0
+        raise ValueError("n and knots must be >= 1, lambda finite and > 0")
+    return n, knots, lam
 
 
 def _parse_bool(s: str) -> bool:
@@ -213,8 +215,10 @@ def build_parser() -> argparse.ArgumentParser:
     _opt(lam, "--lambda-grid", parse=_parse_lambda_grid,
          metavar="N,LO,HI", help="count,log10_low,log10_high (default: the "
          "fit's, up to 20 per axis between 10^-5 and 10^4)")
-    _opt(seed, "--seed", parse=_parse_int, default=1, metavar="S",
-         help="master seed (default 1)")
+    # Philox keys, and so seeds, lie in [0, 2^128)
+    _opt(seed, "--seed", parse=_rule(_at_least(0, _parse_int), lambda v: v < 2 ** 128,
+                                      "must be < 2**128"),
+         default=1, metavar="S", help="master seed (default 1)")
 
     top = _Parser(
         prog="sandsmooth",
@@ -257,8 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
          metavar="WHAT", help="'surface' (grid MISE) or 'fda' (covariance ISE)")
     _opt(m, "--function", parse=_one_of(sorted(SURFACES)), default="f2",
          metavar="ID", help="test surface id: f1 or f2 (surface kind)")
-    _opt(m, "--sigma", parse=_at_least(0, _parse_float), default=0.5, metavar="S",
-         help="noise standard deviation (default 0.5)")
+    _opt(m, "--sigma", parse=_rule(_at_least(0, _parse_float), math.isfinite,
+                                   "must be finite"),
+         default=0.5, metavar="S", help="noise standard deviation (default 0.5)")
     _opt(m, "--size", parse=_at_least(2, _parse_pair), metavar="N1,N2",
          help="grid size, or curves,points for fda (defaults 20,30 / 25,20)")
     _opt(m, "--case", parse=_one_of((1, 2), _parse_int), default=1, metavar="C",
@@ -394,8 +399,7 @@ def cmd_smooth_grid(cfg: argparse.Namespace) -> int:
         write_grid_csv(cfg.output, x, z, fit.fitted)
     if cfg.gcv_surface:
         write_long_csv(cfg.gcv_surface, ["lambda_x", "lambda_z", "gcv"],
-                       [[*_mesh(*fit.grids),
-                         fit.gcv_surface.ravel()]])
+                       [[*_mesh(*fit.grids), fit.gcv_surface.ravel()]])
     if cfg.emit_plotdata:
         xz = _mesh(x, z)
         write_long_csv(cfg.emit_plotdata, ["x", "z", "series", "value"],
@@ -565,6 +569,8 @@ def run_surface_study(function: str, sigma: float, n1: int, n2: int,
 
 
 def cmd_simulate(cfg: argparse.Namespace) -> int:
+    if cfg.seed + cfg.reps - 1 >= 2 ** 128:  # replicate r uses seed + r
+        raise ValueError(f"--seed '{cfg.seed}': seed + reps - 1 must be < 2**128")
     t0 = time.perf_counter()
     if cfg.kind == "surface":
         n1, n2 = cfg.size if cfg.size else (20, 30)

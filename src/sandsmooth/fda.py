@@ -18,19 +18,20 @@ eigenvectors V = B (F U), B applied through its row blocks; so
 smooth_cov never decomposes a J x J matrix, and one eigh of K also gives
 the smoothed matrix X X' - Z Z' (X = V_+ sqrt(w_+), Z = V_- sqrt(-w_-)),
 built in strips of rows (_gram), symmetric by construction.  smooth_cov
-reads C three times: a read-only check, in mirrored pairs of cache-sized
-tiles, that C equals C' exactly (only a C asymmetric within ASYMMETRY_TOL
-is copied and symmetrized), the scan, summed in chunks (_scan_values), and
-the projection's first product, through the row blocks (_project).
-It writes one J x J matrix, the smoothed one.  The fit runs on C * 2^-e
-without a scaled copy: the power of two rides in the row blocks of the
-projection and in X and Z, so entries near the float maximum smooth
-without overflow.
+reads C and writes one J x J matrix, the smoothed one: a check, in
+mirrored pairs of cache-sized tiles, that C equals C' exactly, the scan,
+summed in chunks (_scan_values), and the projection's first product,
+through the row blocks (_project).  The fit runs on C * 2^-e without a
+scaled copy: the power of two rides in the row blocks of the projection
+and in X and Z, so entries near the float maximum smooth without
+overflow.  A C asymmetric within ASYMMETRY_TOL is smoothed as (C + C')/2,
+taken on the projected core, with y'y less the squares of the
+antisymmetric part, which is orthogonal to it (_asymmetry).
 
 The raw matrix is smoothed as-is, noise-inflated diagonal included; pass
 exclude_diagonal=True to replace the diagonal with NaN-free interpolation
 of its neighbors before smoothing (a known practical variant, off by
-default).  That option works on a copy of C, which it scans again.
+default), applied to the core as the rank correction A' diag(delta) A.
 
 The simulation generator draws rank-4 processes plus white measurement
 noise.  Case 1 pairs a trigonometric eigenfunction set with eigenvalues
@@ -48,6 +49,7 @@ from .basis import AxisSpec
 from .rng import CounterNormals, replicate_seed
 from .sandwich2d import (
     _expand_axis,
+    _exponent,
     _resolve,
     _scan_values,
     _SpectralFit,
@@ -72,7 +74,7 @@ __all__ = [
 ]
 
 ASYMMETRY_TOL = 1e-8
-# Side of the square tiles _is_symmetric and _symmetrize visit in mirrored
+# Side of the square tiles _is_symmetric and _asymmetry visit in mirrored
 # pairs (a pair of 128 x 128 float64 tiles, 256 KB, stays in a core's L2
 # cache), and height of the row strips _gram builds.
 SYM_TILE = 128
@@ -178,9 +180,7 @@ def sample_cov(curves: CurveSet, center: bool = False) -> np.ndarray:
     """
     if curves.n < 2:
         raise ValueError("need at least 2 curves")
-    Y = curves.Y
-    if center:
-        Y = Y - Y.mean(axis=0)
+    Y = curves.Y - curves.Y.mean(axis=0) if center else curves.Y
     return (Y.T @ Y) / curves.n
 
 
@@ -242,25 +242,20 @@ def _is_symmetric(C: np.ndarray) -> bool:
                for rows, cols in _mirrored_tiles(C.shape[0]))
 
 
-def _symmetrize(C: np.ndarray) -> tuple[float, np.ndarray]:
-    """(max|C - C'|, 0.5 * (C + C')) of a square matrix in one pass.
-
-    Each mirrored pair of SYM_TILE tiles is read once, so the transpose
-    never strides across the whole matrix.  The half-sum is formed as
-    0.5 * upper + 0.5 * lower, which carries the bits of 0.5 * (C + C')
-    outside the subnormal range and does not overflow near the float
-    maximum; addition commutes, so the result is exactly symmetric.  The
-    maximum propagates NaN as np.max does.
-    """
-    out = np.empty_like(C)
-    worst = []
+def _asymmetry(C: np.ndarray, e: int = 0) -> tuple[float, float]:
+    """(max|C - C'|, the sum of the squares of (C - C') / 2 * 2^-e, scaled
+    before squaring), read in mirrored pairs of tiles; equal pairs are
+    skipped and nothing is written.  NaN propagates into both."""
+    worst, squares, k = [0.0], [0.0], 2.0 ** (-e - 1)
     for rows, cols in _mirrored_tiles(C.shape[0]):
         upper, lower = C[rows, cols], C[cols, rows].T
-        worst.append(np.max(np.abs(upper - lower)))
-        half = upper * 0.5 + lower * 0.5
-        out[rows, cols] = half
-        out[cols, rows] = half.T
-    return float(np.max(worst)), out
+        if not np.array_equal(upper, lower):
+            with np.errstate(over="ignore"):  # a difference past the float range
+                diff = upper - lower
+            worst.append(np.max(np.abs(diff)))
+            # a tile off the diagonal stands for its mirror too
+            squares.append(np.sum(np.square(diff * k)) * (1 if rows == cols else 2))
+    return float(np.max(worst)), float(np.sum(squares))
 
 
 def smooth_cov(C: np.ndarray, spec: AxisSpec | None = None,
@@ -282,32 +277,31 @@ def smooth_cov(C: np.ndarray, spec: AxisSpec | None = None,
     require_coordinates("t", t)
     if t.size != J:
         raise ValueError(f"t has {t.size} points for J = {J}")
-    # an exactly symmetric C (sample_cov's) is read in place; only one
-    # asymmetric within the tolerance is copied and symmetrized
-    copied = not _is_symmetric(C)
-    if copied:
-        with np.errstate(invalid="ignore", over="ignore"):  # NaN is rejected below
-            asymmetry, sym = _symmetrize(C)
-        if not asymmetry <= ASYMMETRY_TOL:  # NaN, from a non-finite entry, too
-            require_finite("C", C)
-            raise ValueError(f"input asymmetric beyond {ASYMMETRY_TOL}")
-        C = sym
     scan = _scan_values("C", C)  # names a non-finite entry
+    e = _exponent(scan.low, scan.high)
+    # an exactly symmetric C (sample_cov's) is not read again
+    worst, skew = (0.0, 0.0) if _is_symmetric(C) else _asymmetry(C, e)
+    if not worst <= ASYMMETRY_TOL:
+        raise ValueError(f"input asymmetric beyond {ASYMMETRY_TOL}")
     (spec,), (lams,) = _resolve((J,), None if spec is None else (spec,),
                                 None if lams is None else (lams,))
     sp = axis_spectrum(t, spec)  # a J too short for the basis raises here
+
+    # C is projected as given; its symmetric part and its rebuilt diagonal
+    # are linear changes of the data, so they are made on the core and y'y
+    fit = _SpectralFit(C, (sp, sp), scan)
+    if worst:
+        fit.Ytilde = fit.Ytilde * 0.5 + fit.Ytilde.T * 0.5
+        fit.yty -= skew
     if exclude_diagonal:
         # white noise inflates only the exact diagonal; rebuild it from the
-        # first off-diagonal, whose entries are noise-free in expectation
-        C = C if copied else C.copy()
-        off = np.diag(C, 1)
-        d_new = np.empty(J)
-        d_new[0], d_new[-1] = off[0], off[-1]
-        d_new[1:-1] = off[:-1] * 0.5 + off[1:] * 0.5
-        C[np.diag_indices_from(C)] = d_new
-        scan = _scan_values("C", C)
-
-    fit = _SpectralFit(C, (sp, sp), scan)
+        # symmetric first off-diagonal, noise-free in expectation
+        off = np.diag(C, 1) * 0.5 + np.diag(C, -1) * 0.5
+        d_new = np.r_[off[0], off[:-1] * 0.5 + off[1:] * 0.5, off[-1]]
+        new, old = np.ldexp(d_new, -e), np.ldexp(np.diag(C), -e)
+        A = _expand_axis(sp.coef_map, 0, sp.blocks, J)
+        fit.Ytilde += A.T @ ((new - old)[:, None] * A)
+        fit.yty += np.sum(new * new) - np.sum(old * old)
     (k,), gcv, edf = fit.select((lams,), shared=True)
     lam = float(lams[k])
 
@@ -367,8 +361,7 @@ def simulate_fda(case: int, n: int, J: int, sigma: float, seed: int,
     drawn first (n x 4), then noise (n x J), from one sequential stream
     keyed by the seed.
     """
-    if t is None:
-        t = midpoints(J)
+    t = midpoints(J) if t is None else t
     psi = eigenfunction_set(case, t)
     gen = CounterNormals(seed)
     xi = gen.normals((n, 4))

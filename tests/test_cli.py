@@ -271,6 +271,7 @@ MALFORMED = [
 ]
 
 
+PROFILE_RULE = "n and knots must be >= 1, lambda finite and > 0"
 OUT_OF_RANGE = [
     ("smooth-grid", "--degree", "3,-1", "must be >= 0"),
     ("smooth-grid", "--penalty-order", "0", "must be >= 1"),
@@ -285,13 +286,22 @@ OUT_OF_RANGE = [
     ("simulate", "--function", "f3", "must be one of ['f1', 'f2']"),
     ("simulate", "--sigma", "-0.5", "must be >= 0"),
     ("simulate", "--sigma", "nan", "must be >= 0"),
+    ("simulate", "--sigma", "inf", "must be finite"),
+    ("simulate", "--seed", "-3", "must be >= 0"),
+    ("simulate", "--seed", str(2**128 - 1), "seed + reps - 1 must be < 2**128"),
     ("simulate", "--case", "3", "must be one of [1, 2]"),
     ("simulate", "--size", "20,1", "must be >= 2"),
     ("kernel-check", "--orders", "1,0", "must be >= 1"),
     ("kernel-check", "--degree", "-1", "must be >= 0"),
     ("kernel-check", "--degree", "2,3", "expected an integer"),
     ("kernel-check", "--penalty-order", "0", "must be >= 1"),
+    ("kernel-check", "--profile", "50,10,nan", PROFILE_RULE),
+    ("kernel-check", "--profile", "50,10,0", PROFILE_RULE),
+    ("kernel-check", "--profile", "1,0,-1", PROFILE_RULE),
+    ("kernel-check", "--profile", "0,10,1", PROFILE_RULE),
     ("bench", "--sizes", "20,1", "must be >= 2"),
+    ("bench", "--seed", "-1", "must be >= 0"),
+    ("bench", "--seed", str(2**128), "must be < 2**128"),
 ]
 
 

@@ -173,24 +173,41 @@ class TestSmoothCov:
 
     @pytest.mark.parametrize("J", [2, 127, 128, 129, 300])
     def test_tiled_symmetrize_is_exact(self, J):
+        # _asymmetry reads what symmetrizing removes, in mirrored tile pairs
         rng = np.random.default_rng(J)
         M = rng.normal(size=(J, J))
         C = M + M.T + 1e-3 * rng.normal(size=(J, J))
+        D = C - C.T
+        worst, skew = fda._asymmetry(C)
+        assert worst == np.max(np.abs(D))
+        npt.assert_allclose(skew, np.sum((D / 2) ** 2), rtol=1e-13)
+        # the scale 2^-e is applied before squaring: exact for powers of two
+        assert fda._asymmetry(C, -3)[1] == np.ldexp(skew, 6)
         C[0, -1] = np.inf
-        worst, sym = fda._symmetrize(C)
-        assert worst == np.max(np.abs(C - C.T))
-        assert np.array_equal(sym, 0.5 * (C + C.T))
+        assert fda._asymmetry(C) == (np.inf, np.inf)
         C[-1, 0] = np.nan
-        assert np.isnan(fda._symmetrize(C)[0])
+        assert np.all(np.isnan(fda._asymmetry(C)))
 
     def test_half_sums_do_not_overflow(self):
-        C = np.full((3, 3), 1.5 * 2.0 ** 1023)
-        C[0, 1] = 2.0 ** 1023
+        # the half-sums, of the core and of the first off-diagonal, run on
+        # the scaled values, and the skew is scaled before it is squared, so
+        # nothing overflows; a difference past the float range is an
+        # asymmetry, not a warning
+        C = np.ldexp(sample_cov(simulate_fda(2, 30, 40, 0.5, seed=4)), 1020)
+        C[3, 30], C[30, 3] = 0.0, 5e-9
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, sym = fda._symmetrize(C)
-        assert sym[0, 1] == sym[1, 0] == 1.25 * 2.0 ** 1023
-        assert np.array_equal(np.delete(sym.ravel(), [1, 3]), np.delete(C.ravel(), [1, 3]))
+            for exclude_diagonal in (False, True):
+                got = smooth_cov(C, exclude_diagonal=exclude_diagonal)
+                want = smooth_cov(symmetric_copy(C, exclude_diagonal))
+                assert (got.lam, got.edf) == (want.lam, want.edf)
+                scale = np.max(np.abs(want.smoothed_cov))
+                assert np.isfinite(scale)
+                assert np.max(np.abs(got.smoothed_cov - want.smoothed_cov)) <= 1e-13 * scale
+            big = np.finfo(float).max
+            C[0, 1], C[1, 0] = -big, big
+            with pytest.raises(ValueError, match="asymmetric"):
+                smooth_cov(C)
 
     @pytest.mark.parametrize("J", [1, 127, 128, 129, 300])
     def test_exact_symmetry_check(self, J):
@@ -434,14 +451,21 @@ class TestEigenpairs:
         assert hits >= 90
 
 
+def symmetric_copy(C, exclude_diagonal=False):
+    """The matrix smooth_cov smooths: the symmetric part of C, its diagonal
+    rebuilt from the first off-diagonal if asked, as a new J x J array."""
+    S = C * 0.5 + C.T * 0.5
+    if exclude_diagonal:
+        off = np.diag(S, 1)
+        S[np.diag_indices_from(S)] = np.r_[off[0], off[:-1] * 0.5 + off[1:] * 0.5, off[-1]]
+    return S
+
+
 def dense_smoothed(C, lam, exclude_diagonal=False):
     """A K A' from the dense J x J expressions: the symmetrized C, its
     diagonal rebuilt if asked, projected, shrunk and reconstructed."""
-    C = 0.5 * (C + C.T)
+    C = symmetric_copy(C, exclude_diagonal)
     J = C.shape[0]
-    if exclude_diagonal:
-        off = np.diag(C, 1)
-        C[np.diag_indices(J)] = np.r_[off[0], 0.5 * (off[:-1] + off[1:]), off[-1]]
     sp = axis_spectrum(midpoints(J), AxisSpec(knot_segments=auto_knot_segments(J)))
     A = dense_factor(sp, midpoints(J))
     st = shrink_weights(sp.s, lam)
@@ -457,6 +481,20 @@ def indefinite(J, seed):
     return (F.T * rng.normal(size=6)) @ F + 0.1 * np.outer(t, t)
 
 
+def skewed(C, seed):
+    """C plus 1e-9 N(0, 1) noise in every entry: asymmetric within
+    ASYMMETRY_TOL."""
+    return C + 1e-9 * np.random.default_rng(seed).normal(size=C.shape)
+
+
+def cov_input(kind, J):
+    """A test matrix for smooth_cov: a sample covariance or an indefinite
+    matrix, exactly symmetric or skewed."""
+    C = (sample_cov(simulate_fda(1, 40, J, 0.5, seed=J)) if kind.startswith("cov")
+         else symmetric_copy(indefinite(J, J + 2)))
+    return skewed(C, J + 3) if kind.endswith("skewed") else C
+
+
 class TestSymmetricSmoother:
     """The smoothed matrix X X' - Z Z' from one eigh of the c x c core."""
 
@@ -465,6 +503,8 @@ class TestSymmetricSmoother:
         (lambda J: sample_cov(simulate_fda(2, 40, J, 0.5, seed=J)), True),
         (lambda J: indefinite(J, J), False),
         (lambda J: indefinite(J, J + 1), True),
+        (lambda J: skewed(sample_cov(simulate_fda(1, 40, J, 0.5, seed=J)), J), False),
+        (lambda J: skewed(indefinite(J, J + 1), J), True),
     ])
     @pytest.mark.parametrize("J", [60, 300])
     def test_matches_the_dense_smoother(self, make, exclude_diagonal, J):
@@ -488,8 +528,8 @@ class TestSymmetricSmoother:
 
     @pytest.mark.parametrize("exclude_diagonal", [False, True])
     def test_tolerance_path_keeps_the_bits(self, monkeypatch, exclude_diagonal):
-        # an exactly symmetric C read in place, or copied by _symmetrize as
-        # an input within the asymmetry tolerance is: the same fit
+        # an exactly symmetric C, or the same C taken down the path of an
+        # input within the asymmetry tolerance (its skew is zero): the same fit
         C = sample_cov(simulate_fda(1, 50, 200, 0.5, seed=12))
         fast = smooth_cov(C, exclude_diagonal=exclude_diagonal)
         monkeypatch.setattr(fda, "_is_symmetric", lambda C: False)
@@ -497,6 +537,41 @@ class TestSymmetricSmoother:
         assert (slow.lam, slow.edf, slow.gcv_value) == (fast.lam, fast.edf, fast.gcv_value)
         assert np.array_equal(slow.smoothed_cov, fast.smoothed_cov)
         assert np.array_equal(slow.eigenvalues, fast.eigenvalues)
+
+    @pytest.mark.parametrize("exclude_diagonal", [False, True])
+    @pytest.mark.parametrize("kind", ["cov", "cov skewed", "indefinite",
+                                      "indefinite skewed"])
+    @pytest.mark.parametrize("J", [60, 300])
+    def test_fits_the_symmetrized_rebuilt_copy(self, J, kind, exclude_diagonal):
+        # the symmetric part and the rebuilt diagonal are applied on the
+        # c x c core; the fit equals that of the J x J copy they describe
+        C = cov_input(kind, J)
+        S = symmetric_copy(C, exclude_diagonal)
+        got, want = smooth_cov(C, exclude_diagonal=exclude_diagonal), smooth_cov(S)
+        assert (got.lam, got.edf) == (want.lam, want.edf)
+        M = got.smoothed_cov
+        assert np.array_equal(M, M.T)
+        assert np.max(np.abs(M - want.smoothed_cov)) <= 1e-13 * np.max(np.abs(M))
+        # GCV to 1e-12 relative, or to the fast form's cancellation noise
+        # (1e-14 y'y, scored as a GCV) where the fit leaves almost no SSE,
+        # as on the smooth indefinite matrices
+        n = S.size
+        noise = 1e-14 * np.sum(S * S) / n / (1.0 - want.edf / n) ** 2
+        assert abs(got.gcv_value - want.gcv_value) <= max(1e-12 * want.gcv_value, noise)
+
+    @pytest.mark.parametrize("exclude_diagonal", [False, True])
+    @pytest.mark.parametrize("kind", ["cov", "cov skewed"])
+    def test_input_is_never_copied(self, kind, exclude_diagonal):
+        # the J x J output and J x c factors; a copy of C or a J x J
+        # temporary makes it 2 x or more
+        C = cov_input(kind, 2000)
+        tracemalloc.start()
+        try:
+            smooth_cov(C, exclude_diagonal=exclude_diagonal)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * C.nbytes
 
     def test_exactly_symmetric_input_is_not_copied(self):
         C = sample_cov(simulate_fda(1, 50, 1500, 0.5, seed=13))

@@ -376,9 +376,10 @@ def plain_fit_array(data, specs, grids):
 
 def plain_cov_selection(C, lams):
     """smooth_cov's lambda search with ||C||^2 summed by chunked_sum_sq over
-    a scaled copy of C, read off the diagonal of the full L x L GCV
-    table."""
-    _, C = fda._symmetrize(np.asarray(C, dtype=float))
+    a scaled copy of C's symmetric part, in C's memory layout, read off the
+    diagonal of the full L x L GCV table."""
+    C = np.asarray(C, dtype=float)
+    C = np.add(C * 0.5, C.T * 0.5, out=np.empty_like(C))
     J = C.shape[0]
     sp = axis_spectrum(midpoints(J), AxisSpec(knot_segments=auto_knot_segments(J)))
     e = _scale_exponent(C)
