@@ -33,7 +33,7 @@ from sandsmooth.fda import (
     simulate_fda,
     smooth_cov,
 )
-from sandsmooth.glam import ArrayData, MultiFit, fit_array
+from sandsmooth.glam import ArrayData, fit_array
 from sandsmooth.kernelcheck import (
     AsymptoticReport,
     EquivalentKernel,
@@ -94,7 +94,6 @@ __all__ = [
     "bin_scatter",
     "iterative_fit",
     "ArrayData",
-    "MultiFit",
     "fit_array",
     "CovModel",
     "CurveSet",

@@ -29,12 +29,13 @@ from .sandwich2d import (
     _contract,
     _expand,
     _expand_axis,
+    _exponent,
     _gcv,
+    _name_non_finite,
     _pick,
     _project,
     _project_axis,
     _resolve,
-    _scale_exponent,
     _shrink_table,
     _sse_table,
     _sum_sq,
@@ -142,17 +143,22 @@ def _bin_index(coords: np.ndarray, n_bins: int) -> np.ndarray:
 
 
 def bin_scatter(data: ScatterData, i1: int, i2: int) -> BinnedGrid:
-    """Average the responses within each cell of an i1 x i2 partition."""
+    """Average the responses within each cell of an i1 x i2 partition; sums
+    past the float range are taken again on y * 2^-e, with 2^e above every
+    count, and the means scaled back exactly."""
     if i1 < 1 or i2 < 1:
         raise ValueError("bin counts must be at least 1")
     kappa = _bin_index(data.x, i1)
     ell = _bin_index(data.z, i2)
     flat = kappa * i2 + ell
     counts = np.bincount(flat, minlength=i1 * i2).reshape(i1, i2)
-    sums = np.bincount(flat, weights=data.y, minlength=i1 * i2).reshape(i1, i2)
+    e, sums = 0, np.bincount(flat, weights=data.y, minlength=i1 * i2)
+    if not np.isfinite(sums).all():
+        e = int(counts.max()).bit_length()
+        sums = np.bincount(flat, weights=np.ldexp(data.y, -e), minlength=i1 * i2)
     means = np.full((i1, i2), np.nan)
     occupied = counts > 0
-    means[occupied] = sums[occupied] / counts[occupied]
+    means[occupied] = np.ldexp(sums.reshape(i1, i2)[occupied] / counts[occupied], e)
     return BinnedGrid(
         means=means,
         counts=counts,
@@ -331,7 +337,7 @@ def iterative_fit(
         return ScatterFit(fit, binned, 1, True, (), fit.sse, fit.gcv_value, n_eff)
 
     # as in select_lambda, the passes work on Y * 2^-e
-    e = _scale_exponent(data.y)
+    e = _exponent(data.y.min(), data.y.max())
     means = np.where(occupied, np.ldexp(binned.means, -e), 0.0)
     sx, sz = _axis_spectra((binned.x_centers, binned.z_centers), specs)
     _require_determined(occupied, sx, sz)
@@ -359,7 +365,11 @@ def iterative_fit(
     cycle = order[order.index(repeat):] if repeat is not None else order[-1:]
     best = min(cycle, key=lambda p: solved[p][0])
     gcv_val, sse_val, Y, resid = solved[best]
-    gdata = GridData(np.ldexp(Y, e), binned.x_centers, binned.z_centers)
+    with np.errstate(over="ignore"):
+        Y = np.ldexp(Y, e)
+    if not np.isfinite(Y).all():  # only an empty cell's fit can pass the range
+        _name_non_finite("bins", Y, "past the float range", FloatingPointError)
+    gdata = GridData(Y, binned.x_centers, binned.z_centers)
     fit = select_lambda(gdata, specs, LambdaGrid([lam1[best[0]]], [lam2[best[1]]]))
     masked_sse, masked_gcv = _unscale(e, sse_val, gcv_val)
     return ScatterFit(fit, binned, iterations=searches,

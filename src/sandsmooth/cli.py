@@ -339,7 +339,7 @@ def _broadcast(values: tuple, d: int, name: str) -> tuple:
     if len(values) == 1:
         return values * d
     if len(values) != d:
-        raise ValueError(f"{name}: expected 1 or {d} values, got {len(values)}")
+        raise ValueError(f"--{name}: expected 1 or {d} values, got {len(values)}")
     return values
 
 
@@ -357,6 +357,10 @@ def fit_options(cfg: argparse.Namespace, lengths) -> tuple:
         if kw.get("knot_segments", "auto") == "auto":
             kw["knot_segments"] = auto_knot_segments(n)
     specs = tuple(AxisSpec(**kw) for kw in kws) if given else None
+    for axis, spec in enumerate(specs or ()):
+        if spec.n_basis <= spec.penalty_order:
+            raise ValueError(f"axis {axis}: --knots and --degree give {spec.n_basis} basis "
+                             f"functions, too few for --penalty-order {spec.penalty_order}")
     grids = cfg.lambda_grid and (LambdaGrid.default(*cfg.lambda_grid).lambda_x,) * d
     return specs, grids
 
@@ -472,7 +476,10 @@ def cmd_smooth_scatter(cfg: argparse.Namespace) -> int:
 
 
 def cmd_smooth_cov(cfg: argparse.Namespace) -> int:
-    t, Y = read_curves_csv(_require_input(cfg))
+    path = _require_input(cfg)
+    t, Y = read_curves_csv(path)
+    if min(Y.shape) < 2:
+        raise FileFormatError(f"{path}: {len(Y)} curves of {t.size} points; need 2 of each")
     curves = CurveSet(Y, t)
     C = sample_cov(curves, center=cfg.center)
     specs, grids = fit_options(cfg, (curves.J,))
@@ -524,6 +531,8 @@ def cmd_smooth_array(cfg: argparse.Namespace) -> int:
         raise FileFormatError(f"{path}: an .npz archive; smooth-array reads one .npy array")
     if values.dtype.kind not in "biuf":
         raise FileFormatError(f"{path}: dtype {values.dtype} is not bool, integer or float")
+    if values.ndim < 2:
+        raise FileFormatError(f"{path}: shape {values.shape}; smooth-array needs 2 axes")
     data = ArrayData.on_midpoints(np.asarray(values, dtype=float))
     t0 = time.perf_counter()
     fit = fit_array(data, *fit_options(cfg, values.shape))

@@ -18,15 +18,16 @@ eigenvectors V = B (F U), B applied through its row blocks; so
 smooth_cov never decomposes a J x J matrix, and one eigh of K also gives
 the smoothed matrix X X' - Z Z' (X = V_+ sqrt(w_+), Z = V_- sqrt(-w_-)),
 built in strips of rows (_gram), symmetric by construction.  smooth_cov
-reads C and writes one J x J matrix, the smoothed one: a check, in
-mirrored pairs of cache-sized tiles, that C equals C' exactly, the scan,
-summed in chunks (_scan_values), and the projection's first product,
-through the row blocks (_project).  The fit runs on C * 2^-e without a
-scaled copy: the power of two rides in the row blocks of the projection
-and in X and Z, so entries near the float maximum smooth without
-overflow.  A C asymmetric within ASYMMETRY_TOL is smoothed as (C + C')/2,
-taken on the projected core, with y'y less the squares of the
-antisymmetric part, which is orthogonal to it (_asymmetry).
+reads C and writes one J x J matrix, the smoothed one: the exact
+symmetry check (_asymmetry, over mirrored pairs of cache-sized tiles,
+subtracting only pairs that differ), the scan, summed in chunks
+(_scan_values), and the projection's first product, through the row
+blocks (_project).  The fit runs on C * 2^-e without a scaled copy: the
+power of two rides in the row blocks of the projection and in X and Z,
+so entries near the float maximum smooth without overflow.  A C
+asymmetric within ASYMMETRY_TOL is smoothed as (C + C')/2, taken on the
+projected core, with y'y less the squares of the antisymmetric part,
+which is orthogonal to it (_asymmetry).
 
 The raw matrix is smoothed as-is, noise-inflated diagonal included; pass
 exclude_diagonal=True to replace the diagonal with NaN-free interpolation
@@ -50,6 +51,8 @@ from .rng import CounterNormals, replicate_seed
 from .sandwich2d import (
     _expand_axis,
     _exponent,
+    _gcv_shared,
+    _pick,
     _resolve,
     _scan_values,
     _SpectralFit,
@@ -74,9 +77,9 @@ __all__ = [
 ]
 
 ASYMMETRY_TOL = 1e-8
-# Side of the square tiles _is_symmetric and _asymmetry visit in mirrored
-# pairs (a pair of 128 x 128 float64 tiles, 256 KB, stays in a core's L2
-# cache), and height of the row strips _gram builds.
+# Side of the square tiles _asymmetry, the exact symmetry check, visits in
+# mirrored pairs (a pair of 128 x 128 float64 tiles, 256 KB, stays in a
+# core's L2 cache), and height of the row strips _gram builds.
 SYM_TILE = 128
 
 
@@ -176,12 +179,13 @@ def sample_cov(curves: CurveSet, center: bool = False) -> np.ndarray:
     """Sample second-moment matrix (1/n) sum_i Y_i Y_i'.
 
     With center=True the mean curve is subtracted first; the divisor
-    stays n either way.
-    """
+    stays n either way.  Moments past the float range read inf or NaN,
+    without a warning; smooth_cov names the first."""
     if curves.n < 2:
         raise ValueError("need at least 2 curves")
-    Y = curves.Y - curves.Y.mean(axis=0) if center else curves.Y
-    return (Y.T @ Y) / curves.n
+    with np.errstate(over="ignore", invalid="ignore"):
+        Y = curves.Y - curves.Y.mean(axis=0) if center else curves.Y
+        return (Y.T @ Y) / curves.n
 
 
 def _eigensystem(w: np.ndarray, V: np.ndarray, e: int = 0
@@ -196,11 +200,6 @@ def _eigensystem(w: np.ndarray, V: np.ndarray, e: int = 0
         if nonzero.size and row[nonzero[0]] < 0:
             row *= -1.0
     return np.ldexp(w[::-1] / J, e), funcs
-
-
-def _decompose(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigensystem of a symmetric matrix, as _eigensystem scales it."""
-    return _eigensystem(*np.linalg.eigh(matrix))
 
 
 def _gram(V: np.ndarray, w: np.ndarray, e: int) -> np.ndarray:
@@ -227,27 +226,15 @@ def _gram(V: np.ndarray, w: np.ndarray, e: int) -> np.ndarray:
     return out
 
 
-def _mirrored_tiles(J: int):
-    """(rows, cols) of the SYM_TILE tiles on and above the diagonal of a
-    J x J matrix; C[cols, rows] is each one's mirror."""
-    for a in range(0, J, SYM_TILE):
-        for b in range(a, J, SYM_TILE):
-            yield slice(a, a + SYM_TILE), slice(b, b + SYM_TILE)
-
-
-def _is_symmetric(C: np.ndarray) -> bool:
-    """C == C' exactly, read in mirrored pairs of tiles; no copy of C is
-    made.  NaN is unequal to itself, so a NaN entry reads False."""
-    return all(np.array_equal(C[rows, cols], C[cols, rows].T)
-               for rows, cols in _mirrored_tiles(C.shape[0]))
-
-
 def _asymmetry(C: np.ndarray, e: int = 0) -> tuple[float, float]:
     """(max|C - C'|, the sum of the squares of (C - C') / 2 * 2^-e, scaled
-    before squaring), read in mirrored pairs of tiles; equal pairs are
-    skipped and nothing is written.  NaN propagates into both."""
+    before squaring), read in mirrored pairs of SYM_TILE tiles; equal pairs
+    are skipped, so an exactly symmetric C reads (0.0, 0.0), and nothing is
+    written.  NaN propagates into both."""
     worst, squares, k = [0.0], [0.0], 2.0 ** (-e - 1)
-    for rows, cols in _mirrored_tiles(C.shape[0]):
+    J = C.shape[0]
+    for rows, cols in ((slice(a, a + SYM_TILE), slice(b, b + SYM_TILE))
+                       for a in range(0, J, SYM_TILE) for b in range(a, J, SYM_TILE)):
         upper, lower = C[rows, cols], C[cols, rows].T
         if not np.array_equal(upper, lower):
             with np.errstate(over="ignore"):  # a difference past the float range
@@ -279,8 +266,7 @@ def smooth_cov(C: np.ndarray, spec: AxisSpec | None = None,
         raise ValueError(f"t has {t.size} points for J = {J}")
     scan = _scan_values("C", C)  # names a non-finite entry
     e = _exponent(scan.low, scan.high)
-    # an exactly symmetric C (sample_cov's) is not read again
-    worst, skew = (0.0, 0.0) if _is_symmetric(C) else _asymmetry(C, e)
+    worst, skew = _asymmetry(C, e)  # (0.0, 0.0) on sample_cov's exact symmetry
     if not worst <= ASYMMETRY_TOL:
         raise ValueError(f"input asymmetric beyond {ASYMMETRY_TOL}")
     (spec,), (lams,) = _resolve((J,), None if spec is None else (spec,),
@@ -302,7 +288,9 @@ def smooth_cov(C: np.ndarray, spec: AxisSpec | None = None,
         A = _expand_axis(sp.coef_map, 0, sp.blocks, J)
         fit.Ytilde += A.T @ ((new - old)[:, None] * A)
         fit.yty += np.sum(new * new) - np.sum(old * old)
-    (k,), gcv, edf = fit.select((lams,), shared=True)
+    # only the L candidates with one lambda on both axes are scored
+    gcv, edf, _ = _gcv_shared(fit.Ytilde * fit.Ytilde, fit.yty, sp.s, lams, fit.n)
+    (k,) = _pick(gcv, fit.n, (lams,))
     lam = float(lams[k])
 
     # the smoothed core on the scale of C * 2^-e; one eigh serves both the
@@ -337,7 +325,7 @@ def eigenpairs(model, k: int, reference: np.ndarray | None = None
     if isinstance(model, CovModel):
         values, funcs = model.eigenvalues, model.eigenfunctions
     else:
-        values, funcs = _decompose(np.asarray(model, dtype=float))
+        values, funcs = _eigensystem(*np.linalg.eigh(np.asarray(model, dtype=float)))
     if not 1 <= k <= values.size:
         raise ValueError(f"asked for k = {k} pairs; 1 to {values.size} exist")
     values, funcs = values[:k].copy(), funcs[:k].copy()

@@ -6,7 +6,7 @@ sizes, but applying it is cheap: contract each axis with its thin smoother
 factor, one axis at a time (GLAM's rotated H-transform).
 
 Grids and arrays share one path, in sandwich2d: the data class ArrayData,
-the fit _fit and the result SandwichFit (MultiFit here).  fit_array is the
+the fit _fit and the result SandwichFit.  fit_array is the
 d-dimensional name over that fit, as select_lambda is the grid's, so for
 d = 2 the two return the same bits.  With every axis reduced to its
 spectrum, the SSE for every candidate tuple comes from contracting the
@@ -37,10 +37,7 @@ from .sandwich2d import (
     default_lambda_grids,
 )
 
-__all__ = ["ArrayData", "MultiFit", "fit_array", "MAX_GRID_COMBINATIONS",
-           "default_lambda_grids"]
-
-MultiFit = SandwichFit
+__all__ = ["ArrayData", "fit_array", "MAX_GRID_COMBINATIONS", "default_lambda_grids"]
 
 
 def fit_array(data: ArrayData, specs=None, grids=None) -> SandwichFit:

@@ -79,17 +79,21 @@ def _read_table(path: str):
     return lines[0], lines[1:]
 
 
-def _parse_body(path: str, body, width: int, tag: str = "") -> np.ndarray:
-    """Body lines as a (len(body), width) float array.
+def _parse_body(path: str, lineno: int, body, width: int, what: str,
+                tag: str = "") -> np.ndarray:
+    """Body lines under the header at lineno as a (len(body), width) float
+    array; no body lines raise, naming what the table lacks.
 
     With a tag, each line's first field must read '<tag>:<coord>'.  The
     per-field loop runs only when loadtxt fails or finds another width;
     it raises for the first bad field or returns what float() accepts
     and loadtxt does not (such as '1_0'), so both paths agree.
     """
+    if not body:
+        raise FileFormatError(f"{path}:{lineno + 1}: no {what} after the header")
     prefix = tag + ":" if tag else ""
     texts = [text for _, text in body]
-    if texts and all(text.startswith(prefix) for text in texts):
+    if all(text.startswith(prefix) for text in texts):
         try:
             values = np.loadtxt(
                 [text[len(prefix) :] for text in texts],
@@ -288,7 +292,7 @@ def read_grid_csv(path):
     z = np.array([_float(f, path, lineno, "z") for f in columns])
     if z.size == 0:
         raise FileFormatError(f"{path}:{lineno}: no z-tagged columns")
-    table = _parse_body(path, body, z.size + 1, "x")
+    table = _parse_body(path, lineno, body, z.size + 1, "rows", "x")
     x, values = table[:, 0], table[:, 1:]
     return np.ascontiguousarray(x), z, np.ascontiguousarray(values)
 
@@ -309,7 +313,7 @@ def read_scatter_csv(path):
     (lineno, header), body = _read_table(path)
     if [f.strip() for f in header.split(",")] != ["x", "z", "y"]:
         raise FileFormatError(f"{path}:{lineno}: header must be 'x,z,y'")
-    table = _parse_body(path, body, 3)
+    table = _parse_body(path, lineno, body, 3, "observations")
     return table[:, 0], table[:, 1], table[:, 2]
 
 
@@ -328,9 +332,7 @@ def read_curves_csv(path):
     """Parse a curves table back into (t, Y) with one curve per row."""
     (lineno, header), body = _read_table(path)
     t = np.array([_float(f, path, lineno, "t") for f in header.split(",")])
-    if not body:
-        raise FileFormatError(f"{path}:{lineno + 1}: no curves after the header")
-    return t, _parse_body(path, body, t.size)
+    return t, _parse_body(path, lineno, body, t.size, "curves")
 
 
 def _column_set(part):

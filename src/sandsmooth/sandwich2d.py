@@ -14,11 +14,11 @@ coordinate vector per axis; GridData is the same class for a matrix, with
 the names Y, x_coords and z_coords.  _fit runs every such fit (defaults and
 checks, the projection of _SpectralFit, one search over the candidate
 lists and the reconstruction) and returns one SandwichFit.  select_lambda
-here and glam.fit_array are thin names over it.  The covariance fit selects
-through _SpectralFit too, scoring only the candidates that share one lambda
-on both axes, and the scatter fit uses its projection and search.  Every
-fit takes its default specs and candidate lists, and the candidate rule,
-from _resolve.
+here and glam.fit_array are thin names over it.  The covariance fit
+projects through _SpectralFit too and scores only the candidates that
+share one lambda on both axes (_gcv_shared); the scatter fit uses the
+projection and the pick.  Every fit takes its default specs and
+candidate lists, and the candidate rule, from _resolve.
 
 Selection uses GCV = (SSE/n) / (1 - edf/n)^2, the standard form, with edf
 the product of the per-axis traces.  Exact ties go to the largest lambda
@@ -92,11 +92,10 @@ def require_finite(name: str, values: np.ndarray) -> None:
     _name_non_finite(name, values)
 
 
-def _name_non_finite(name: str, values: np.ndarray) -> NoReturn:
-    """Raise ValueError naming the first non-finite entry of values."""
+def _name_non_finite(name, values, rule="values must be finite", error=ValueError) -> NoReturn:
+    """Raise error naming the first non-finite entry of values and rule."""
     idx = tuple(int(i) for i in np.argwhere(~np.isfinite(values))[0])
-    raise ValueError(f"{name}[{', '.join(map(str, idx))}] is {values[idx]}; "
-                     "values must be finite")
+    raise error(f"{name}[{', '.join(map(str, idx))}] is {values[idx]}; {rule}")
 
 
 def require_coordinates(name: str, c: np.ndarray) -> None:
@@ -112,14 +111,19 @@ def require_coordinates(name: str, c: np.ndarray) -> None:
             raise ValueError(f"{name}[{i}] is {c[i]}; coordinates must {rule}")
 
 
+def _memory_order(a) -> np.ndarray:
+    """a's axes in memory order: by descending stride magnitude, C order on ties."""
+    return np.argsort(np.negative(np.abs(a.strides)), kind="stable")
+
+
 def _sum_sq(a, b=None, k=1.0, stats=None) -> float:
     """The sum of the squares of (a - b) * k, b None reading as zero,
     without a temporary the size of the data.
 
-    The walk takes a's axes in memory order (descending stride magnitude,
-    C order on ties; b follows a) and cuts them into chunks of at most
-    SUM_CHUNK entries: runs of whole sub-arrays along the first axis j
-    whose trailing sub-arrays fit, at every index of the axes before j.
+    The walk takes a's axes in memory order (_memory_order; b follows a)
+    and cuts them into chunks of at most SUM_CHUNK entries: runs of whole
+    sub-arrays along the first axis j whose trailing sub-arrays fit, at
+    every index of the axes before j.
     Each chunk is filled into one buffer, squared in place and summed by
     np.sum, and np.sum adds the chunk sums in order.  A blocked sum is
     within Higham's bound (SIAM J. Sci. Comput. 14, 1993) of the exact
@@ -129,7 +133,7 @@ def _sum_sq(a, b=None, k=1.0, stats=None) -> float:
     """
     if a.size == 0:
         return 0.0
-    order = np.argsort(np.negative(np.abs(a.strides)), kind="stable")
+    order = _memory_order(a)
     a = a.transpose(order)
     b = None if b is None else b.transpose(order)
     j = next(j for j in range(a.ndim) if math.prod(a.shape[j + 1:]) <= SUM_CHUNK)
@@ -158,7 +162,9 @@ def _sum_sq(a, b=None, k=1.0, stats=None) -> float:
 
 def _exponent(low, high) -> int:
     """e with max(|low|, |high|) * 2^-e in [0.5, 1), except that e stops at
-    -1022 so that 2^-e is finite."""
+    -1022 so that 2^-e is finite.  GCV selection is scale-free, so fits run
+    on values * 2^-e, low and high the values' extremes: no square
+    overflows, and scaling by a power of two is exact."""
     return max(math.frexp(float(max(high, -low)))[1], -1022)
 
 
@@ -391,14 +397,6 @@ def gcv_score(sse: float, edf: float, n: int) -> float:
     return (sse / n) / (1.0 - edf / n) ** 2
 
 
-def _scale_exponent(values: np.ndarray) -> int:
-    """e with max|values| * 2^-e in [0.5, 1), except that e stops at -1022
-    so that 2^-e is finite.  GCV selection is scale-free, so fits run on
-    values * 2^-e: no square overflows, and scaling by a power of two is
-    exact."""
-    return _exponent(values.min(), values.max())
-
-
 def _unscale(e, *squares):
     """Squared quantities of a fit on values * 2^-e, scaled back; those
     past the float range read inf."""
@@ -407,8 +405,8 @@ def _unscale(e, *squares):
 
 
 def _shrink_table(lams, s):
-    """Row i holds the spectral shrinkage 1/(1 + lams[i] s) of one candidate."""
-    return 1.0 / (1.0 + np.outer(lams, s))
+    """Row i holds the spectral shrinkage of one candidate, lams[i]."""
+    return shrink_weights(s, np.asarray(lams, dtype=float)[:, None])
 
 
 def _contract(W, tables):
@@ -505,15 +503,15 @@ def _project_axis(a, axis, blocks, c):
     """B' applied along axis of a, B of c columns in row blocks: each block
     adds B' times the rows it covers into its column window.  A part of a
     that no view can hold is copied, one block at a time."""
-    lead, trail = math.prod(a.shape[:axis]), math.prod(a.shape[axis + 1:])
-    out = np.zeros((lead, c, trail))
+    out = np.zeros(a.shape[:axis] + (c,) + a.shape[axis + 1:])
+    dest = _axis_view(out, axis)
     for rows, cols, B in blocks:
-        part = a[(slice(None),) * axis + (rows,)].reshape(lead, -1, trail)
-        if trail == 1:  # one GEMM over the leading axes, not one per entry
-            out[:, cols, 0] += part[:, :, 0] @ B
+        part = _axis_view(a[(slice(None),) * axis + (rows,)], axis)
+        if dest.shape[2] == 1:  # one GEMM over the leading axes, not one per entry
+            dest[:, cols, 0] += part[:, :, 0] @ B
         else:
-            out[:, cols] += np.matmul(B.T, part)
-    return out.reshape(a.shape[:axis] + (c,) + a.shape[axis + 1:])
+            dest[:, cols] += np.matmul(B.T, part)
+    return out
 
 
 def _expand_axis(a, axis, blocks, n):
@@ -555,12 +553,15 @@ class _SpectralFit:
     """The smoother of values on the axes of spectra, run on values * 2^-e
     (e from the extremes in scan, the values' _scan_values) so that no
     square overflows; GCV selection is scale-free.  Every candidate score
-    and the fit share one projection."""
+    and the fit share one projection.  B_k' and B_k run along the values'
+    axes in memory order; every result keeps the caller's axis order."""
 
     def __init__(self, values, spectra, scan):
         self.spectra, self.n = spectra, values.size
         self.e = _exponent(scan.low, scan.high)
-        self.Ytilde = _project(values, spectra, self.e)
+        self.order = order = _memory_order(values)
+        self.Ytilde = _project(values.transpose(order), [spectra[k] for k in order],
+                               self.e).transpose(np.argsort(order))
         self.yty = scan.scaled_sum_sq(values, self.e)
 
     def score(self, lams):
@@ -569,16 +570,10 @@ class _SpectralFit:
         return _gcv_table(self.Ytilde * self.Ytilde, self.yty,
                           [sp.s for sp in self.spectra], lams, self.n)
 
-    def select(self, lams, shared=False):
+    def select(self, lams):
         """(index tuple, GCV table, edf table) of the GCV winner among the
-        candidate tuples lams, one list per axis.  With shared, lams holds
-        one list whose every lambda serves both axes of a 2-D fit on one
-        spectrum, and only those candidates are scored (_gcv_shared)."""
-        if shared:
-            gcv, edf, _ = _gcv_shared(self.Ytilde * self.Ytilde, self.yty,
-                                      self.spectra[0].s, lams[0], self.n)
-        else:
-            gcv, edf, _ = self.score(lams)
+        candidate tuples lams, one list per axis."""
+        gcv, edf, _ = self.score(lams)
         return _pick(gcv, self.n, lams), gcv, edf
 
     def core(self, lambdas):
@@ -597,12 +592,18 @@ class _SpectralFit:
         the fast-form scores that drove selection; sse and gcv are exact
         for the returned fit (the fast form carries cancellation noise of
         order eps * y'y), with the SSE summed in the values' own memory
-        order."""
+        order.  Past the float range, Theta and sse read inf; a fitted value
+        raises FloatingPointError, sought only when sse is not finite."""
         coefs = _contract(self.core(lambdas), [sp.coef_map for sp in self.spectra])
-        fitted = _expand(coefs, self.spectra, self.e)
-        sse = _sum_sq(values, fitted, 2.0 ** -self.e)
+        with np.errstate(over="ignore"):
+            fitted = _expand(coefs.transpose(self.order), [self.spectra[k] for k in self.order],
+                             self.e).transpose(np.argsort(self.order))
+            sse = _sum_sq(values, fitted, 2.0 ** -self.e)
+            Theta = np.ldexp(coefs, self.e)
+        if not (math.isfinite(sse) or np.isfinite(fitted).all()):
+            _name_non_finite("fitted", fitted, "past the float range", FloatingPointError)
         sse, gcv, table = _unscale(self.e, sse, gcv_score(sse, edf, self.n), table)
-        return np.ldexp(coefs, self.e), fitted, float(sse), float(gcv), table
+        return Theta, fitted, float(sse), float(gcv), table
 
 
 def _fit(data: ArrayData, specs, grids) -> SandwichFit:

@@ -164,7 +164,10 @@ def axis_spectrum(points: np.ndarray, spec: AxisSpec) -> AxisSpectrum:
 
 
 def shrink_weights(s: np.ndarray, lam: float) -> np.ndarray:
-    """Elementwise 1 / (1 + lam * s); the spectral shrinkage at lambda."""
-    if lam < 0:
+    """Elementwise 1 / (1 + lam * s), the spectral shrinkage at lambda (0
+    where lam * s passes the float range, its limit); lam may be an array
+    that broadcasts against s."""
+    if np.min(lam) < 0:
         raise ValueError(f"smoothing parameter must be >= 0, got {lam}")
-    return 1.0 / (1.0 + lam * s)
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + lam * s)

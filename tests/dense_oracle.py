@@ -39,6 +39,11 @@ def trace_smoother(s, lam):
     return float(shrink_weights(s, lam).sum())
 
 
+def memory_order(a):
+    """a's axes by descending stride magnitude, ties in C order."""
+    return sorted(range(a.ndim), key=lambda axis: -abs(a.strides[axis]))
+
+
 def chunk_sums(a, b=None, k=1.0, chunk=1 << 16):
     """np.sum of each chunk of the squares of (a - b) * k (b None reading
     as zero), in order.  The squares are laid out in a's memory order, axes
@@ -46,9 +51,8 @@ def chunk_sums(a, b=None, k=1.0, chunk=1 << 16):
     With j the first axis whose trailing sub-arrays of T hold at most
     chunk entries, T is read as (lead, n_j, rest), and a chunk is
     chunk // rest consecutive sub-arrays of one lead index."""
-    order = sorted(range(a.ndim), key=lambda axis: -abs(a.strides[axis]))
     t = (a if b is None else a - b) * k
-    T = np.ascontiguousarray(t.transpose(order)) ** 2
+    T = np.ascontiguousarray(t.transpose(memory_order(a))) ** 2
     j = min(i for i in range(T.ndim) if math.prod(T.shape[i + 1:]) <= chunk)
     rest = math.prod(T.shape[j + 1:])
     rows = T.reshape(-1, T.shape[j], rest)

@@ -211,14 +211,20 @@ class TestSmoothCov:
 
     @pytest.mark.parametrize("J", [1, 127, 128, 129, 300])
     def test_exact_symmetry_check(self, J):
+        # _asymmetry is the exact check: (max |C - C'|, squares) reads 0.0
+        # on an exactly symmetric C, and a NaN propagates into the max
         rng = np.random.default_rng(J)
         M = rng.normal(size=(J, J))
         C = M + M.T
-        assert fda._is_symmetric(C)
+        assert fda._asymmetry(C) == (0.0, 0.0)
         C[J // 3, J - 1] = np.nextafter(C[J // 3, J - 1], np.inf)
-        assert fda._is_symmetric(C) == (J // 3 == J - 1)
+        worst, squares = fda._asymmetry(C)
+        if J // 3 == J - 1:  # a diagonal entry is its own mirror
+            assert (worst, squares) == (0.0, 0.0)
+        else:
+            assert worst > 0.0 and squares > 0.0
         C[J - 1, J - 1] = np.nan
-        assert not fda._is_symmetric(C)
+        assert np.isnan(fda._asymmetry(C)[0])
 
     def test_asymmetry_tolerance_is_inclusive(self):
         # one mirrored pair, in tiles on either side of the diagonal
@@ -527,18 +533,6 @@ class TestSymmetricSmoother:
         assert model.eigenvalues.min() < -1e-3 * model.eigenvalues.max()
 
     @pytest.mark.parametrize("exclude_diagonal", [False, True])
-    def test_tolerance_path_keeps_the_bits(self, monkeypatch, exclude_diagonal):
-        # an exactly symmetric C, or the same C taken down the path of an
-        # input within the asymmetry tolerance (its skew is zero): the same fit
-        C = sample_cov(simulate_fda(1, 50, 200, 0.5, seed=12))
-        fast = smooth_cov(C, exclude_diagonal=exclude_diagonal)
-        monkeypatch.setattr(fda, "_is_symmetric", lambda C: False)
-        slow = smooth_cov(C, exclude_diagonal=exclude_diagonal)
-        assert (slow.lam, slow.edf, slow.gcv_value) == (fast.lam, fast.edf, fast.gcv_value)
-        assert np.array_equal(slow.smoothed_cov, fast.smoothed_cov)
-        assert np.array_equal(slow.eigenvalues, fast.eigenvalues)
-
-    @pytest.mark.parametrize("exclude_diagonal", [False, True])
     @pytest.mark.parametrize("kind", ["cov", "cov skewed", "indefinite",
                                       "indefinite skewed"])
     @pytest.mark.parametrize("J", [60, 300])
@@ -593,7 +587,7 @@ class TestRankCEigensystem:
         curves = simulate_fda(1, 100, J, 0.5, seed=31)
         model = smooth_cov(sample_cov(curves), exclude_diagonal=exclude_diagonal)
         assert model.eigenvalues.size == model.spec.n_basis
-        dense_vals, dense_funcs = fda._decompose(model.smoothed_cov)
+        dense_vals, dense_funcs = fda._eigensystem(*np.linalg.eigh(model.smoothed_cov))
         npt.assert_allclose(model.eigenvalues[:4], dense_vals[:4], rtol=1e-12)
         npt.assert_allclose(model.eigenfunctions[:4], dense_funcs[:4], atol=1e-10)
         gram = model.eigenfunctions @ model.eigenfunctions.T / J

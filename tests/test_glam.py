@@ -8,7 +8,6 @@ from sandsmooth.basis import AxisSpec, design_matrix, diff_matrix
 from sandsmooth.glam import (
     MAX_GRID_COMBINATIONS,
     ArrayData,
-    MultiFit,
     default_lambda_grids,
     fit_array,
 )
@@ -182,6 +181,23 @@ class TestFitArray:
         data = ArrayData.on_midpoints(np.full((6, 7, 8), 2.5))
         grids = ([1.0, 1e3, 1e-3], [1e3, 1e-3, 1.0], [1e-3, 1.0, 1e3])
         assert fit_array(data, grids=grids).lambdas == (1e3, 1e3, 1e3)
+
+    @pytest.mark.parametrize("shape, order", [((40, 50), (1, 0)),
+                                              ((12, 13, 14), (2, 0, 1))])
+    def test_memory_order_fits_match_the_c_order_fit(self, shape, order):
+        # the products run along the values' axes in memory order; the fit
+        # is the C-order one to rounding (edf is a product of traces taken
+        # in another order), and fitted keeps the values' layout
+        values = np.random.default_rng(4).normal(size=shape) + np.linspace(0, 1, shape[-1])
+        laid = np.ascontiguousarray(values.transpose(order)).transpose(np.argsort(order))
+        assert np.array_equal(laid, values) and not laid.flags.c_contiguous
+        want = fit_array(ArrayData.on_midpoints(values))
+        got = fit_array(ArrayData.on_midpoints(laid))
+        assert got.lambdas == want.lambdas
+        assert abs(got.edf - want.edf) <= 1e-13 * want.edf
+        scale = np.max(np.abs(want.fitted))
+        assert np.max(np.abs(got.fitted - want.fitted)) <= 1e-13 * scale
+        assert got.fitted.transpose(order).flags.c_contiguous
 
     @pytest.mark.parametrize("shift", [530, -530, 3])
     def test_power_of_two_scaling_is_exact(self, shift):

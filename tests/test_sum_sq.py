@@ -7,7 +7,7 @@ bits of chunked_sum_sq, which applies the same rule to a data-sized
 temporary, stay within the blocked-summation error bound of math.fsum, and
 equal np.sum's bits when the array is one chunk; the bits must not depend
 on the number of BLAS threads.  The scan must give the scaling exponent
-and y'y that _scale_exponent and _sum_sq give.  The banded products must
+and y'y that _exponent and _sum_sq give.  The banded products must
 match the dense factors to 1e-12 and scale by powers of two exactly.  Each
 fit is checked against a reference copy of its computation that runs the
 banded products on a plainly scaled copy of the data and takes y'y and the
@@ -40,7 +40,6 @@ from sandsmooth.sandwich2d import (
     _gcv_table,
     _pick,
     _project,
-    _scale_exponent,
     _scan_values,
     _sum_sq,
     _unscale,
@@ -50,7 +49,7 @@ from sandsmooth.sandwich2d import (
 from sandsmooth.spectra import axis_spectrum, shrink_weights
 from sandsmooth.surfaces import midpoints
 
-from dense_oracle import chunked_sum_sq, dense_factor, within_fsum_bound
+from dense_oracle import chunked_sum_sq, dense_factor, memory_order, within_fsum_bound
 
 
 def bits(x):
@@ -178,7 +177,7 @@ class TestScan:
     def test_exponent_and_yty_keep_their_bits(self, case, layout, monkeypatch):
         _, values, fallback = case
         values = laid_out(values, layout)
-        e = _scale_exponent(values)
+        e = _exponent(values.min(), values.max())
         with np.errstate(over="ignore"):
             want = chunked_sum_sq(values, k=2.0 ** -e)
             whole = chunked_sum_sq(values)
@@ -320,15 +319,23 @@ class TestBandedProducts:
         assert bits(_expand(coefs, spectra, -700)) == bits(np.ldexp(got, -700))
 
 
+def in_memory_order(op, a, spectra, values):
+    """op (_project or _expand) applied to a along the axes of values in
+    their memory order, as every fit runs it; the result in the caller's
+    axis order."""
+    order = memory_order(values)
+    return op(a.transpose(order), [spectra[k] for k in order]).transpose(np.argsort(order))
+
+
 def plain_select_lambda(data, specs, grid):
     """select_lambda's computation with y'y and the exact SSE summed by
     chunked_sum_sq over a scaled copy of Y, the SSE of its difference from
     the fit."""
     sx = axis_spectrum(data.x_coords, specs[0])
     sz = axis_spectrum(data.z_coords, specs[1])
-    e = _scale_exponent(data.Y)
+    e = _exponent(data.Y.min(), data.Y.max())
     Ys = np.ldexp(data.Y, -e)
-    Ytilde = _project(Ys, (sx, sz))
+    Ytilde = in_memory_order(_project, Ys, (sx, sz), Ys)
     yty = chunked_sum_sq(Ys)
     W = Ytilde * Ytilde
     n = data.n
@@ -339,7 +346,7 @@ def plain_select_lambda(data, specs, grid):
     st1 = shrink_weights(sx.s, l1)
     st2 = shrink_weights(sz.s, l2)
     core = st1[:, None] * Ytilde * st2[None, :]
-    fitted = _expand(sx.coef_map @ core @ sz.coef_map.T, (sx, sz))
+    fitted = in_memory_order(_expand, sx.coef_map @ core @ sz.coef_map.T, (sx, sz), Ys)
     sse_exact = chunked_sum_sq(Ys, fitted)
     assert within_fsum_bound(yty, Ys) and within_fsum_bound(sse_exact, Ys, fitted)
     sse_exact, gcv_exact, gcv = _unscale(
@@ -350,21 +357,22 @@ def plain_select_lambda(data, specs, grid):
 def plain_fit_array(data, specs, grids):
     """fit_array's computation with y'y and the exact SSE summed by
     chunked_sum_sq over data-sized temporaries, on the unscaled values
-    (scaling by k = 2^-e is exact).  As in select_lambda, the SSE sums in
-    the values' memory order (C or F)."""
+    (scaling by k = 2^-e is exact).  As in select_lambda, the products run
+    and the SSE sums in the values' memory order (C or F)."""
     spectra = [axis_spectrum(c, spec) for c, spec in zip(data.coords, specs)]
-    e = _scale_exponent(data.values)
+    e = _exponent(data.values.min(), data.values.max())
     k = 2.0 ** -e
-    Ytilde = _project(data.values, spectra)
+    Ytilde = in_memory_order(_project, data.values, spectra, data.values)
     yty = chunked_sum_sq(data.values, k=k)
     n = data.n
     gcv, edf, _ = _gcv_table((Ytilde * k) ** 2, yty, [sp.s for sp in spectra], grids, n)
     idx = _pick(gcv, n, grids)
     lambdas = tuple(float(g[i]) for g, i in zip(grids, idx))
-    core = Ytilde.copy()
+    core = Ytilde.copy(order="K")
     for axis, (sp, lam) in enumerate(zip(spectra, lambdas)):
         core *= shrink_weights(sp.s, lam).reshape((-1,) + (1,) * (data.ndim - 1 - axis))
-    fitted = _expand(_contract(core, [sp.coef_map for sp in spectra]), spectra)
+    coefs = _contract(core, [sp.coef_map for sp in spectra])
+    fitted = in_memory_order(_expand, coefs, spectra, data.values)
     sse_exact = chunked_sum_sq(data.values * k, fitted * k)
     assert within_fsum_bound(yty, data.values, k=k)
     assert within_fsum_bound(sse_exact, data.values * k, fitted * k)
@@ -382,7 +390,7 @@ def plain_cov_selection(C, lams):
     C = np.add(C * 0.5, C.T * 0.5, out=np.empty_like(C))
     J = C.shape[0]
     sp = axis_spectrum(midpoints(J), AxisSpec(knot_segments=auto_knot_segments(J)))
-    e = _scale_exponent(C)
+    e = _exponent(C.min(), C.max())
     C *= 2.0 ** -e
     Ct = _project(C, (sp, sp))
     cc = chunked_sum_sq(C)
