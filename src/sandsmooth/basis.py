@@ -8,7 +8,6 @@ discrete difference penalty meaningful on every coefficient.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +20,9 @@ class AxisSpec:
     Parameters
     ----------
     degree : int
-        B-spline degree p (cubic by default).
+        B-spline degree p (cubic by default).  Degree 0, piecewise
+        constant, fits but lies outside the paper's asymptotic theory,
+        which needs degree >= 1.
     penalty_order : int
         Order m of the difference penalty on adjacent coefficients.
     knot_segments : int
@@ -40,13 +41,6 @@ class AxisSpec:
             raise ValueError(f"penalty_order must be >= 1, got {self.penalty_order}")
         if self.knot_segments < 1:
             raise ValueError(f"knot_segments must be >= 1, got {self.knot_segments}")
-        if self.degree == 0:
-            # Piecewise-constant fits work but sit outside the asymptotic
-            # guarantees, which need degree >= 1.
-            warnings.warn(
-                "degree-0 B-splines are outside the supported asymptotic theory",
-                stacklevel=2,
-            )
 
     @property
     def n_basis(self) -> int:

@@ -5,11 +5,13 @@ an I1 x I2 rectangular partition, turning the problem into a grid fit at
 the bin centers.  At a fixed (lambda1, lambda2), the fixed point of "fit,
 overwrite the empty cells with the fitted values, refit" is the penalized
 fit with 0/1 cell weights O, (B'OB + P_lambda) theta = B'Oy (Currie,
-Durban & Eilers, JRSS-B 2006); it is solved directly.  Lambda selection
-scores only occupied cells: per-row masked Grams, summed once from the row
-blocks of B2, score every candidate pair in closed form and also apply the
-weighted term of the solve.  The trace keeps the full-grid product form;
-the GCV and tie rule are the grid fit's.
+Durban & Eilers, JRSS-B 2006); it is solved directly, on the dense
+factors A_k = B_k F_k at the bin centers, not the engine's projection.
+Lambda selection scores only occupied cells: per-row masked Grams
+A2' diag(O[a, :]) A2, all rows in one product, score every candidate
+pair in closed form and also apply the weighted term of the solve.  The
+trace keeps the full-grid product form; the GCV and tie rule are the
+grid fit's.
 """
 
 from __future__ import annotations
@@ -26,15 +28,11 @@ from .sandwich2d import (
     LambdaGrid,
     SandwichFit,
     _axis_spectra,
-    _contract,
-    _expand,
     _expand_axis,
     _exponent,
     _gcv,
     _name_non_finite,
     _pick,
-    _project,
-    _project_axis,
     _resolve,
     _shrink_table,
     _sse_table,
@@ -167,53 +165,36 @@ def bin_scatter(data: ScatterData, i1: int, i2: int) -> BinnedGrid:
     )
 
 
-def _expand_rows(T, sp):
-    """B F T along the second-to-last axis: F, then B through its row blocks."""
-    return _expand_axis(sp.coef_map @ T, T.ndim - 2, sp.blocks, sp.n_points)
-
-
-def _project_rows(X, sp):
-    """F' B' X along the first axis: B' through its row blocks, then F'."""
-    return sp.coef_map.T @ _project_axis(X, 0, sp.blocks, sp.n_basis)
-
-
 @dataclass(frozen=True)
 class _MaskedGram:
-    """Fixed pieces of the masked SSE, with O the occupied mask, B2 F2 the
-    second axis's orthonormal basis and Y a grid holding the binned means:
-    gram[a] = F2' B2' diag(O[a, :]) B2 F2, one c2 x c2 Gram per grid row;
-    cross = (O * Y) B2 F2; yty = the sum of Y^2 over occupied cells."""
+    """Fixed pieces of the masked fit, with O the occupied mask, A_k = B_k F_k
+    each axis's orthonormal basis at the bin centers and Y a grid holding
+    the binned means: gram[a] = A2' diag(O[a, :]) A2, one c2 x c2 Gram per
+    grid row; cross = (O * Y) A2; yty = the sum of Y^2 over occupied cells."""
 
+    A1: np.ndarray
+    A2: np.ndarray
     occupied: np.ndarray
     gram: np.ndarray
     cross: np.ndarray
     yty: float
 
 
-def _masked_gram(Y, occupied, sz) -> _MaskedGram:
-    """The _MaskedGram of working grid Y under the occupied mask.  Each row
-    block of B2 adds B' diag(O[a, rows]) B to row a's Gram, all rows in one
-    product of O with the block's B[k, p] B[k, q]; then G -> F2' G F2."""
-    Yo, O, F = np.where(occupied, Y, 0.0), occupied.astype(float), sz.coef_map
-    gram = np.zeros((O.shape[0],) + F.shape)
-    for rows, cols, B in sz.blocks:
-        gram[:, cols, cols] += np.tensordot(O[:, rows], np.einsum("kp,kq->kpq", B, B), 1)
-    np.matmul(F.T, gram @ F, out=gram)
-    return _MaskedGram(occupied, gram, _project_axis(Yo, 1, sz.blocks, len(F)) @ F,
-                       _sum_sq(Yo))
+def _masked_gram(Y, occupied, A1, A2) -> _MaskedGram:
+    """The _MaskedGram of working grid Y under the occupied mask: every
+    row's Gram in one product of O with the outer products A2[k] A2[k]'."""
+    Yo, (n2, c2) = np.where(occupied, Y, 0.0), A2.shape
+    outer = (A2[:, :, None] * A2[:, None, :]).reshape(n2, -1)
+    gram = (occupied.astype(float) @ outer).reshape(-1, c2, c2)
+    return _MaskedGram(A1, A2, occupied, gram, Yo @ A2, _sum_sq(Yo))
 
 
-def _null_columns(sp):
-    """B F's columns of zero penalty eigenvalue: the null space at the points."""
-    return _expand_axis(sp.coef_map[:, sp.s == 0], 0, sp.blocks, sp.n_points)
-
-
-def _require_determined(occupied, sx, sz) -> None:
-    """Raise DegenerateFit unless the occupied cells determine the penalty
-    null space, the tensor polynomials the penalty leaves free (1, x, z, xz
-    for second differences): else the weighted fit is singular and any
-    extrapolation of that part would be arbitrary."""
-    null = np.einsum("ip,jq->ijpq", _null_columns(sx), _null_columns(sz))
+def _require_determined(occupied, null1, null2) -> None:
+    """Raise DegenerateFit unless the occupied cells determine null1 (x)
+    null2, the tensor polynomials the penalty leaves free (1, x, z, xz for
+    second differences; null_k holds A_k's columns of zero eigenvalue):
+    else the weighted fit is singular and its extrapolation arbitrary."""
+    null = np.einsum("ip,jq->ijpq", null1, null2)
     on_occupied = null[occupied].reshape(int(occupied.sum()), -1)
     w = np.linalg.eigvalsh(on_occupied.T @ on_occupied)
     if w[0] <= GRAM_RTOL * w[-1]:
@@ -234,9 +215,10 @@ def _masked_sse_table(Y, masked, sx, sz, lam1, lam2):
     + yty with M_i = sum_a (P_i[a] P_i[a]') * gram[a]: the weighted inner
     products of Currie, Durban & Eilers (2006) with 0/1 weights.  The work
     is O(L1 n1 c2^2); no smoother is applied per pair."""
+    A1, A2 = masked.A1, masked.A2
     st1 = _shrink_table(lam1, sx.s)  # L1 x c1
     st2 = _shrink_table(lam2, sz.s)  # L2 x c2
-    P = _expand_rows(st1[:, :, None] * _project(Y, (sx, sz)), sx)  # L1 x n1 x c2
+    P = A1 @ (st1[:, :, None] * (A1.T @ Y @ A2))  # L1 x n1 x c2
     M = np.einsum("iak,ial,akl->ikl", P, P, masked.gram)
     fit_norm = np.einsum("jk,ikj->ij", st2, M @ st2.T)
     cross = np.einsum("iak,ak->ik", P, masked.cross) @ st2.T
@@ -252,13 +234,13 @@ def _masked_search(Y, masked, sx, sz, lam1, lam2, n_eff):
     return _pick(gcv, n_eff, (lam1, lam2))
 
 
-def _weighted_term(T, masked, sx):
+def _weighted_term(T, masked):
     """A1' (O * (A1 T A2')) A2 with A_k = B_k F_k, row a of A1 T weighted
-    by its masked Gram; A1 and A1' go through the row blocks of B1."""
-    return _project_rows((masked.gram @ _expand_rows(T, sx)[:, :, None])[:, :, 0], sx)
+    by its masked Gram."""
+    return masked.A1.T @ (masked.gram @ (masked.A1 @ T)[:, :, None])[:, :, 0]
 
 
-def _weighted_solve(theta, rhs, masked, sx, shrink):
+def _weighted_solve(theta, rhs, masked, shrink):
     """Solve _weighted_term(Theta) + (1/shrink - 1) * Theta = rhs, the
     0/1-weighted fit in spectral coordinates (shrink = st1 (x) st2), by
     conjugate gradients from theta, preconditioned with shrink.  Returns
@@ -268,7 +250,7 @@ def _weighted_solve(theta, rhs, masked, sx, shrink):
         penalty = np.minimum(1.0 / shrink, np.finfo(float).max) - 1.0
 
     def apply(T):
-        return _weighted_term(T, masked, sx) + penalty * T
+        return _weighted_term(T, masked) + penalty * T
 
     norm = np.linalg.norm(shrink * rhs) or 1.0
     r = rhs - apply(theta)
@@ -340,9 +322,10 @@ def iterative_fit(
     e = _exponent(data.y.min(), data.y.max())
     means = np.where(occupied, np.ldexp(binned.means, -e), 0.0)
     sx, sz = _axis_spectra((binned.x_centers, binned.z_centers), specs)
-    _require_determined(occupied, sx, sz)
-    masked = _masked_gram(means, occupied, sz)
-    rhs = _project_rows(masked.cross, sx)
+    A1, A2 = (_expand_axis(sp.coef_map, 0, sp.blocks, sp.n_points) for sp in (sx, sz))
+    _require_determined(occupied, A1[:, sx.s == 0], A2[:, sz.s == 0])
+    masked = _masked_gram(means, occupied, A1, A2)
+    rhs = A1.T @ masked.cross
 
     # solved[(i, j)] = (masked GCV, masked SSE, filled grid, residual) at
     # the pair's own fixed point, in solve order
@@ -355,8 +338,8 @@ def iterative_fit(
             break
         st1 = shrink_weights(sx.s, lam1[pair[0]])
         st2 = shrink_weights(sz.s, lam2[pair[1]])
-        theta, resid = _weighted_solve(theta, rhs, masked, sx, np.outer(st1, st2))
-        fitted = _expand(_contract(theta, (sx.coef_map, sz.coef_map)), (sx, sz))
+        theta, resid = _weighted_solve(theta, rhs, masked, np.outer(st1, st2))
+        fitted = A1 @ theta @ A2.T
         Y = np.where(occupied, means, fitted)
         sse = _sum_sq(fitted, Y)  # exactly 0 in the empty cells
         solved[pair] = (gcv_score(sse, st1.sum() * st2.sum(), n_eff), sse, Y, resid)

@@ -224,7 +224,7 @@ def smoother_rows(n: int, spec: AxisSpec, lam: float, rows=None):
 
     Returns (x, W) with W[r, j] the weight of observation j in the fit
     at x[rows[r]].  Dense solve; profile checks keep n and the basis
-    small.
+    small.  Raises LinAlgError when B'B + lam D'D is numerically singular.
     """
     x = midpoints(n)
     B = design_matrix(x, spec)
@@ -232,6 +232,8 @@ def smoother_rows(n: int, spec: AxisSpec, lam: float, rows=None):
     M = B.T @ B + lam * (D.T @ D)
     idx = np.arange(n) if rows is None else np.asarray(rows, dtype=int)
     G = np.linalg.solve(M, B.T)
+    if not np.isfinite(G).all():
+        raise np.linalg.LinAlgError("B'B + lam D'D is numerically singular")
     return x, B[idx] @ G
 
 

@@ -17,8 +17,8 @@ lists and the reconstruction) and returns one SandwichFit.  select_lambda
 here and glam.fit_array are thin names over it.  The covariance fit
 projects through _SpectralFit too and scores only the candidates that
 share one lambda on both axes (_gcv_shared); the scatter fit uses the
-projection and the pick.  Every fit takes its default specs and
-candidate lists, and the candidate rule, from _resolve.
+pick on its own dense factors B_k F_k.  Every fit takes its default
+specs and candidate lists, and the candidate rule, from _resolve.
 
 Selection uses GCV = (SSE/n) / (1 - edf/n)^2, the standard form, with edf
 the product of the per-axis traces.  Exact ties go to the largest lambda

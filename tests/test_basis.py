@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -174,6 +176,8 @@ class TestDiffMatrix:
             diff_matrix(2, 2)
 
 
-def test_degree_zero_flagged():
-    with pytest.warns(UserWarning):
-        AxisSpec(0, 1, 4)
+def test_degree_zero_builds_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spec = AxisSpec(0, 1, 4)
+    assert spec.n_basis == 4

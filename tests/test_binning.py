@@ -12,15 +12,18 @@ from sandsmooth.binning import (
     auto_bin_count,
     bin_scatter,
     iterative_fit,
-    _expand_rows,
     _masked_gram,
     _masked_search,
     _masked_sse_table,
-    _null_columns,
-    _project_rows,
     _weighted_term,
 )
-from sandsmooth.sandwich2d import DegenerateFit, GridData, LambdaGrid, select_lambda
+from sandsmooth.sandwich2d import (
+    DegenerateFit,
+    GridData,
+    LambdaGrid,
+    _expand_axis,
+    select_lambda,
+)
 from sandsmooth.spectra import axis_spectrum
 from sandsmooth.surfaces import f2
 
@@ -29,6 +32,12 @@ from dense_oracle import apply_smoother, dense_factor, trace_smoother
 
 def centers(n):
     return (np.arange(n) + 0.5) / n
+
+
+def factors(*spectra):
+    """A_k = B_k F_k of each spectrum at its points, through the row blocks
+    of B_k, as iterative_fit forms them."""
+    return [_expand_axis(sp.coef_map, 0, sp.blocks, sp.n_points) for sp in spectra]
 
 
 def full_scatter(i1, i2, values):
@@ -165,7 +174,7 @@ class TestMaskedSearch:
         lam1 = np.logspace(-2, 2, 5)
         lam2 = np.logspace(-1, 1, 4)
         n_eff = int(occupied.sum())
-        got = _masked_search(Y, _masked_gram(Y, occupied, sz), sx, sz,
+        got = _masked_search(Y, _masked_gram(Y, occupied, *factors(sx, sz)), sx, sz,
                              lam1, lam2, n_eff)
         gcv = np.empty((lam1.size, lam2.size))
         A1, A2 = dense_factor(sx, centers(i1)), dense_factor(sz, centers(i2))
@@ -196,7 +205,7 @@ class TestMaskedSearch:
         Y, occupied, sx, sz = self.masked_problem(seed, i1, i2)
         lam1 = np.logspace(-3, 3, 6)
         lam2 = np.logspace(-2, 4, 7)
-        table = _masked_sse_table(Y, _masked_gram(Y, occupied, sz), sx, sz,
+        table = _masked_sse_table(Y, _masked_gram(Y, occupied, *factors(sx, sz)), sx, sz,
                                   lam1, lam2)
         dense = np.empty((lam1.size, lam2.size))
         A1, A2 = dense_factor(sx, centers(i1)), dense_factor(sz, centers(i2))
@@ -213,7 +222,7 @@ class TestMaskedSearch:
         Y, occupied, sx, sz = self.masked_problem(seed, i1, i2)
         lam1 = lam2 = LambdaGrid.default().lambda_x
         n_eff = int(occupied.sum())
-        got = _masked_search(Y, _masked_gram(Y, occupied, sz), sx, sz,
+        got = _masked_search(Y, _masked_gram(Y, occupied, *factors(sx, sz)), sx, sz,
                              lam1, lam2, n_eff)
         assert got == masked_search_loop(Y, occupied, sx, sz, lam1, lam2, n_eff)
 
@@ -495,8 +504,9 @@ def rel_close(got, want, rtol=1e-12):
 
 
 class TestBandedWeightedFit:
-    """The scatter fit's products through the row blocks against the dense
-    factors A_k = B_k F_k."""
+    """The scatter fit's factors A_k = B_k F_k, formed through the row
+    blocks, and its products on them against the dense factors built from
+    design_matrix."""
 
     @staticmethod
     def problem(seed, i1, i2, k1, k2):
@@ -520,24 +530,25 @@ class TestBandedWeightedFit:
     def test_masked_pieces_match_dense(self, seed, i1, i2, k1, k2, n_blocks):
         Y, occupied, sx, sz, A1, A2 = self.problem(seed, i1, i2, k1, k2)
         assert (len(sx.blocks), len(sz.blocks)) == n_blocks
-        masked = _masked_gram(Y, occupied, sz)
+        masked = _masked_gram(Y, occupied, *factors(sx, sz))
+        assert rel_close(masked.A1, A1) and rel_close(masked.A2, A2)
         O = occupied.astype(float)
         assert rel_close(masked.gram, np.einsum("ak,kp,kq->apq", O, A2, A2))
         cross = (O * Y) @ A2
         assert rel_close(masked.cross, cross)
-        assert rel_close(_project_rows(masked.cross, sx), A1.T @ cross)
-        for sp, A in ((sx, A1), (sz, A2)):
-            assert rel_close(_null_columns(sp), A[:, sp.s == 0])
+        assert rel_close(masked.A1.T @ masked.cross, A1.T @ cross)
+        for sp, got, A in ((sx, masked.A1, A1), (sz, masked.A2, A2)):
+            assert rel_close(got[:, sp.s == 0], A[:, sp.s == 0])
 
     @pytest.mark.parametrize("seed, i1, i2, k1, k2, n_blocks", CASES)
     def test_weighted_term_matches_dense(self, seed, i1, i2, k1, k2, n_blocks):
         # the conjugate-gradient operator A1' (O * (A1 T A2')) A2
         Y, occupied, sx, sz, A1, A2 = self.problem(seed, i1, i2, k1, k2)
-        masked = _masked_gram(Y, occupied, sz)
+        masked = _masked_gram(Y, occupied, *factors(sx, sz))
         T = np.random.default_rng(seed).normal(size=(sx.n_basis, sz.n_basis))
-        assert rel_close(_expand_rows(T, sx), A1 @ T)
+        assert rel_close(masked.A1 @ T, A1 @ T)
         want = A1.T @ (occupied * (A1 @ T @ A2.T)) @ A2
-        assert rel_close(_weighted_term(T, masked, sx), want)
+        assert rel_close(_weighted_term(T, masked), want)
 
     def test_no_grid_sized_temporary_per_basis_function(self):
         # 400 x 400 bins, 38 basis functions per axis: the masked Grams once

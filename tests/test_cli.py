@@ -110,6 +110,22 @@ class TestSmoothGrid:
         assert ("an axis of 4 points cannot determine 5 basis functions "
                 "(knot_segments=2, degree=3); use at most 1 knot segment") in err
 
+    def test_degree_zero_failure_is_one_stderr_line(self, tmp_path):
+        # a fresh interpreter, whose warnings reach stderr: degree 0 adds no
+        # advisory line to the one error line (one point: one basis function)
+        inp = tmp_path / "in.csv"
+        write_grid_csv(inp, [0.5], [0.5], np.ones((1, 1)))
+        src = str(Path(sandsmooth.__file__).resolve().parents[1])
+        code = "import sys; from sandsmooth.cli import main; sys.exit(main(sys.argv[1:]))"
+        run = subprocess.run(
+            [sys.executable, "-W", "default", "-c", code, "smooth-grid", "-i", str(inp),
+             "--degree", "0"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+            timeout=60)
+        assert run.returncode == 2
+        lines = run.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("sandsmooth: "), run.stderr
+
     def test_huge_values_fit_without_overflow(self, tmp_path):
         x, z = midpoints(20), midpoints(30)
         Y = 1e160 * (1 + 0.1 * CounterNormals(4).normals((20, 30)))
@@ -517,6 +533,19 @@ class TestSmoothScatter:
 
 
 class TestSmoothCov:
+    def test_huge_curves_fit(self, tmp_path):
+        # the squares of two curves near 1e154 sum past the float range,
+        # their mean square does not
+        t = midpoints(12)
+        Y = 1e154 * np.stack([1.2 + 0.1 * np.sin(2 * np.pi * t), -1.1 - 0.2 * t])
+        cv, out = tmp_path / "cv.csv", tmp_path / "K.csv"
+        write_curves_csv(cv, t, Y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["smooth-cov", "-i", str(cv), "-o", str(out)]) == 0
+        _, _, K = read_grid_csv(out)
+        assert np.isfinite(K).all() and K.max() > 1e307
+
     def test_end_to_end(self, tmp_path):
         curves = simulate_fda(1, 40, 20, 0.5, seed=23)
         cv = tmp_path / "cv.csv"
@@ -708,6 +737,18 @@ class TestSimulate:
         assert sm["case"] == 2
         assert sm["mise"] > 0.0
 
+    # squared errors near sigma^2 (surface) and sigma^4 (covariance)
+    @pytest.mark.parametrize("kind, sigma", [("surface", "1e300"), ("fda", "1e150")])
+    def test_mise_past_the_float_range_reads_inf(self, tmp_path, kind, sigma):
+        sump = tmp_path / "s.json"
+        argv = ["simulate", "--kind", kind, "--sigma", sigma, "--reps", "2",
+                "--size", "12,14", "--summary", str(sump)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 0
+        sm = json.loads(sump.read_text())
+        assert sm["mise"] == sm["sd_ise"] == "inf"
+
     def test_stdout_reports_mise(self, capsys):
         assert main(["simulate", "--reps", "2", "--size", "12,14"]) == 0
         assert "MISE=" in capsys.readouterr().out
@@ -729,6 +770,30 @@ class TestKernelCheck:
 
     def test_bad_order_exits_2(self):
         assert main(["kernel-check", "--orders", "0"]) == 2
+
+    def test_failed_moments_are_one_stderr_line(self, capsys):
+        # the closed-form moment sums lose precision at order 8
+        assert main(["kernel-check", "--orders", "8"]) == 1
+        out, err = capsys.readouterr()
+        assert "FAIL" in out
+        assert err.splitlines() == ["sandsmooth: kernel-check: failed moment checks: 1"]
+
+    def test_profile_basis_too_small_names_the_options(self, capsys):
+        argv = ["kernel-check", "--profile", "19,2,1e-4", "--degree", "0",
+                "--penalty-order", "3"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "sandsmooth: --profile knots 2 and --degree 0 give 2 basis functions, "
+            "too few for --penalty-order 3"]
+
+    def test_singular_profile_system_exits_1(self, capsys):
+        # 4 points, 12 basis functions and lambda near zero
+        argv = ["kernel-check", "--profile", "4,9,1e-300", "--penalty-order", "3"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "sandsmooth: numeric failure: B'B + lam D'D is numerically singular"]
 
     def test_plotdata_curve(self, tmp_path):
         plotp = tmp_path / "k.csv"

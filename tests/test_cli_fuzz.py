@@ -2,15 +2,15 @@
 
 Generated input files, small and often malformed, and generated option
 values drive cli.main for smooth-grid, smooth-scatter, smooth-cov and
-smooth-array.  Whatever the input, a run ends in exit 0, 1 or 2 without a
+smooth-array; generated option values alone drive simulate, kernel-check
+and bench.  Whatever the input, a run ends in exit 0, 1 or 2 without a
 traceback (an exception escaping main fails the test) or a RuntimeWarning.
 A failed run prints exactly one ``sandsmooth: ...`` line on stderr; an
 input error (exit 2) names the input file (with the line at fault, where
-one line is), an index or an option.  A run that succeeds writes a finite
-fitted artifact that its reader accepts, and a summary whose only
-non-finite values are an SSE or a GCV past the float range, which the
-summary writes as the string "inf".  The library's advisory UserWarning
-for degree-0 splines is not part of the error report.
+one line is), an index or an option.  A run that succeeds writes a
+summary whose only non-finite values are an SSE, a GCV or an ISE past the
+float range, which the summary writes as the string "inf", and a
+smoothing run also a finite fitted artifact that its reader accepts.
 """
 
 import contextlib
@@ -34,11 +34,20 @@ SCALES = [1.0, 1e300, -1e300, 1e-300, 1.7e308]
 # small inputs, so no SSE or GCV of theirs may read inf
 HUGE = 1e150
 # summary fields that read "inf" when the true value is past the float range
-SQUARED = {"sse", "gcv", "masked_sse", "masked_gcv"}
+SQUARED = {"sse", "gcv", "masked_sse", "masked_gcv", "mise", "sd_ise"}
 # --lambda-grid bounds: ordinary ones and ones near +-300, then ones whose
 # 10^bound is past the float range
 BOUNDS = [-5.0, 0.0, 4.0, -300.0, -299.5, 299.5, 300.0, 308.0]
 BAD_BOUNDS = [-330.0, -324.0, -308.5, 308.3, 309.0]
+# simulate, kernel-check and bench: seeds, noise levels, penalty orders
+# and --profile smoothing parameters, in range and then out of it
+SEEDS = [0, 1, 2 ** 128 - 1]
+BAD_SEEDS = [-1, 2 ** 128]
+SIGMAS = [0.0, 0.5, 1e150, 1e300]
+BAD_SIGMAS = [-1.0, math.inf, math.nan]
+ORDERS = [1, 2, 3, 6, 8]
+LAMBDAS = [1e-300, 1e-4, 1.0, 1e4, 1e300]
+BAD_LAMBDAS = [0.0, -1.0, math.inf, math.nan]
 
 # Each run is tame or wild.  A tame run has 2 to 6 points per axis on the
 # midpoints, a full file of finite values and options in range, so that
@@ -155,11 +164,11 @@ def some(values):
 
 
 @st.composite
-def fit_flags(draw, wild):
+def fit_flags(draw, wild, basis=True):
     """Basis and lambda options of the smoothing subcommands: the defaults
     or a basis of 2 functions per axis, which axes of 2 points determine;
-    in a wild run also drawn values."""
-    basis = draw(st.sampled_from(["default", "small"] + ["drawn"] * wild))
+    in a wild run also drawn values.  basis False leaves out the basis."""
+    basis = draw(st.sampled_from(["default", "small"] + ["drawn"] * wild)) if basis else None
     flags = []
     if basis == "small":
         flags += ["--knots", "1", "--degree", "1", "--penalty-order", "1"]
@@ -195,6 +204,41 @@ def runs(draw):
     if command == "smooth-cov":
         flags += draw(st.sampled_from([[], ["--center"], ["--exclude-diagonal"]]))
     return command, content.encode(), "in.csv", values, flags
+
+
+@st.composite
+def study_runs(draw):
+    """(command, flags, the data's scale) of simulate, kernel-check or
+    bench, on sizes that keep a run small; in a wild run options may be
+    out of range or of the wrong count."""
+    command = draw(st.sampled_from(["simulate", "kernel-check", "bench"]))
+    wild = draw(st.booleans())
+
+    def one(values, bad):
+        return str(draw(st.sampled_from(values + bad * wild)))
+
+    seed = ["--seed", one(SEEDS, BAD_SEEDS)]
+    if command == "kernel-check":
+        flags = ["--orders", draw(some(ORDERS + [0] * wild))]
+        if draw(st.booleans()):
+            n, knots = draw(st.integers(1 - wild, 30)), draw(st.integers(1 - wild, 10))
+            flags += ["--profile", f"{n},{knots},{one(LAMBDAS, BAD_LAMBDAS)}",
+                      "--degree", one([0, 1, 3], [-1, "2,3"]),
+                      "--penalty-order", one([1, 2, 3], [0])]
+        return command, flags, 1.0
+    if command == "bench":
+        sizes = draw(some([2, 3, 5, 8] + [1, 0] * wild))
+        return command, ["--sizes", sizes, *seed, *draw(fit_flags(wild, basis=False))], 1.0
+    size = draw(st.lists(st.sampled_from([2, 3, 5, 8] + [1] * wild),
+                         min_size=2 - wild, max_size=2))
+    sigma = float(one(SIGMAS, BAD_SIGMAS))
+    flags = ["--kind", one(["surface", "fda"], ["both"]),
+             "--function", one(["f1", "f2"], ["f3"]),
+             "--case", one([1, 2], [3]),
+             "--size", ",".join(map(str, size)),
+             "--reps", str(draw(st.integers(1 - wild, 3))),
+             "--sigma", repr(sigma), *seed, *draw(fit_flags(wild))]
+    return command, flags, sigma
 
 
 def run_main(argv):
@@ -260,3 +304,28 @@ def test_smoothing_commands_fail_cleanly(tmp_path, run):
         fitted = read_grid_csv(out)[2]
     assert np.all(np.isfinite(fitted)), argv
     check_summary(json.loads(summary.read_text()), values)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@given(run=study_runs())
+def test_study_commands_fail_cleanly(tmp_path, run):
+    command, flags, scale = run
+    summary, plot = tmp_path / "s.json", tmp_path / "plot.csv"
+    for stale in (summary, plot):
+        stale.unlink(missing_ok=True)
+    argv = [command, "--summary", str(summary), *flags]
+    if command != "bench":
+        argv += ["--emit-plotdata", str(plot)]
+    rc, err, caught = run_main(argv)
+    assert rc in (0, 1, 2), (argv, rc, err)
+    numeric = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not numeric, (argv, numeric)
+    if rc:
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("sandsmooth: "), (argv, err)
+        if rc == 2:  # no input file: an index or an option
+            assert re.search(r"\w\[\d+|--[a-z]", lines[0]), (argv, err)
+        return
+    check_summary(json.loads(summary.read_text()), [scale])

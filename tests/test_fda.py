@@ -101,6 +101,24 @@ class TestSampleCov:
         with pytest.raises(ValueError):
             sample_cov(CurveSet(np.zeros((1, 5))))
 
+    @pytest.mark.parametrize("center", [False, True])
+    def test_huge_curves_give_a_finite_moment(self, center):
+        # two curves near 1e154: their squares sum past the float range,
+        # their mean square does not; the moment is Y * 2^-600's, scaled
+        # back exactly
+        t = midpoints(12)
+        Y = 1e154 * np.stack([1.2 + 0.1 * np.sin(2 * np.pi * t), -1.1 - 0.2 * t])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            C = sample_cov(CurveSet(Y), center=center)
+            model = smooth_cov(C)
+        small = sample_cov(CurveSet(np.ldexp(Y, -600)), center=center)
+        assert np.array_equal(C, np.ldexp(small, 1200))
+        assert np.isfinite(C).all() and (center or C.max() > 1e308)
+        ref = smooth_cov(small)
+        assert model.lam == ref.lam
+        npt.assert_allclose(model.smoothed_cov, np.ldexp(ref.smoothed_cov, 1200), rtol=1e-12)
+
     def test_monte_carlo_close_to_truth(self):
         curves = simulate_fda(1, 1000, 20, 0.0, seed=99)
         C = sample_cov(curves)
